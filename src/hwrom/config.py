@@ -158,7 +158,7 @@ class ScenarioConfig:
                 )
             elif kind == "join":
                 robot = _build_robot(entry["robot"], f"events[{i}].robot")
-                pose = tuple(entry["pos"]) if "pos" in entry else None
+                pose = tuple(entry["pos"]) if entry.get("pos") is not None else None
                 scheduler.push_event(fm.RobotJoined(tick=at, robot=robot, pose=pose))
 
 
@@ -309,11 +309,14 @@ def from_dict(data: dict) -> ScenarioConfig:
         constraints.append(ConstraintRelation(a, b, ck))
 
     auction = _as_dict(data.get("auction", {}), "auction")
-    policy = AdjustPolicy(
-        delta=_frac(auction.get("delta", "1/4"), "auction.delta"),
-        max_reward_rounds=int(auction.get("max_reward_rounds", 3)),
-        max_total_rounds=int(auction.get("max_total_rounds", 5)),
-    )
+    try:
+        policy = AdjustPolicy(
+            delta=_frac(auction.get("delta", "1/4"), "auction.delta"),
+            max_reward_rounds=int(auction.get("max_reward_rounds", 3)),
+            max_total_rounds=int(auction.get("max_total_rounds", 5)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("auction", str(exc)) from None
 
     cost_table: dict[tuple[str, str], Fraction] = {}
     for rid, tasks in _as_dict(data.get("costs", {}), "costs").items():
@@ -404,7 +407,6 @@ def from_dict(data: dict) -> ScenarioConfig:
             script.append(item)
         else:
             raise ConfigError(where, f"unknown event type {kind!r}")
-    script = [dict(s, pos=s.get("pos")) if s["type"] == "join" else s for s in script]
 
     params = fm.EngineParams(
         margin=_frac(auction.get("margin", "1/10"), "auction.margin"),

@@ -58,6 +58,7 @@ from .rules_engine import (
     RuleScope,
     RuleSet,
     check_assignment,
+    preferred_teams,
     winner_locked,
 )
 from .wire import ENV
@@ -692,7 +693,12 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
             _reannounce(state, auction, escalated, result)
     else:
         result.notes.append({"kind": "give_up", "task": t})
-        if not _replan(state, result):
+        try:
+            planned = _replan(state, result)
+        except ReplanBudgetExhausted:
+            result.notes.append({"kind": "replan_budget_exhausted", "task": t})
+            planned = False
+        if not planned:
             state.phase = Phase.FAILED
             result.notes.append({"kind": "formation_failed", "task": t})
         _check_formed(state, result)
@@ -805,17 +811,38 @@ def _dissolve_team(state: FormationState, node_id: str, result: StepResult) -> N
 # --- allocation fallback (society-wide re-plan) -----------------------------------------
 
 
-def _replan(state: FormationState, result: StepResult) -> bool:
-    """Leader allocation without negotiation: find the preference-best feasible
-    assignment of every unfinished task and install it wholesale."""
-    unfinished = [
+#: Search nodes one re-plan may visit before formation gives up: partial
+#: assignments tried plus teams considered. A count, not a clock, so replay
+#: reproduces the outcome exactly.
+REPLAN_NODE_BUDGET = 1_000_000
+
+
+class ReplanBudgetExhausted(Exception):
+    """The allocation search visited REPLAN_NODE_BUDGET nodes without an answer."""
+
+
+def _unfinished(state: FormationState) -> list[str]:
+    return [
         t
         for t in state.effective_tasks()
         if state.tasks[t].status
         in (TaskStatus.UNASSIGNED, TaskStatus.ANNOUNCED, TaskStatus.ASSIGNED)
     ]
-    if not unfinished:
-        return True
+
+
+def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str, str]] | None:
+    """The preference-best feasible assignment of `unfinished` tasks as
+    (task, robot) pairs in `order` (composites first), or None if there is none.
+
+    Best means the least key (team size, sorted team, assignee of each task in
+    `order`): rules_engine.forming_key on the team, then the assignment vector.
+    Depth-first searches capped at k distinct robots find the least team size
+    k; teams of the candidate robots are then tried in forming_key order from
+    k. Within a team a depth-first search over `order` takes each task's
+    candidates in id order, so its first complete hit is the lexicographic
+    optimum. Raises ReplanBudgetExhausted
+    after REPLAN_NODE_BUDGET search nodes.
+    """
     robots = sorted(r for r in state.robots if state.alive(r))
     fixed_held: dict[str, set[str]] = {
         r: {
@@ -843,6 +870,10 @@ def _replan(state: FormationState, result: StepResult) -> bool:
             out.append(r)
         return out
 
+    eligible = {t: candidates(t) for t in order}
+    if not all(eligible.values()):
+        return None
+
     parallel_pairs = {
         frozenset((c.a, c.b))
         for c in state.params.constraints
@@ -864,25 +895,78 @@ def _replan(state: FormationState, result: StepResult) -> bool:
         deepest = max(mine, key=lambda x: (_task_depth(state, x), x))
         return state.task_parent.get(t) == deepest
 
-    best: dict[str, str] | None = None
-    best_key: tuple | None = None
+    nodes = 0
 
-    def search(i: int, chosen: dict[str, str]) -> None:
-        nonlocal best, best_key
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > REPLAN_NODE_BUDGET:
+            raise ReplanBudgetExhausted
+
+    # robots with the same candidacies and completed work are interchangeable
+    # until one of them is used: swapping two unused ones maps any completion
+    # onto another, so once one fails as t's assignee, the rest fail too
+    kind = {r: (tuple(r in eligible[t] for t in order), frozenset(fixed_held[r])) for r in robots}
+    chosen: dict[str, str] = {}
+
+    def search(i: int, options: dict[str, list[str]], team: set[str], cap: int) -> bool:
+        """Extend `chosen` over order[i:] with at most `cap` distinct robots,
+        so that every member of `team` ends up with a task."""
+        visit()
+        used = set(chosen.values())
+        if len(order) - i < len(team - used):
+            return False
         if i == len(order):
-            team = tuple(sorted(set(chosen.values())))
-            key = (len(team), team, tuple(chosen[t] for t in order))
-            if best_key is None or key < best_key:
-                best, best_key = dict(chosen), key
-            return
+            return True
         t = order[i]
-        for r in candidates(t):
+        fresh_tried = set()
+        for r in options[t]:
+            if r not in used:
+                if len(used) >= cap or kind[r] in fresh_tried:
+                    continue
+                fresh_tried.add(kind[r])
             if parallel_ok(r, t, chosen) and chain_ok(r, t, chosen):
                 chosen[t] = r
-                search(i + 1, chosen)
+                if search(i + 1, options, team, cap):
+                    return True
                 del chosen[t]
+        return False
 
-    search(0, {})
+    # one first-hit search proves feasibility, so an infeasible instance never
+    # pays for the team enumeration; its team bounds the least size from above
+    if not search(0, eligible, set(), len(order)):
+        return None
+    upper = len(set(chosen.values()))
+    chosen.clear()
+
+    # each robot's composites form one parent-child path (chain_ok), and a
+    # composite with no unfinished composite child can only end such a path
+    open_composites = set(composites)
+    size = max(1, sum(1 for t in composites if open_composites.isdisjoint(state.task_children[t])))
+    # a search capped at `size` robots visits each partial assignment once,
+    # where trying every team of that size would revisit it in each superset
+    while size < upper and not search(0, eligible, set(), size):
+        size += 1
+    chosen.clear()
+
+    # a robot that is no task's candidate can hold nothing, so it is in no team
+    pool = set().union(*eligible.values())
+    for team in preferred_teams(pool, size):
+        visit()
+        members = set(team)
+        options = {t: [r for r in eligible[t] if r in members] for t in order}
+        if all(options.values()) and search(0, options, members, size):
+            return [(t, chosen[t]) for t in order]
+    return None  # unreachable: the capped search above found a team of `size`
+
+
+def _replan(state: FormationState, result: StepResult) -> bool:
+    """Leader allocation without negotiation: find the preference-best feasible
+    assignment of every unfinished task and install it wholesale."""
+    unfinished = _unfinished(state)
+    if not unfinished:
+        return True
+    best = _allocation(state, unfinished)
     if best is None:
         return False
 
@@ -891,8 +975,7 @@ def _replan(state: FormationState, result: StepResult) -> bool:
     state.pending.clear()
     state.active_auctions.clear()
 
-    for t in order:
-        assignee = best[t]
+    for t, assignee in best:
         price = state.current_reward[t]
         if state.is_composite(t):
             state.org.assignments[t] = TaskAssignment(
@@ -910,8 +993,8 @@ def _replan(state: FormationState, result: StepResult) -> bool:
             state.organizer = first_root.assignee
     if state.phase is Phase.EXECUTING:
         fresh = [
-            (state.org.assignments[t].assignee, t)
-            for t in order
+            (assignee, t)
+            for t, assignee in best
             if not state.is_composite(t) and t not in state.exec_started
         ]
         _start_execution(state, fresh, result)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .org_core import OrgNode
@@ -176,13 +177,31 @@ class FormationCandidate:
     members: tuple[str, ...]
 
 
-def forming_preference(candidates: Sequence[FormationCandidate]) -> list[FormationCandidate]:
-    """Rank candidate organizations: fewer members first, then id-lexicographic.
+def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:
+    """The forming-preference norm as a sort key: fewer members first, then
+    id-lexicographic.
 
     Fewer members means less communication cost; the tie-break keeps the
     ranking total and deterministic.
     """
-    return sorted(candidates, key=lambda c: (len(c.members), tuple(sorted(c.members))))
+    team = tuple(sorted(members))
+    return len(team), team
+
+
+def forming_preference(candidates: Sequence[FormationCandidate]) -> list[FormationCandidate]:
+    """Rank candidate organizations best first under forming_key."""
+    return sorted(candidates, key=lambda c: forming_key(c.members))
+
+
+def preferred_teams(robots: Iterable[str], min_size: int = 1) -> Iterator[tuple[str, ...]]:
+    """Every team of at least `min_size` of `robots`, best first under forming_key.
+
+    forming_key orders by size first, and combinations() of a sorted pool
+    yields each size in id-lexicographic order, so the sizes in turn are the
+    key order. Lazy: no team is built before it is asked for.
+    """
+    pool = sorted(robots)
+    return chain.from_iterable(combinations(pool, k) for k in range(min_size, len(pool) + 1))
 
 
 @dataclass(frozen=True)

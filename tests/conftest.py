@@ -3,11 +3,15 @@ brute-force feasibility oracle used to cross-check the formation engine."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from hwrom.cli import main
 from hwrom.org_core import (
     Capability,
     CapabilityKind,
@@ -130,6 +134,26 @@ def build_task(spec_task: dict) -> TaskNode:
 
 def build_constraints(spec: dict) -> tuple[ConstraintRelation, ...]:
     return tuple(ConstraintRelation(a, b, ConstraintKind(k)) for a, b, k in spec["constraints"])
+
+
+def run_cli_logged(config: dict, workdir: Path) -> tuple[int, Path]:
+    """`hwrom run --log` on `config`; returns the exit code and the log path."""
+    config_path = workdir / "scenario.json"
+    log_path = workdir / "trace.jsonl"
+    config_path.write_text(json.dumps(config))
+    result = CliRunner().invoke(main, ["run", str(config_path), "--log", str(log_path)])
+    assert result.exit_code in (0, 1), result.output
+    return result.exit_code, log_path
+
+
+def log_notes(log_path: Path) -> list[dict]:
+    """Every note of every event record in a JSONL log, in order."""
+    return [
+        note
+        for rec in map(json.loads, log_path.read_text().splitlines())
+        if rec.get("type") == "event"
+        for note in rec["detail"]["notes"]
+    ]
 
 
 # --- independent feasibility oracle ---------------------------------------------

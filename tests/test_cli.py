@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from hwrom import metrics as metrics_mod
 from hwrom.cli import main
 
+from conftest import log_notes
+
 
 @pytest.fixture
 def runner():
@@ -103,6 +105,30 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2
         assert "constraints[0]" in result.output
+
+    @pytest.mark.parametrize(
+        "auction",
+        [{"max_reward_rounds": 4, "max_total_rounds": 2}, {"delta": 0}, {"delta": "-1/4"},
+         {"max_total_rounds": None}, {"max_reward_rounds": [3]}, {"max_total_rounds": "five"}],
+    )
+    def test_bad_auction_policy_exits_two(self, runner, generic_config, tmp_path, auction):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(generic_config.read_text()), auction=auction)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2
+        assert "config error: auction:" in result.output
+
+    def test_generic_join_without_pos_runs(self, runner, generic_config, tmp_path):
+        data = json.loads(generic_config.read_text())
+        data["events"] = [{"at": 2, "type": "join", "robot": {
+            "id": "J1", "capabilities": [["Action", "weld", 3], ["Communication", "radio", 1]]}}]
+        path = tmp_path / "join.json"
+        path.write_text(json.dumps(data))
+        log = tmp_path / "join.jsonl"
+        result = runner.invoke(main, ["run", str(path), "--log", str(log)])
+        assert result.exit_code == 0, result.output
+        assert any(note["kind"] == "joined" for note in log_notes(log))
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
     def test_mission_failure_exits_one_but_logs(self, runner, tmp_path):
         data = {

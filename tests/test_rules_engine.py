@@ -1,5 +1,6 @@
 """Behavior norm tests: assignment checks, rule intersection, preference, lock."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from hwrom.rules_engine import (
     RuleScope,
     RuleSet,
     check_assignment,
+    forming_key,
     forming_preference,
+    preferred_teams,
     whole_rules,
     winner_locked,
 )
@@ -160,6 +163,17 @@ class TestFormingPreference:
         a = FormationCandidate("a", ("R2", "R9", "R5"))
         b = FormationCandidate("b", ("R2", "R5", "R8"))
         assert [c.structure for c in forming_preference([a, b])] == ["b", "a"]
+
+    @pytest.mark.parametrize("min_size", [1, 2, 4])
+    def test_preferred_teams_follow_forming_key(self, min_size):
+        robots = ["R3", "R10", "R1", "R2", "R7"]
+        every = [
+            team
+            for k in range(min_size, len(robots) + 1)
+            for team in itertools.combinations(robots, k)
+        ]
+        expected = sorted((tuple(sorted(t)) for t in every), key=forming_key)
+        assert list(preferred_teams(robots, min_size)) == expected
 
 
 class TestWinnerLock:
