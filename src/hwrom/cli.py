@@ -7,9 +7,6 @@ written), 2 configuration or log-format errors.
 from __future__ import annotations
 
 import json
-import logging
-import os
-import sys
 from pathlib import Path
 
 import click
@@ -20,20 +17,9 @@ from . import formation as fm
 from . import metrics as metrics_mod
 from . import org_core, simnet
 
-log = logging.getLogger("hwrom")
-
-_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("HWROM_LOG_LEVEL", "error").lower()
-    logging.basicConfig(level=_LEVELS.get(level, logging.ERROR), stream=sys.stderr)
-
-
 @click.group()
 def main() -> None:
     """Hierarchical multi-robot organization engine and simulator."""
-    _setup_logging()
 
 
 def _parse_fail(spec: str) -> tuple[str, int]:

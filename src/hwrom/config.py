@@ -365,6 +365,13 @@ def from_dict(data: dict) -> ScenarioConfig:
             else None,
         )
 
+    try:
+        max_ticks = int(data.get("max_ticks", 500))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("max_ticks", f"expected an integer, got {data['max_ticks']!r}") from None
+    if max_ticks < 0:
+        raise ConfigError("max_ticks", "must be >= 0")
+
     seed = int(data.get("seed", 0))
     net_block = _as_dict(data.get("net", {}), "net")
     net = simnet.NetConfig(
@@ -422,7 +429,7 @@ def from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(
         raw=data,
         seed=seed,
-        max_ticks=int(data.get("max_ticks", 500)),
+        max_ticks=max_ticks,
         net=net,
         params=params,
         script=sorted(script, key=lambda s: (s["at"], s["type"], str(s.get("robot")))),

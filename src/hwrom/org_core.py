@@ -464,7 +464,7 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _node_dict(node: OrgNode) -> dict:
+def node_dict(node: OrgNode) -> dict:
     return {
         "id_ros": node.id_ros,
         "id_robot": node.id_robot,
@@ -476,37 +476,41 @@ def _node_dict(node: OrgNode) -> dict:
         ],
         "rules": sorted(r.id_rule for r in node.rules.rules),
         "utility": _frac(node.utility),
-        "children": [_node_dict(c) for c in node.children],
+        "children": [node_dict(c) for c in node.children],
     }
+
+
+def robot_dict(robot: CooperativeRobot) -> dict:
+    return {
+        "id_cr": robot.id_cr,
+        "capabilities": sorted(
+            [c.kind.value, c.subkind, _frac(c.magnitude)] for c in robot.capabilities
+        ),
+        "resources": sorted(list(pair) for pair in robot.resources),
+        "interface": sorted(robot.interface),
+    }
+
+
+def assignment_dict(assignment: TaskAssignment) -> dict:
+    return {
+        "assignee": assignment.assignee,
+        "price": _frac(assignment.price),
+        "mode": assignment.mode.value,
+        "subtasks": list(assignment.subtask_ids),
+    }
+
+
+def relations_list(relations: Iterable[Relation]) -> list[list[str]]:
+    return sorted([r.a, r.b, r.kind.value] for r in relations)
 
 
 def snapshot_dict(org: Organization) -> dict:
     """Plain-data snapshot with deterministic ordering everywhere."""
     return {
-        "robots": [
-            {
-                "id_cr": r.id_cr,
-                "capabilities": sorted(
-                    [c.kind.value, c.subkind, _frac(c.magnitude)] for c in r.capabilities
-                ),
-                "resources": sorted(list(pair) for pair in r.resources),
-                "interface": sorted(r.interface),
-            }
-            for r in sorted(org.robots, key=lambda r: r.id_cr)
-        ],
-        "root": _node_dict(org.root) if org.root is not None else None,
-        "relations": sorted(
-            [r.a, r.b, r.kind.value] for r in org.relations
-        ),
-        "assignments": {
-            t: {
-                "assignee": a.assignee,
-                "price": _frac(a.price),
-                "mode": a.mode.value,
-                "subtasks": list(a.subtask_ids),
-            }
-            for t, a in sorted(org.assignments.items())
-        },
+        "robots": [robot_dict(r) for r in sorted(org.robots, key=lambda r: r.id_cr)],
+        "root": node_dict(org.root) if org.root is not None else None,
+        "relations": relations_list(org.relations),
+        "assignments": {t: assignment_dict(a) for t, a in sorted(org.assignments.items())},
         "known_tasks": sorted(org.known_tasks),
     }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -95,6 +96,11 @@ def route(
     return Deliver(msg.sent_at + net.latency)
 
 
+# Heap entry kinds (the fourth field): a stamped formation event, a message
+# delivery, or a Tick whose seq `run` reserved in advance.
+_EVENT, _DELIVERY, _TICK = 0, 1, 2
+
+
 class Scheduler:
     """Single-threaded event loop over one formation state."""
 
@@ -114,7 +120,12 @@ class Scheduler:
         self._heap: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._msg_seq = 0
-        self._ticks_pushed = 0
+        self._ticks_reserved = 0
+        # Ticks reserved by `run` and not yet stepped, as [next tick, last tick,
+        # seq of next tick] blocks. Only the first block's next Tick is in the
+        # heap.
+        self._tick_blocks: deque[list[int]] = deque()
+        self._interfaces: dict[str, frozenset[str]] = {}
 
     # -- queue management ------------------------------------------------
     # Heap key is (tick, lane, seq): the Tick transition runs first within a
@@ -124,12 +135,37 @@ class Scheduler:
     def push_event(self, event: fm.FormationEvent) -> None:
         stamped = replace(event, seq=self._seq)
         lane = 0 if isinstance(event, fm.Tick) else 1
-        heapq.heappush(self._heap, (event.tick, lane, self._seq, 0, stamped))
+        heapq.heappush(self._heap, (event.tick, lane, self._seq, _EVENT, stamped))
         self._seq += 1
 
     def _push_delivery(self, at: int, msg: Message) -> None:
-        heapq.heappush(self._heap, (at, 1, self._seq, 1, msg))
+        heapq.heappush(self._heap, (at, 1, self._seq, _DELIVERY, msg))
         self._seq += 1
+
+    def _reserve_ticks(self, until: int) -> None:
+        """Give Ticks through `until` the seqs pushing them all now would, but
+        queue only the next one; each Tick queues its successor as it pops."""
+        if until <= self._ticks_reserved:
+            return
+        self._tick_blocks.append([self._ticks_reserved + 1, until, self._seq])
+        self._seq += until - self._ticks_reserved
+        self._ticks_reserved = until
+        if len(self._tick_blocks) == 1:
+            self._queue_tick()
+
+    def _queue_tick(self) -> None:
+        tick, _, seq = self._tick_blocks[0]
+        heapq.heappush(self._heap, (tick, 0, seq, _TICK, fm.Tick(tick=tick, seq=seq)))
+
+    def _tick_popped(self) -> None:
+        block = self._tick_blocks[0]
+        if block[0] == block[1]:
+            self._tick_blocks.popleft()
+        else:
+            block[0] += 1
+            block[2] += 1
+        if self._tick_blocks:
+            self._queue_tick()
 
     def inject_failure(self, robot: str, at: int) -> fm.FormationEvent:
         """Schedule a hardware failure; the formation machine sees RobotFailed."""
@@ -154,10 +190,13 @@ class Scheduler:
         seq = self._msg_seq
         self._msg_seq += 1
         alive = msg.sender == ENV or self.state.alive(msg.sender)
-        interfaces = {r.id_cr: r.interface for r in self.state.robots.values()}
+        robots = self.state.robots
+        # robots are frozen and only ever added (join refuses a known id)
+        if len(self._interfaces) != len(robots):
+            self._interfaces = {r.id_cr: r.interface for r in robots.values()}
         try:
             outcome = route(
-                self.net, msg, self.state.org, alive=alive, msg_seq=seq, interfaces=interfaces
+                self.net, msg, self.state.org, alive=alive, msg_seq=seq, interfaces=self._interfaces
             )
         except DeadSenderError:
             self._emit(
@@ -229,14 +268,14 @@ class Scheduler:
 
         Resumable: a later call with a larger `until` continues where the
         previous one stopped."""
-        for t in range(self._ticks_pushed + 1, until + 1):
-            self.push_event(fm.Tick(tick=t))
-        self._ticks_pushed = max(self._ticks_pushed, until)
+        self._reserve_ticks(until)
         while self._heap and self._heap[0][0] <= until:
             tick, _, _, kind, item = heapq.heappop(self._heap)
-            if kind == 1:
+            if kind == _DELIVERY:
                 self._deliver(item, tick)  # type: ignore[arg-type]
                 continue
+            if kind == _TICK:
+                self._tick_popped()
             event = item  # type: ignore[assignment]
             result = fm.step(self.state, event)
             rec = {

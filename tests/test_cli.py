@@ -172,6 +172,19 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(generic_config), "--seed", "7", "--ticks", "90"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("max_ticks", [None, "many", [120], -1])
+    def test_bad_max_ticks_exits_two(self, runner, generic_config, tmp_path, max_ticks):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(generic_config.read_text()), max_ticks=max_ticks)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2
+        assert "config error: max_ticks:" in result.output
+
+    def test_negative_ticks_flag_exits_two(self, runner, generic_config):
+        result = runner.invoke(main, ["run", str(generic_config), "--ticks", "-1"])
+        assert result.exit_code == 2
+        assert "config error: max_ticks:" in result.output
+
 
 class TestDeterminismAndMetrics:
     def test_identical_runs_identical_logs(self, runner, generic_config, tmp_path):

@@ -2,16 +2,20 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hwrom import config as cfg
 from hwrom import formation as fm
 from hwrom import simnet
-from hwrom.org_core import Organization, OrgNode
+from hwrom.org_core import CooperativeRobot, Organization, OrgNode
 from hwrom.simnet import Deliver, Drop, NetConfig, Reject, Scheduler, UnknownRobotError, route
 from hwrom.wire import ENV, Message
 
 from conftest import build_robots, build_task, cap, robot
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def society() -> Organization:
@@ -86,7 +90,7 @@ class TestRoute:
         assert any(fates) and not all(fates)
 
 
-def fresh_scheduler(drop_rate=0, seed=0, spec=None):
+def fresh_scheduler(drop_rate=0, seed=0, spec=None, cls=Scheduler):
     spec = spec or {
         "robots": [
             {"id": "R1", "caps": [("Organization", "plan", 1), ("Communication", "radio", 1)]},
@@ -100,7 +104,7 @@ def fresh_scheduler(drop_rate=0, seed=0, spec=None):
     }
     state = fm.new_state(build_robots(spec), fm.EngineParams())
     fm.register_task_tree(state, build_task(spec["task"]))
-    sched = Scheduler(state, NetConfig(drop_rate=Fraction(drop_rate), seed=seed), hash_states=True)
+    sched = cls(state, NetConfig(drop_rate=Fraction(drop_rate), seed=seed), hash_states=True)
     sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
     return state, sched
 
@@ -232,3 +236,94 @@ class TestScheduler:
         trace = sched.run(until=10)
         events = [r for r in trace if r["type"] == "event"]
         assert all("state_hash" in r for r in events)
+
+    def test_joiner_interface_applies_to_later_messages(self):
+        _, sched = fresh_scheduler()
+        joiner = CooperativeRobot(
+            "J1",
+            frozenset({cap("Action", "weld", 2), cap("Communication", "radio")}),
+            interface=frozenset({"bid"}),
+        )
+        sched.push_event(fm.RobotJoined(tick=1, robot=joiner))
+        trace = sched.run(until=40)
+        to_joiner = [r for r in trace if r["type"] == "net" and r["to"] == "J1" and r["kind"] == "announce"]
+        assert to_joiner
+        assert all(r["outcome"] == "reject" and r["reason"] == "InterfaceMismatch" for r in to_joiner)
+
+
+class EagerTicks(Scheduler):
+    """The reference: push every Tick through `until` before the first event."""
+
+    def _reserve_ticks(self, until):
+        for t in range(self._ticks_reserved + 1, until + 1):
+            self.push_event(fm.Tick(tick=t))
+        self._ticks_reserved = max(self._ticks_reserved, until)
+
+
+def dumped(trace):
+    return json.dumps(trace, sort_keys=True, default=str)
+
+
+def without_seqs(trace):
+    out = []
+    for r in trace:
+        if r["type"] == "event":
+            r = {**r, "seq": None, "data": {**r["data"], "seq": None}}
+        out.append(r)
+    return out
+
+
+class TestLazyTicks:
+    def scheduler(self, cls=Scheduler):
+        return fresh_scheduler(drop_rate="1/3", seed=11, cls=cls)[1]
+
+    def test_resumed_run_equals_eager_and_single_run(self):
+        resumed = self.scheduler()
+        resumed.run(until=5)
+        resumed.run(until=40)
+        eager = self.scheduler(EagerTicks)
+        eager.run(until=5)
+        eager.run(until=40)
+        assert dumped(resumed.trace) == dumped(eager.trace)
+        # a second run() reserves its Ticks after the events the first one
+        # queued, so only the seq numbers differ from one run(until=40)
+        single = self.scheduler()
+        single.run(until=40)
+        assert dumped(without_seqs(resumed.trace)) == dumped(without_seqs(single.trace))
+
+    def test_early_stop_keeps_eager_seqs(self):
+        traces = []
+        for cls in (Scheduler, EagerTicks):
+            sched = self.scheduler(cls)
+            sched.run(until=40, stop_when=lambda s: s.now >= 7)
+            assert sched.state.now == 7
+            sched.inject_failure("R2", 9)
+            sched.run(until=40)
+            traces.append(dumped(sched.trace))
+        assert traces[0] == traces[1]
+
+    def test_huge_max_ticks_holds_one_pending_tick(self, monkeypatch):
+        raw = json.loads((FIXTURES / "canonical_pursuit.json").read_text())
+        raw.pop("meta", None)
+        raw["max_ticks"] = 10**6
+        scenario = cfg.from_dict(raw)
+        state = scenario.build_state()
+        sched = Scheduler(state, scenario.net)
+        scenario.schedule(sched)
+        pending: list[int] = []
+        step = fm.step
+
+        def counting_step(st, event):
+            pending.append(sum(isinstance(entry[4], fm.Tick) for entry in sched._heap))
+            return step(st, event)
+
+        monkeypatch.setattr(fm, "step", counting_step)
+        trace = sched.run(until=scenario.max_ticks, stop_when=lambda s: s.phase is fm.Phase.DONE)
+        captured = [
+            n["tick"] for r in trace if r["type"] == "event" for n in r["detail"]["notes"]
+            if n["kind"] == "captured"
+        ]
+        expected = json.loads((FIXTURES / "expected.json").read_text())["canonical_pursuit"]
+        assert state.phase is fm.Phase.DONE
+        assert captured == [expected["capture_tick"]]
+        assert pending and max(pending) <= 1
