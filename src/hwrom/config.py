@@ -60,6 +60,18 @@ def _frac(value: Any, where: str) -> Fraction:
     raise ConfigError(where, f"expected a rational number, got {value!r}")
 
 
+def _int(value: Any, where: str, minimum: int | None = None) -> int:
+    """An integer field: whatever int() takes (floats truncate), at least
+    `minimum` when one is given."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(where, f"expected an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(where, f"must be >= {minimum}")
+    return number
+
+
 def _require(data: dict, key: str, where: str) -> Any:
     if key not in data:
         raise ConfigError(where, f"missing required field {key!r}")
@@ -88,13 +100,17 @@ def config_hash(data: dict) -> str:
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario. build_state() yields a fresh simulation each call."""
+    """A validated scenario. build_state() yields a fresh simulation each call.
+
+    `robots` and the robots of `script` joins are built once: they are
+    frozen, so every simulation shares them."""
 
     raw: dict
     seed: int
     max_ticks: int
     net: simnet.NetConfig
     params: fm.EngineParams
+    robots: list[CooperativeRobot]
     script: list[dict] = field(default_factory=list)
 
     @property
@@ -104,16 +120,13 @@ class ScenarioConfig:
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def build_robots(self) -> list[CooperativeRobot]:
-        return [_build_robot(r, f"robots[{i}]") for i, r in enumerate(self.raw["robots"])]
-
     def build_world(self) -> pursuit.WorldState | None:
         if not self.is_pursuit:
             return None
         block = self.raw["pursuit"]
         w, h = block["grid"]
         world = pursuit.WorldState(w, h)
-        robot_caps = {r.id_cr: r for r in self.build_robots()}
+        robot_caps = {r.id_cr: r for r in self.robots}
         for entry in block["robots"]:
             robot = robot_caps[entry["id"]]
             world.robots[entry["id"]] = pursuit.RobotPose(
@@ -121,29 +134,26 @@ class ScenarioConfig:
                 int(robot.capability(CapabilityKind.MOVING, "speed")),
                 int(robot.capability(CapabilityKind.SENSING, "vision")),
             )
-        for entry in block["evaders"]:
+        for i, entry in enumerate(block["evaders"]):
             world.evaders[entry["id"]] = pursuit.EvaderState(
-                tuple(entry["pos"]), int(entry.get("speed", 1)), entry.get("policy", "flee")
+                tuple(entry["pos"]),
+                _int(entry.get("speed", 1), f"pursuit.evaders[{i}].speed"),
+                entry.get("policy", "flee"),
             )
         return world
 
-    def build_task(self) -> TaskNode | None:
-        if "task" not in self.raw:
-            return None
-        return _build_task(self.raw["task"], "task")
-
     def build_state(self) -> fm.FormationState:
-        state = fm.new_state(self.build_robots(), self.params, world=self.build_world())
-        task = self.build_task()
-        if task is not None:
-            fm.register_task_tree(state, task)
+        state = fm.new_state(self.robots, self.params, world=self.build_world())
+        if "task" in self.raw:
+            # task nodes carry a mutable status: every simulation builds its own
+            fm.register_task_tree(state, _build_task(self.raw["task"], "task"))
         return state
 
     def schedule(self, scheduler: simnet.Scheduler) -> None:
         """Queue the root task arrival and the scripted membership events."""
         if "task" in self.raw:
             scheduler.push_event(fm.TaskArrived(tick=0, id_task=self.raw["task"]["id"]))
-        for i, entry in enumerate(self.script):
+        for entry in self.script:
             at = entry["at"]
             kind = entry["type"]
             if kind == "fail":
@@ -157,9 +167,8 @@ class ScenarioConfig:
                     )
                 )
             elif kind == "join":
-                robot = _build_robot(entry["robot"], f"events[{i}].robot")
                 pose = tuple(entry["pos"]) if entry.get("pos") is not None else None
-                scheduler.push_event(fm.RobotJoined(tick=at, robot=robot, pose=pose))
+                scheduler.push_event(fm.RobotJoined(tick=at, robot=entry["robot"], pose=pose))
 
 
 # --- builders ----------------------------------------------------------------
@@ -206,7 +215,10 @@ def _build_robot(data: dict, where: str) -> CooperativeRobot:
         for i, c in enumerate(_as_list(data.get("capabilities", []), f"{where}.capabilities"))
     )
     resources = tuple(
-        sorted((str(k), int(v)) for k, v in _as_dict(data.get("resources", {}), f"{where}.resources").items())
+        sorted(
+            (str(k), _int(v, f"{where}.resources.{k}"))
+            for k, v in _as_dict(data.get("resources", {}), f"{where}.resources").items()
+        )
     )
     interface = frozenset(data.get("interface", sorted(ALL_KINDS)))
     return CooperativeRobot(str(rid), caps, resources, interface)
@@ -228,7 +240,7 @@ def _build_task(data: dict, where: str) -> TaskNode:
         [_build_task(s, f"{where}.alternatives[{i}][{j}]") for j, s in enumerate(_as_list(alt, f"{where}.alternatives[{i}]"))]
         for i, alt in enumerate(_as_list(data.get("alternatives", []), f"{where}.alternatives"))
     ]
-    duration = int(data.get("duration", 1))
+    duration = _int(data.get("duration", 1), f"{where}.duration")
     return TaskNode(tid, reward, requires, subtasks, alternatives, duration)
 
 
@@ -268,9 +280,9 @@ def from_dict(data: dict) -> ScenarioConfig:
     robots = _as_list(_require(data, "robots", "config"), "robots")
     if not robots:
         raise ConfigError("robots", "at least one robot is required")
+    built_robots = [_build_robot(r, f"robots[{i}]") for i, r in enumerate(robots)]
     robot_ids: set[str] = set()
-    for i, r in enumerate(robots):
-        built = _build_robot(r, f"robots[{i}]")
+    for i, built in enumerate(built_robots):
         if built.id_cr in robot_ids:
             raise ConfigError(f"robots[{i}].id", f"duplicate robot id {built.id_cr!r}")
         robot_ids.add(built.id_cr)
@@ -309,14 +321,15 @@ def from_dict(data: dict) -> ScenarioConfig:
         constraints.append(ConstraintRelation(a, b, ck))
 
     auction = _as_dict(data.get("auction", {}), "auction")
+    delta = _frac(auction.get("delta", "1/4"), "auction.delta")
+    max_reward_rounds = _int(auction.get("max_reward_rounds", 3), "auction.max_reward_rounds")
+    max_total_rounds = _int(auction.get("max_total_rounds", 5), "auction.max_total_rounds")
     try:
-        policy = AdjustPolicy(
-            delta=_frac(auction.get("delta", "1/4"), "auction.delta"),
-            max_reward_rounds=int(auction.get("max_reward_rounds", 3)),
-            max_total_rounds=int(auction.get("max_total_rounds", 5)),
-        )
-    except (TypeError, ValueError) as exc:
+        policy = AdjustPolicy(delta, max_reward_rounds, max_total_rounds)
+    except ValueError as exc:
         raise ConfigError("auction", str(exc)) from None
+    # an auction's close fires at now + bid_window + 1: any less closes in the past
+    bid_window = _int(auction.get("bid_window", 3), "auction.bid_window", -1)
 
     cost_table: dict[tuple[str, str], Fraction] = {}
     for rid, tasks in _as_dict(data.get("costs", {}), "costs").items():
@@ -354,10 +367,11 @@ def from_dict(data: dict) -> ScenarioConfig:
             pos = _as_list(_require(entry, "pos", where), f"{where}.pos")
             if len(pos) != 2 or not (0 <= pos[0] < w and 0 <= pos[1] < h):
                 raise ConfigError(f"{where}.pos", f"position {pos} out of grid bounds")
+            _int(entry.get("speed", 1), f"{where}.speed")
         pursuit_params = fm.PursuitParams(
-            k=int(block.get("k", 4)),
+            k=_int(block.get("k", 4), "pursuit.k"),
             base_reward=_frac(block.get("base_reward", 5), "pursuit.base_reward"),
-            capture_quorum=int(block.get("capture_quorum", 2)),
+            capture_quorum=_int(block.get("capture_quorum", 2), "pursuit.capture_quorum"),
             mission_reward=_frac(block.get("mission_reward", 20), "pursuit.mission_reward"),
             required_speed=
             _frac(block["required_speed"], "pursuit.required_speed")
@@ -365,38 +379,33 @@ def from_dict(data: dict) -> ScenarioConfig:
             else None,
         )
 
-    try:
-        max_ticks = int(data.get("max_ticks", 500))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("max_ticks", f"expected an integer, got {data['max_ticks']!r}") from None
-    if max_ticks < 0:
-        raise ConfigError("max_ticks", "must be >= 0")
-
-    seed = int(data.get("seed", 0))
+    max_ticks = _int(data.get("max_ticks", 500), "max_ticks", 0)
+    seed = _int(data.get("seed", 0), "seed")
     net_block = _as_dict(data.get("net", {}), "net")
     net = simnet.NetConfig(
-        latency=int(net_block.get("latency", 1)),
+        latency=_int(net_block.get("latency", 1), "net.latency", 0),
         drop_rate=_frac(net_block.get("drop_rate", 0), "net.drop_rate"),
         seed=seed,
     )
     if not 0 <= net.drop_rate <= 1:
         raise ConfigError("net.drop_rate", "must be within [0, 1]")
 
-    script: list[dict] = []
+    # (order key, event): events run by tick, type, then robot id, or for a
+    # join the text of its robot entry
+    script: list[tuple[tuple, dict]] = []
     known = set(robot_ids)
     for i, entry in enumerate(_as_list(data.get("events", []), "events")):
         where = f"events[{i}]"
         entry = _as_dict(entry, where)
         kind = _require(entry, "type", where)
-        at = int(_require(entry, "at", where))
-        if at < 0:
-            raise ConfigError(f"{where}.at", "tick must be >= 0")
+        at = _int(_require(entry, "at", where), f"{where}.at", 0)
         if kind == "join":
             robot = _build_robot(_require(entry, "robot", where), f"{where}.robot")
             if robot.id_cr in known:
                 raise ConfigError(f"{where}.robot", f"duplicate robot id {robot.id_cr!r}")
             known.add(robot.id_cr)
-            script.append({"at": at, "type": "join", "robot": entry["robot"], "pos": entry.get("pos")})
+            item = {"at": at, "type": "join", "robot": robot, "pos": entry.get("pos")}
+            script.append(((at, kind, str(entry["robot"])), item))
             if "pos" not in entry and "pursuit" in data:
                 raise ConfigError(where, "pursuit joins need a pos")
         elif kind in ("fail", "withdraw"):
@@ -411,14 +420,14 @@ def from_dict(data: dict) -> ScenarioConfig:
                 except ValueError:
                     raise ConfigError(f"{where}.reason", f"unknown reason {reason!r}") from None
                 item["reason"] = reason
-            script.append(item)
+            script.append(((at, kind, rid), item))
         else:
             raise ConfigError(where, f"unknown event type {kind!r}")
 
     params = fm.EngineParams(
         margin=_frac(auction.get("margin", "1/10"), "auction.margin"),
         policy=policy,
-        bid_window=int(auction.get("bid_window", 3)),
+        bid_window=bid_window,
         default_cost=_frac(auction.get("default_cost", 1), "auction.default_cost"),
         cost_table=cost_table,
         constraints=tuple(constraints),
@@ -432,7 +441,8 @@ def from_dict(data: dict) -> ScenarioConfig:
         max_ticks=max_ticks,
         net=net,
         params=params,
-        script=sorted(script, key=lambda s: (s["at"], s["type"], str(s.get("robot")))),
+        robots=built_robots,
+        script=[item for _, item in sorted(script, key=lambda keyed: keyed[0])],
     )
 
 

@@ -253,33 +253,6 @@ class FormationState:
     def alive(self, robot: str) -> bool:
         return robot in self.robots and robot not in self.dead and robot not in self.departed
 
-    def robot_tasks(self, robot: str) -> set[str]:
-        """Every task ever assigned to the robot (Parallel legality footprint)."""
-        return {t for t, a in self.org.assignments.items() if a.assignee == robot}
-
-    def leaf_of(self, robot: str) -> OrgNode | None:
-        for node, _, _, _ in org_core.iter_nodes(self.org):
-            if node.is_leaf and node.id_robot == robot:
-                return node
-        return None
-
-    def node(self, node_id: str) -> OrgNode | None:
-        for node, _, _, _ in org_core.iter_nodes(self.org):
-            if node.id_ros == node_id:
-                return node
-        return None
-
-    def parent_of(self, node_id: str) -> OrgNode | None:
-        for node, parent, _, _ in org_core.iter_nodes(self.org):
-            if node.id_ros == node_id:
-                return parent
-        return None
-
-    def leads(self, robot: str) -> list[OrgNode]:
-        return [
-            n for n, _, _, _ in org_core.iter_nodes(self.org) if n.children and n.id_robot == robot
-        ]
-
     def effective_tasks(self) -> Iterator[str]:
         stack = list(self.root_tasks)
         while stack:
@@ -346,9 +319,8 @@ def _chain_with(state: FormationState, robot: str, extra: str) -> bool:
     unrelated teams at once."""
     mine = {
         x
-        for x, a in state.org.assignments.items()
-        if a.assignee == robot
-        and state.is_composite(x)
+        for x in org_core.index(state.org).tasks_by_robot.get(robot, ())
+        if state.is_composite(x)
         and state.tasks[x].status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
     }
     mine.add(extra)
@@ -373,28 +345,33 @@ def _context(state: FormationState) -> ScenarioContext:
     return ScenarioContext(
         cost_of=lambda robot, ann: _cost_of(state, robot, ann),
         margin=state.params.margin,
-        is_locked=None,
         now=state.now,
     )
+
+
+def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> str | None:
+    """The norm the robot would break by taking the announced task, as a
+    decline reason, or None when it may take it."""
+    if winner_locked(state.history, robot_id, state.now):
+        return "winner_locked"
+    # a sitting leader may only extend its own chain downward
+    if ann.leadership and ann.auctioneer != ENV and not _chain_with(state, robot_id, ann.id_task):
+        return "leadership_chain"
+    # every task ever assigned to the robot is its Parallel legality footprint
+    held = org_core.index(state.org).tasks_by_robot.get(robot_id, set()) | {ann.id_task}
+    check = check_assignment(
+        RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
+    )
+    return None if check.ok else "parallel_conflict"
 
 
 def consider_announcement(state: FormationState, robot_id: str, ann: Announcement) -> Bid | Decline:
     """The robot-side decision on an announcement: self-check the norms, then
     price the task. Invoked by the scheduler at delivery time."""
-    robot = state.robots[robot_id]
-    if winner_locked(state.history, robot_id, state.now):
-        return Decline(robot_id, ann.id_task, "winner_locked")
-    if ann.leadership and ann.auctioneer != ENV:
-        # a sitting leader may only extend its own chain downward
-        if not _chain_with(state, robot_id, ann.id_task):
-            return Decline(robot_id, ann.id_task, "leadership_chain")
-    held = state.robot_tasks(robot_id) | {ann.id_task}
-    check = check_assignment(
-        RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
-    )
-    if not check.ok:
-        return Decline(robot_id, ann.id_task, "parallel_conflict")
-    return compute_bid(robot, ann, _context(state))
+    reason = _norm_violation(state, robot_id, ann)
+    if reason is not None:
+        return Decline(robot_id, ann.id_task, reason)
+    return compute_bid(state.robots[robot_id], ann, _context(state))
 
 
 # --- structural edits --------------------------------------------------------------
@@ -416,35 +393,36 @@ def _new_leaf(state: FormationState, robot: str) -> OrgNode:
 
 def _renumber(state: FormationState) -> None:
     """Restore derived structure after an edit: levels, positions, team rule
-    intersections, scoped constraints, the relation web, and the level gauge."""
+    intersections, scoped constraints, the relation web, and the level gauge.
+
+    Every edit of the tree or of the assignments' assignees ends here before
+    the next structural lookup, so this is where the org's index and the
+    hashed tree fragment are dropped."""
     state.hash_cache.tree = None
     org = state.org
+    org.index_cache = None
     if org.root is None:
         org.relations = set()
         state.level = 0
         return
 
-    def visit(node: OrgNode, depth: int, pos: int) -> None:
+    def visit(node: OrgNode, depth: int, pos: int) -> int:
         node.level_i = depth
         node.pos_j = pos
-        for i, child in enumerate(node.children):
-            visit(child, depth + 1, i)
+        return max((visit(c, depth + 1, i) for i, c in enumerate(node.children)), default=depth)
 
-    visit(org.root, 0, 0)
-
-    for node, _, _, _ in org_core.iter_nodes(org):
-        if node.children:
-            node.rules = rules_engine.whole_rules(node)
-            subtree_tasks = {g for n in node.walk() for g in n.goals}
-            node.constraints = [
-                c
-                for c in state.params.constraints
-                if c.a in subtree_tasks and c.b in subtree_tasks
-            ]
+    state.level = visit(org.root, 0, 0)
 
     relations: set[Relation] = set()
-    for node, _, _, _ in org_core.iter_nodes(org):
-        if not node.children or node.id_robot is None:
+    for node in org.root.walk():
+        if not node.children:
+            continue
+        node.rules = rules_engine.whole_rules(node)
+        subtree_tasks = {g for n in node.walk() for g in n.goals}
+        node.constraints = [
+            c for c in state.params.constraints if c.a in subtree_tasks and c.b in subtree_tasks
+        ]
+        if node.id_robot is None:
             continue
         element_robots = [c.id_robot for c in node.children if c.id_robot is not None]
         for r in element_robots:
@@ -456,7 +434,6 @@ def _renumber(state: FormationState) -> None:
                     lo, hi = sorted((a, b))
                     relations.add(Relation(lo, hi, RelationKind.COOPERATION))
     org.relations = relations
-    state.level = max(n.level_i for n, _, _, _ in org_core.iter_nodes(org))
 
 
 def _bind_robot_to_org(state: FormationState, robot: str) -> None:
@@ -465,19 +442,15 @@ def _bind_robot_to_org(state: FormationState, robot: str) -> None:
         state.org.robots.append(state.robots[robot])
 
 
-def _detach_leaf(state: FormationState, robot: str) -> None:
-    leaf = state.leaf_of(robot)
-    if leaf is None:
-        return
-    parent = state.parent_of(leaf.id_ros)
-    if parent is None:
-        state.org.root = None
-    else:
-        parent.children.remove(leaf)
+def _bound_robots(org: Organization) -> set[str]:
+    """Every robot bound anywhere in the tree, read from the tree itself
+    because callers run mid-edit, before `_renumber`."""
+    nodes = org.root.walk() if org.root is not None else ()
+    return {n.id_robot for n in nodes if n.id_robot}
 
 
 def _prune_org_robots(state: FormationState) -> None:
-    kept = {n.id_robot for n, _, _, _ in org_core.iter_nodes(state.org) if n.id_robot}
+    kept = _bound_robots(state.org)
     state.org.robots = [r for r in state.org.robots if r.id_cr in kept]
 
 
@@ -502,7 +475,7 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
     if item.parent_node is None:
         auctioneer = ENV
     else:
-        node = state.node(item.parent_node)
+        node = org_core.index(state.org).node.get(item.parent_node)
         if node is None:
             return  # owning team vanished; the task was revoked with it
         if node.id_robot is None:
@@ -559,10 +532,10 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
 
     if state.is_composite(t):
         state.history.record_win(state.now, winner, t, bid.price, locks=False)
+        _install_team(state, t, winner, auction.parent_node)
         state.org.assignments[t] = TaskAssignment(
             t, winner, bid.price, AssignmentMode.LED, tuple(state.task_children[t])
         )
-        _install_team(state, t, winner, auction.parent_node)
         task.status = TaskStatus.ASSIGNED
         for child_id in state.task_children[t]:
             if state.tasks[child_id].status is TaskStatus.UNASSIGNED:
@@ -572,8 +545,8 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         _maybe_complete_parent(state, t, result)
     else:
         state.history.record_win(state.now, winner, t, bid.price, locks=True)
-        state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
         _install_member(state, winner, t, auction.parent_node)
+        state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
         task.status = TaskStatus.ASSIGNED
         result.messages.append(
             wire.Message(
@@ -601,6 +574,9 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
 
 
 def _install_team(state: FormationState, t: str, leader: str, parent_node: str | None) -> None:
+    """Hang a new team for task t, led by leader, under parent_node. Runs
+    before the award's assignment is written: the index is still sealed."""
+    ix = org_core.index(state.org)
     team = OrgNode(
         id_ros=f"team:{t}",
         id_robot=leader,
@@ -609,12 +585,12 @@ def _install_team(state: FormationState, t: str, leader: str, parent_node: str |
         goals=[t],
         rules=RuleSet(frozenset(), RuleScope.WHOLE),
     )
-    existing_leaf = state.leaf_of(leader)
+    existing_leaf = ix.leaf_of_robot.get(leader)
     if parent_node is None:
         team.children = [existing_leaf if existing_leaf is not None else _new_leaf(state, leader)]
         state.org.root = team
     else:
-        parent = state.node(parent_node)
+        parent = ix.node.get(parent_node)
         if parent is None:
             raise ProtocolViolationError(f"award under unknown node {parent_node}")
         if leader == parent.id_robot and parent.children:
@@ -633,7 +609,8 @@ def _install_team(state: FormationState, t: str, leader: str, parent_node: str |
 
 
 def _install_member(state: FormationState, robot: str, t: str, parent_node: str | None) -> None:
-    leaf = state.leaf_of(robot)
+    ix = org_core.index(state.org)
+    leaf = ix.leaf_of_robot.get(robot)
     if leaf is not None:
         leaf.goals.append(t)
         _bind_robot_to_org(state, robot)
@@ -643,7 +620,7 @@ def _install_member(state: FormationState, robot: str, t: str, parent_node: str 
     if parent_node is None:
         state.org.root = leaf  # single-robot organization
     else:
-        parent = state.node(parent_node)
+        parent = ix.node.get(parent_node)
         if parent is None:
             raise ProtocolViolationError(f"award under unknown node {parent_node}")
         parent.children.append(leaf)
@@ -680,20 +657,11 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
         return
 
     ann = auction.announcement
-    valid: list[Bid] = []
-    for bid in auction.bids:
-        if not state.alive(bid.bidder):
-            continue
-        if winner_locked(state.history, bid.bidder, state.now):
-            continue
-        if ann.leadership and ann.auctioneer != ENV and not _chain_with(state, bid.bidder, t):
-            continue
-        held = state.robot_tasks(bid.bidder) | {t}
-        if not check_assignment(
-            RuleSet(state.params.rules_pool), state.params.constraints, {bid.bidder: held}
-        ).ok:
-            continue
-        valid.append(bid)
+    valid = [
+        bid
+        for bid in auction.bids
+        if state.alive(bid.bidder) and _norm_violation(state, bid.bidder, ann) is None
+    ]
 
     winner = select_winner(valid)
     del state.active_auctions[t]
@@ -797,14 +765,12 @@ def _revoke_task(state: FormationState, t: str, reason: str, result: StepResult)
     state.exec_started.discard(t)
 
 
-def _dissolve_team(state: FormationState, node_id: str, result: StepResult) -> None:
+def _dissolve_team(
+    state: FormationState, node: OrgNode, parent: OrgNode | None, result: StepResult
+) -> None:
     """Reset a leaderless team: unfinished subtree tasks return to the parent's
     queue, members go back to the pool, accumulated margin is forfeited."""
-    node = state.node(node_id)
-    if node is None:
-        return
     t = node.goals[0] if node.goals else None
-    parent = state.parent_of(node_id)
     freed = sorted({n.id_robot for n in node.walk() if n.id_robot is not None})
     if t is not None:
         for sub in _descendants(state, t):
@@ -826,7 +792,7 @@ def _dissolve_team(state: FormationState, node_id: str, result: StepResult) -> N
         parent.children.remove(node)
         _prune_org_robots(state)
     result.notes.append(
-        {"kind": "dissolved", "node": node_id, "task": t, "forfeited": str(node.utility)}
+        {"kind": "dissolved", "node": node.id_ros, "task": t, "forfeited": str(node.utility)}
     )
     _renumber(state)
 
@@ -867,12 +833,9 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
     after REPLAN_NODE_BUDGET search nodes.
     """
     robots = sorted(r for r in state.robots if state.alive(r))
+    tasks_by_robot = org_core.index(state.org).tasks_by_robot
     fixed_held: dict[str, set[str]] = {
-        r: {
-            t
-            for t, a in state.org.assignments.items()
-            if a.assignee == r and state.tasks[t].status is TaskStatus.COMPLETED
-        }
+        r: {t for t in tasks_by_robot.get(r, ()) if state.tasks[t].status is TaskStatus.COMPLETED}
         for r in robots
     }
 
@@ -1093,7 +1056,7 @@ def _rebuild_tree(state: FormationState) -> None:
             root = _new_leaf(state, a.assignee)
             root.goals = atomic_goals(a.assignee)
     state.org.root = root
-    bound = {n.id_robot for n, _, _, _ in org_core.iter_nodes(state.org) if n.id_robot}
+    bound = _bound_robots(state.org)
     state.org.robots = [state.robots[r] for r in sorted(bound) if r in state.robots]
     for r in sorted(state.robots):
         if state.alive(r) and r not in bound:
@@ -1129,10 +1092,8 @@ def _start_execution(
 def _ordered_exec(state: FormationState, robot: str) -> list[str]:
     mine = sorted(
         t
-        for t, a in state.org.assignments.items()
-        if a.assignee == robot
-        and not state.is_composite(t)
-        and state.tasks[t].status is TaskStatus.ASSIGNED
+        for t in org_core.index(state.org).tasks_by_robot[robot]
+        if not state.is_composite(t) and state.tasks[t].status is TaskStatus.ASSIGNED
     )
     orderings = check_assignment(
         RuleSet(state.params.rules_pool), state.params.constraints, {robot: set(mine)}
@@ -1162,7 +1123,7 @@ def _check_formed(state: FormationState, result: StepResult) -> None:
         state.phase = Phase.EXECUTING
         result.notes.append({"kind": "formed", "level": state.level})
         todo: list[tuple[str, str]] = []
-        for robot in sorted({a.assignee for a in state.org.assignments.values()}):
+        for robot in sorted(org_core.index(state.org).tasks_by_robot):
             for t in _ordered_exec(state, robot):
                 todo.append((robot, t))
         _start_execution(state, todo, result)
@@ -1277,14 +1238,15 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
 
     was_pooled = robot in state.pool
     state.pool.discard(robot)
-    led = state.leads(robot)
-    had_leaf = state.leaf_of(robot) is not None
-    if was_pooled and not led and not had_leaf:
+    ix = org_core.index(state.org)
+    led = ix.led_by.get(robot, [])
+    leaf = ix.leaf_of_robot.get(robot)
+    if was_pooled and not led and leaf is None:
         result.notes.append({"kind": "withdrew_idle", "robot": robot, "reason": reason.value})
         return result
 
     # the robot's own unfinished work returns to the queue
-    for t in sorted(state.robot_tasks(robot)):
+    for t in sorted(ix.tasks_by_robot.get(robot, ())):
         task = state.tasks[t]
         assignment = state.org.assignments[t]
         if task.status is not TaskStatus.ASSIGNED or assignment.mode is AssignmentMode.LED:
@@ -1293,9 +1255,17 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
         parent = state.task_parent.get(t)
         state.pending.append(PendingTask(t, f"team:{parent}" if parent is not None else None))
 
-    _detach_leaf(state, robot)
-    for team in sorted(led, key=lambda n: -n.level_i):
-        reelect_leader(state, team.id_ros, result)
+    if leaf is not None:
+        holder = ix.parent[leaf.id_ros]
+        if holder is None:
+            state.org.root = None
+        else:
+            holder.children.remove(leaf)
+    if led:
+        # re-election looks its team up in the index: seal the edits above first
+        _renumber(state)
+        for team in sorted(led, key=lambda n: -n.level_i):
+            reelect_leader(state, team.id_ros, result)
 
     _prune_org_robots(state)
     _renumber(state)
@@ -1314,9 +1284,11 @@ def reelect_leader(
     taking over coordination.
     """
     result = result if result is not None else StepResult()
-    node = state.node(node_id)
+    ix = org_core.index(state.org)
+    node = ix.node.get(node_id)
     if node is None:
         return result
+    parent = ix.parent[node_id]
     t = node.goals[0] if node.goals else None
     old = node.id_robot
     node.id_robot = None
@@ -1335,7 +1307,7 @@ def reelect_leader(
         and _leadership_capable(state.robots[c.id_robot])
     )
     if not candidates or t is None:
-        _dissolve_team(state, node_id, result)
+        _dissolve_team(state, node, parent, result)
         return result
     election = Announcement(
         id_task=t,
@@ -1350,7 +1322,7 @@ def reelect_leader(
         if isinstance(decision, Bid):
             offers.append(decision)
     if not offers:
-        _dissolve_team(state, node_id, result)
+        _dissolve_team(state, node, parent, result)
         return result
     winner = select_winner(offers)
     price = min(b.price for b in offers if b.bidder == winner)
@@ -1565,12 +1537,12 @@ def _install_designated_root(
     if not state.alive(leader):
         result.notes.append({"kind": "designation_void", "task": t, "robot": leader})
         return
-    state.org.assignments[t] = TaskAssignment(
-        t, leader, Fraction(0), AssignmentMode.LED, tuple(state.task_children.get(t, ()))
-    )
     state.history.record_win(state.now, leader, t, Fraction(0), locks=False)
     parent = state.org.root.id_ros if state.org.root is not None else None
     _install_team(state, t, leader, parent)
+    state.org.assignments[t] = TaskAssignment(
+        t, leader, Fraction(0), AssignmentMode.LED, tuple(state.task_children.get(t, ()))
+    )
     state.tasks[t].status = TaskStatus.ASSIGNED
     for child in state.task_children.get(t, []):
         if state.tasks[child].status is TaskStatus.UNASSIGNED:
@@ -1610,7 +1582,6 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
         result.notes.append({"kind": "duplicate_bid", "task": bid.id_task, "robot": bid.bidder})
         return
     auction.bids.append(bid)
-    state.history.record_bid(bid.sent_at, event.tick, bid.bidder, bid.id_task, bid.price, bid.round)
     result.notes.append(
         {
             "kind": "bid",

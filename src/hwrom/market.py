@@ -24,7 +24,6 @@ __all__ = [
     "adjust_tactics",
     "MarketError",
     "MixedTaskBidsError",
-    "LockedBidderError",
     "CostUnavailableError",
 ]
 
@@ -35,10 +34,6 @@ class MarketError(Exception):
 
 class MixedTaskBidsError(MarketError):
     """Bids for different tasks or rounds were mixed into one selection."""
-
-
-class LockedBidderError(MarketError):
-    """compute_bid was invoked for a robot that is winner-locked (protocol bug)."""
 
 
 class CostUnavailableError(MarketError):
@@ -87,12 +82,11 @@ class Decline:
 
 @dataclass(frozen=True)
 class ScenarioContext:
-    """What a bidder consults to price a task: margin, scenario cost model,
-    lock oracle (None when the caller checked already) and the current tick."""
+    """What a bidder consults to price a task: margin, scenario cost model
+    and the current tick."""
 
     cost_of: Callable[[CooperativeRobot, Announcement], Fraction]
     margin: Fraction = Fraction(1, 10)
-    is_locked: Callable[[str], bool] | None = None
     now: int = 0
 
 
@@ -101,11 +95,9 @@ def compute_bid(robot: CooperativeRobot, ann: Announcement, ctx: ScenarioContext
 
     Declines when a required capability is missing, the cost cannot be
     computed, or the cost exceeds the offered reward. Otherwise bids
-    cost * (1 + margin), capped at the reward. Raises LockedBidderError if
-    the ctx lock oracle says the robot must not be bidding at all.
+    cost * (1 + margin), capped at the reward. The caller checks the norms
+    (winner lock included) before asking for a price.
     """
-    if ctx.is_locked is not None and ctx.is_locked(robot.id_cr):
-        raise LockedBidderError(robot.id_cr)
     missing = [r for r in ann.required_capabilities if not robot.satisfies(r)]
     if missing:
         return Decline(robot.id_cr, ann.id_task, "missing_capability")

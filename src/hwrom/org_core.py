@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .rules_engine import ConstraintRelation, RuleSet
+from .wire import ENV
 
 
 class OrgError(Exception):
@@ -215,23 +216,39 @@ class TaskAssignment:
 
 
 @dataclass
+class OrgIndex:
+    """Every structural lookup of one organization, built by `index` in one
+    preorder walk. Where node ids or leaves repeat (an invalid tree, which
+    `validate` reports), a lookup sees the first in preorder."""
+
+    node: dict[str, OrgNode] = field(default_factory=dict)
+    parent: dict[str, OrgNode | None] = field(default_factory=dict)
+    depth: dict[str, int] = field(default_factory=dict)
+    #: a robot's own unit, and the team node whose member list holds it
+    #: (the unit itself when it is the root)
+    leaf_of_robot: dict[str, OrgNode] = field(default_factory=dict)
+    team_of_robot: dict[str, str] = field(default_factory=dict)
+    leaders: set[str] = field(default_factory=set)
+    #: the team nodes each robot leads, in preorder
+    led_by: dict[str, list[OrgNode]] = field(default_factory=dict)
+    #: every task `org.assignments` gives each robot
+    tasks_by_robot: dict[str, set[str]] = field(default_factory=dict)
+
+
+@dataclass
 class Organization:
-    """A hierarchical-web structure: robots, the recursive tree, the relation web."""
+    """A hierarchical-web structure: robots, the recursive tree, the relation web.
+
+    `index_cache` holds the `OrgIndex` of the tree and assignments; it is
+    derived, never hashed or compared, and whoever edits the tree or the
+    assignments drops it (in the engine, `formation._renumber`)."""
 
     robots: list[CooperativeRobot] = field(default_factory=list)
     root: OrgNode | None = None
     relations: set[Relation] = field(default_factory=set)
     assignments: dict[str, TaskAssignment] = field(default_factory=dict)
     known_tasks: set[str] = field(default_factory=set)
-
-    def robot_ids(self) -> set[str]:
-        return {r.id_cr for r in self.robots}
-
-    def robot(self, id_cr: str) -> CooperativeRobot:
-        for r in self.robots:
-            if r.id_cr == id_cr:
-                return r
-        raise KeyError(id_cr)
+    index_cache: OrgIndex | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -275,28 +292,50 @@ def iter_nodes(org: Organization) -> Iterator[tuple[OrgNode, OrgNode | None, int
     yield from rec(org.root, None, 0, "root")
 
 
-def find_node(org: Organization, node_id: str) -> tuple[OrgNode, OrgNode | None, int, str]:
-    for node, parent, depth, path in iter_nodes(org):
-        if node.id_ros == node_id:
-            return node, parent, depth, path
-    raise UnknownNodeError(node_id)
+def index(org: Organization) -> OrgIndex:
+    """The org's structural index, built with one walk when it is missing."""
+    ix = org.index_cache
+    if ix is None:
+        ix = org.index_cache = OrgIndex()
+        for node, parent, depth, _ in iter_nodes(org):
+            if node.id_ros not in ix.node:
+                ix.node[node.id_ros] = node
+                ix.parent[node.id_ros] = parent
+                ix.depth[node.id_ros] = depth
+            robot = node.id_robot
+            if robot is None:
+                continue
+            if node.children:
+                ix.leaders.add(robot)
+                ix.led_by.setdefault(robot, []).append(node)
+            elif robot not in ix.leaf_of_robot:
+                ix.leaf_of_robot[robot] = node
+                ix.team_of_robot[robot] = (parent if parent is not None else node).id_ros
+        for t, a in org.assignments.items():
+            ix.tasks_by_robot.setdefault(a.assignee, set()).add(t)
+    return ix
+
+
+def _by_node(table: dict, node_id: str):
+    try:
+        return table[node_id]
+    except KeyError:
+        raise UnknownNodeError(node_id) from None
 
 
 def level_of(org: Organization, node_id: str) -> int:
     """Depth of a node below the root; the root itself is level 0."""
-    _, _, depth, _ = find_node(org, node_id)
-    return depth
+    return _by_node(index(org).depth, node_id)
 
 
 def leader_of(org: Organization, node_id: str) -> str | None:
     """Robot bearing the node, or None while the organization is still forming."""
-    node, _, _, _ = find_node(org, node_id)
-    return node.id_robot
+    return _by_node(index(org).node, node_id).id_robot
 
 
 def members(org: Organization, node_id: str) -> set[str]:
     """All robot ids bound anywhere in the subtree, leaders included."""
-    node, _, _, _ = find_node(org, node_id)
+    node = _by_node(index(org).node, node_id)
     return {n.id_robot for n in node.walk() if n.id_robot is not None}
 
 
@@ -391,31 +430,18 @@ def validate(org: Organization) -> ValidationReport:
     return report
 
 
-def _team_of(org: Organization, robot: str) -> str | None:
-    """Id of the team node whose member list contains the robot's own unit,
-    or None for an unaffiliated (pool) robot."""
-    for node, parent, _, _ in iter_nodes(org):
-        if node.is_leaf and node.id_robot == robot:
-            return parent.id_ros if parent is not None else node.id_ros
-    return None
-
-
 def communication_allowed(org: Organization, a: str, b: str) -> bool:
     """Topology rule: within a team anyone talks; across teams only the
     leaders do. Unaffiliated robots and the environment are reachable by
     anyone (pre-formation broadcast)."""
-    from .wire import ENV
-
     if a == ENV or b == ENV or a == b:
         return True
-    team_a = _team_of(org, a)
-    team_b = _team_of(org, b)
-    if team_a is None or team_b is None:
+    ix = index(org)
+    team_a = ix.team_of_robot.get(a)
+    team_b = ix.team_of_robot.get(b)
+    if team_a is None or team_b is None or team_a == team_b:
         return True
-    if team_a == team_b:
-        return True
-    leaders = {n.id_robot for n, _, _, _ in iter_nodes(org) if n.children and n.id_robot}
-    return a in leaders and b in leaders
+    return a in ix.leaders and b in ix.leaders
 
 
 def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -429,7 +455,8 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
     """
     deltas: dict[str, Fraction] = {}
     goal_node: dict[str, OrgNode] = {}
-    for node, _, _, _ in iter_nodes(org):
+    nodes = org.root.walk() if org.root is not None else ()
+    for node in nodes:
         for g in node.goals:
             goal_node.setdefault(g, node)
 

@@ -228,16 +228,6 @@ class RevocationRecord:
     reason: str
 
 
-@dataclass(frozen=True)
-class BidRecord:
-    sent_at: int
-    arrived_at: int
-    robot: str
-    id_task: str
-    price: object
-    round: int
-
-
 @dataclass
 class AuctionHistory:
     """Append-only record of auction activity, the basis of the winner lock."""
@@ -245,7 +235,6 @@ class AuctionHistory:
     wins: list[WinRecord] = field(default_factory=list)
     completions: list[CompletionRecord] = field(default_factory=list)
     revocations: list[RevocationRecord] = field(default_factory=list)
-    bids: list[BidRecord] = field(default_factory=list)
 
     def record_win(self, tick: int, robot: str, id_task: str, price: object, *, locks: bool = True) -> None:
         self.wins.append(WinRecord(tick, robot, id_task, price, locks))
@@ -255,9 +244,6 @@ class AuctionHistory:
 
     def record_revocation(self, tick: int, robot: str, id_task: str, reason: str) -> None:
         self.revocations.append(RevocationRecord(tick, robot, id_task, reason))
-
-    def record_bid(self, sent_at: int, arrived_at: int, robot: str, id_task: str, price: object, round: int) -> None:
-        self.bids.append(BidRecord(sent_at, arrived_at, robot, id_task, price, round))
 
 
 def winner_locked(history: AuctionHistory, robot: str, at: int) -> bool:

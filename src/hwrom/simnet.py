@@ -299,16 +299,6 @@ class Scheduler:
         return self.trace
 
 
-def run(scheduler: Scheduler, until: int) -> list[dict]:
-    """Drive a scheduler to the given tick and return the trace."""
-    return scheduler.run(until)
-
-
-def inject_failure(scheduler: Scheduler, robot: str, at: int) -> fm.FormationEvent:
-    """Schedule a hardware failure for a robot at a future tick."""
-    return scheduler.inject_failure(robot, at)
-
-
 def _event_summary(event: fm.FormationEvent) -> dict:
     task = getattr(event, "id_task", None)
     robot = getattr(event, "robot", None)

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, logs, snapshots, replay, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from hwrom import metrics as metrics_mod
 from hwrom.cli import main
 
 from conftest import log_notes
+
+CANONICAL = Path(__file__).parent / "fixtures" / "canonical_pursuit.json"
 
 
 @pytest.fixture
@@ -109,14 +112,16 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "auction",
         [{"max_reward_rounds": 4, "max_total_rounds": 2}, {"delta": 0}, {"delta": "-1/4"},
-         {"max_total_rounds": None}, {"max_reward_rounds": [3]}, {"max_total_rounds": "five"}],
+         {"max_total_rounds": None}, {"max_reward_rounds": [3]}, {"max_total_rounds": "five"},
+         {"bid_window": "x"}, {"bid_window": -2}],
     )
     def test_bad_auction_policy_exits_two(self, runner, generic_config, tmp_path, auction):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(json.loads(generic_config.read_text()), auction=auction)))
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2
-        assert "config error: auction:" in result.output
+        # anchored to the block, or to the field when one integer is malformed
+        assert re.search(r"config error: auction(\.[a-z_]+)?: ", result.output)
 
     def test_generic_join_without_pos_runs(self, runner, generic_config, tmp_path):
         data = json.loads(generic_config.read_text())
@@ -179,6 +184,24 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2
         assert "config error: max_ticks:" in result.output
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("seed", None), ("net.latency", None), ("net.latency", -1), ("pursuit.k", "x"),
+         ("pursuit.capture_quorum", "x"), ("pursuit.evaders[0].speed", "x")],
+    )
+    def test_bad_integer_field_exits_two(self, runner, tmp_path, where, value):
+        data = json.loads(CANONICAL.read_text())
+        *path, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", where)]
+        target = data
+        for key in path:
+            target = target[key] if isinstance(key, int) else target.setdefault(key, {})
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2
+        assert f"config error: {where}: " in result.output
 
     def test_negative_ticks_flag_exits_two(self, runner, generic_config):
         result = runner.invoke(main, ["run", str(generic_config), "--ticks", "-1"])

@@ -11,7 +11,6 @@ from hwrom.market import (
     Bid,
     Decline,
     GiveUp,
-    LockedBidderError,
     MixedTaskBidsError,
     Redecompose,
     ScenarioContext,
@@ -28,8 +27,8 @@ def ann(task="t1", reward=5, reqs=(), round=0, deadline=10) -> Announcement:
     return Announcement(task, Fraction(reward), frozenset(reqs), round, deadline)
 
 
-def ctx(cost, margin=Fraction(1, 10), locked=None) -> ScenarioContext:
-    return ScenarioContext(cost_of=lambda r, a: Fraction(cost), margin=margin, is_locked=locked)
+def ctx(cost, margin=Fraction(1, 10)) -> ScenarioContext:
+    return ScenarioContext(cost_of=lambda r, a: Fraction(cost), margin=margin)
 
 
 class TestComputeBid:
@@ -68,11 +67,6 @@ class TestComputeBid:
         for cost in (0, 1, 3, 5):
             out = compute_bid(r, ann(reward=5), ctx(cost))
             assert isinstance(out, Bid) and out.price >= out.computed_cost
-
-    def test_locked_bidder_is_a_protocol_bug(self):
-        r = robot("R1")
-        with pytest.raises(LockedBidderError):
-            compute_bid(r, ann(), ctx(1, locked=lambda rid: True))
 
     def test_zero_speed_declines(self):
         world = pursuit.WorldState(5, 5)

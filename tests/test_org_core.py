@@ -81,7 +81,7 @@ class TestLeaders:
 
     def test_mid_formation_leader_is_none(self):
         org = two_level_society()
-        node, _, _, _ = org_core.find_node(org, "team:c1")
+        node = org_core.index(org).node["team:c1"]
         node.id_robot = None
         node.children[0].id_robot = None
         assert leader_of(org, "team:c1") is None
@@ -116,19 +116,19 @@ class TestValidate:
 
     def test_level_skew_detected(self):
         org = two_level_society()
-        node, _, _, _ = org_core.find_node(org, "unit:R4")
+        node = org_core.index(org).node["unit:R4"]
         node.level_i = 5
         assert "LevelSkew" in validate(org).codes()
 
     def test_leader_mismatch(self):
         org = two_level_society()
-        node, _, _, _ = org_core.find_node(org, "team:c1")
+        node = org_core.index(org).node["team:c1"]
         node.id_robot = "R3"
         assert "LeaderMismatch" in validate(org).codes()
 
     def test_double_membership(self):
         org = two_level_society()
-        node, _, _, _ = org_core.find_node(org, "team:c1")
+        node = org_core.index(org).node["team:c1"]
         node.children.append(leaf("R4", 2, 2))
         assert "DuplicateMembership" in validate(org).codes()
 

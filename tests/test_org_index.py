@@ -1,0 +1,130 @@
+"""The structural index against the tree scans it replaced.
+
+`org_core.index` returns the org's cached `OrgIndex`. Every call made during
+the runs here, mid-step ones included, must return an index equal to the one
+the old scanning helpers compute from the current tree and assignments. The
+runs cover the golden-trace scenarios, every pursuit fixture with its leader
+failure, and 200 seeded random generic scenarios with drops, latency,
+membership churn, Parallel pairs and forced give-ups.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from hwrom import formation as fm
+from hwrom import org_core
+
+from test_golden_traces import GOLDEN, scenario_config
+from test_state_hash import PURSUIT_FIXTURES, random_scenario, run_logged
+
+
+def reference_index(org: org_core.Organization) -> dict:
+    """Each lookup as the scans before the index computed it, with nodes by
+    identity: the first match in preorder wins."""
+    walk = list(org_core.iter_nodes(org))
+
+    def first(pred):
+        return next((entry for entry in walk if pred(entry[0])), None)
+
+    ids = {node.id_ros for node, _, _, _ in walk}
+    robots = {node.id_robot for node, _, _, _ in walk if node.id_robot is not None}
+    found = {i: first(lambda n, i=i: n.id_ros == i) for i in ids}
+    leaves = {r: first(lambda n, r=r: n.is_leaf and n.id_robot == r) for r in robots}
+    leaves = {r: entry for r, entry in leaves.items() if entry is not None}
+    led = {r: [n for n, _, _, _ in walk if n.children and n.id_robot == r] for r in robots}
+    assignees = {a.assignee for a in org.assignments.values()}
+    return {
+        "node": {i: id(node) for i, (node, _, _, _) in found.items()},
+        "parent": {i: id(parent) for i, (_, parent, _, _) in found.items()},
+        "depth": {i: depth for i, (_, _, depth, _) in found.items()},
+        "leaf_of_robot": {r: id(node) for r, (node, _, _, _) in leaves.items()},
+        "team_of_robot": {
+            r: (parent if parent is not None else node).id_ros
+            for r, (node, parent, _, _) in leaves.items()
+        },
+        "leaders": {n.id_robot for n, _, _, _ in walk if n.children and n.id_robot is not None},
+        "led_by": {r: [id(n) for n in nodes] for r, nodes in led.items() if nodes},
+        "tasks_by_robot": {
+            r: {t for t, a in org.assignments.items() if a.assignee == r} for r in assignees
+        },
+    }
+
+
+def as_reference(ix: org_core.OrgIndex) -> dict:
+    return {
+        "node": {i: id(node) for i, node in ix.node.items()},
+        "parent": {i: id(parent) for i, parent in ix.parent.items()},
+        "depth": dict(ix.depth),
+        "leaf_of_robot": {r: id(node) for r, node in ix.leaf_of_robot.items()},
+        "team_of_robot": dict(ix.team_of_robot),
+        "leaders": set(ix.leaders),
+        "led_by": {r: [id(n) for n in nodes] for r, nodes in ix.led_by.items()},
+        "tasks_by_robot": {r: set(ts) for r, ts in ix.tasks_by_robot.items()},
+    }
+
+
+@pytest.fixture
+def checked_calls(monkeypatch) -> list[int]:
+    """Check every `org_core.index` call against the reference; the list
+    counts the checks."""
+    index = org_core.index
+    checks: list[int] = []
+
+    def checking_index(org):
+        ix = index(org)
+        assert as_reference(ix) == reference_index(org)
+        checks.append(1)
+        return ix
+
+    monkeypatch.setattr(org_core, "index", checking_index)
+    return checks
+
+
+def test_index_matches_scans_on_a_hand_built_org(checked_calls):
+    root = org_core.OrgNode("team:T", "R1", 0, 0)
+    sub = org_core.OrgNode("team:c1", "R2", 1, 1)
+    sub.children = [org_core.OrgNode("unit:R2", "R2", 2, 0), org_core.OrgNode("unit:R3", "R3", 2, 1)]
+    root.children = [org_core.OrgNode("unit:R1", "R1", 1, 0), sub]
+    org = org_core.Organization(root=root)
+    assert org_core.level_of(org, "unit:R3") == 2
+    assert org_core.leader_of(org, "team:c1") == "R2"
+    assert not org_core.communication_allowed(org, "R3", "R1")
+    assert len(checked_calls) == 3
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_index_matches_scans_on_golden_scenarios(name, checked_calls):
+    run_logged(scenario_config(GOLDEN[name]))
+    assert checked_calls
+
+
+@pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
+def test_index_matches_scans_on_pursuit_fixtures(path, checked_calls):
+    raw = json.loads(path.read_text())
+    meta = raw.pop("meta", None)
+    state = run_logged(raw)
+    assert state.world is not None and checked_calls
+    if meta is not None:
+        run_logged(raw, fail=(meta["leader"], meta["leader_fail_tick"]))
+
+
+def test_index_matches_scans_on_random_churn(checked_calls):
+    notes: set[str] = set()
+    original_step = fm.step
+
+    def noting_step(state, event):
+        result = original_step(state, event)
+        notes.update(note["kind"] for note in result.notes)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fm, "step", noting_step)
+        for seed in range(200):
+            run_logged(random_scenario(seed))
+    # the corpus reaches every path that edits the tree or the assignments
+    assert {"award", "revoked", "give_up", "allocated", "withdrew", "joined", "reelected",
+            "dissolved"} <= notes
+    assert len(checked_calls) > 5000

@@ -87,9 +87,9 @@ def test_simnet_module_level_surface():
     state = fm.new_state(build_robots(spec), fm.EngineParams())
     fm.register_task_tree(state, build_task(spec["task"]))
     sched = simnet.Scheduler(state, simnet.NetConfig())
-    event = simnet.inject_failure(sched, spec["robots"][0]["id"], 5)
+    event = sched.inject_failure(spec["robots"][0]["id"], 5)
     assert isinstance(event, fm.RobotFailed)
-    trace = simnet.run(sched, 6)
+    trace = sched.run(6)
     assert any(r.get("event") == "RobotFailed" for r in trace if r["type"] == "event")
 
 
