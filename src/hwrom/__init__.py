@@ -31,13 +31,12 @@ from .org_core import (
     validate,
 )
 from .rules_engine import (
-    AuctionHistory,
     ConstraintKind,
     ConstraintRelation,
+    LockLedger,
     Rule,
     RuleSet,
     check_assignment,
-    forming_preference,
     whole_rules,
     winner_locked,
 )

@@ -72,6 +72,20 @@ def _int(value: Any, where: str, minimum: int | None = None) -> int:
     return number
 
 
+def _cell(value: Any, where: str, w: int, h: int) -> tuple[int, int]:
+    """A grid position: [x, y], two integers (not booleans) inside a w x h grid."""
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or any(isinstance(c, bool) or not isinstance(c, int) for c in value)
+    ):
+        raise ConfigError(where, f"expected [x, y] with two integers, got {value!r}")
+    x, y = value
+    if not (0 <= x < w and 0 <= y < h):
+        raise ConfigError(where, f"position {value} out of grid bounds")
+    return x, y
+
+
 def _require(data: dict, key: str, where: str) -> Any:
     if key not in data:
         raise ConfigError(where, f"missing required field {key!r}")
@@ -102,8 +116,8 @@ def config_hash(data: dict) -> str:
 class ScenarioConfig:
     """A validated scenario. build_state() yields a fresh simulation each call.
 
-    `robots` and the robots of `script` joins are built once: they are
-    frozen, so every simulation shares them."""
+    `robots` and the `script` events (joins with their robots) are built
+    once: they are frozen, so every simulation shares them."""
 
     raw: dict
     seed: int
@@ -111,7 +125,7 @@ class ScenarioConfig:
     net: simnet.NetConfig
     params: fm.EngineParams
     robots: list[CooperativeRobot]
-    script: list[dict] = field(default_factory=list)
+    script: list[fm.FormationEvent] = field(default_factory=list)
 
     @property
     def is_pursuit(self) -> bool:
@@ -128,8 +142,9 @@ class ScenarioConfig:
         world = pursuit.WorldState(w, h)
         robot_caps = {r.id_cr: r for r in self.robots}
         for entry in block["robots"]:
-            robot = robot_caps[entry["id"]]
-            world.robots[entry["id"]] = pursuit.RobotPose(
+            rid = str(entry["id"])
+            robot = robot_caps[rid]
+            world.robots[rid] = pursuit.RobotPose(
                 tuple(entry["pos"]),
                 int(robot.capability(CapabilityKind.MOVING, "speed")),
                 int(robot.capability(CapabilityKind.SENSING, "vision")),
@@ -153,22 +168,8 @@ class ScenarioConfig:
         """Queue the root task arrival and the scripted membership events."""
         if "task" in self.raw:
             scheduler.push_event(fm.TaskArrived(tick=0, id_task=self.raw["task"]["id"]))
-        for entry in self.script:
-            at = entry["at"]
-            kind = entry["type"]
-            if kind == "fail":
-                scheduler.inject_failure(entry["robot"], at)
-            elif kind == "withdraw":
-                scheduler.push_event(
-                    fm.RobotWithdrew(
-                        tick=at,
-                        robot=entry["robot"],
-                        reason=fm.WithdrawReason(entry.get("reason", "Unwilling")),
-                    )
-                )
-            elif kind == "join":
-                pose = tuple(entry["pos"]) if entry.get("pos") is not None else None
-                scheduler.push_event(fm.RobotJoined(tick=at, robot=entry["robot"], pose=pose))
+        for event in self.script:
+            scheduler.push_event(event)
 
 
 # --- builders ----------------------------------------------------------------
@@ -358,15 +359,11 @@ def from_dict(data: dict) -> ScenarioConfig:
             rid = str(_require(entry, "id", where))
             if rid not in robot_ids:
                 raise ConfigError(where, f"unknown robot {rid!r}")
-            pos = _as_list(_require(entry, "pos", where), f"{where}.pos")
-            if len(pos) != 2 or not (0 <= pos[0] < w and 0 <= pos[1] < h):
-                raise ConfigError(f"{where}.pos", f"position {pos} out of grid bounds")
+            _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
         for i, entry in enumerate(_as_list(_require(block, "evaders", "pursuit"), "pursuit.evaders")):
             where = f"pursuit.evaders[{i}]"
             entry = _as_dict(entry, where)
-            pos = _as_list(_require(entry, "pos", where), f"{where}.pos")
-            if len(pos) != 2 or not (0 <= pos[0] < w and 0 <= pos[1] < h):
-                raise ConfigError(f"{where}.pos", f"position {pos} out of grid bounds")
+            _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
             _int(entry.get("speed", 1), f"{where}.speed")
         pursuit_params = fm.PursuitParams(
             k=_int(block.get("k", 4), "pursuit.k"),
@@ -392,7 +389,7 @@ def from_dict(data: dict) -> ScenarioConfig:
 
     # (order key, event): events run by tick, type, then robot id, or for a
     # join the text of its robot entry
-    script: list[tuple[tuple, dict]] = []
+    script: list[tuple[tuple, fm.FormationEvent]] = []
     known = set(robot_ids)
     for i, entry in enumerate(_as_list(data.get("events", []), "events")):
         where = f"events[{i}]"
@@ -404,23 +401,26 @@ def from_dict(data: dict) -> ScenarioConfig:
             if robot.id_cr in known:
                 raise ConfigError(f"{where}.robot", f"duplicate robot id {robot.id_cr!r}")
             known.add(robot.id_cr)
-            item = {"at": at, "type": "join", "robot": robot, "pos": entry.get("pos")}
-            script.append(((at, kind, str(entry["robot"])), item))
-            if "pos" not in entry and "pursuit" in data:
-                raise ConfigError(where, "pursuit joins need a pos")
+            if "pursuit" in data:
+                pose = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
+            else:  # a generic run has no grid: the pose is only logged
+                pos = entry.get("pos")
+                pose = tuple(_as_list(pos, f"{where}.pos")) if pos is not None else None
+            event = fm.RobotJoined(tick=at, robot=robot, pose=pose)
+            script.append(((at, kind, str(entry["robot"])), event))
         elif kind in ("fail", "withdraw"):
             rid = str(_require(entry, "robot", where))
             if rid not in known:
                 raise ConfigError(f"{where}.robot", f"unknown robot {rid!r}")
-            item = {"at": at, "type": kind, "robot": rid}
-            if kind == "withdraw":
+            if kind == "fail":
+                event = fm.RobotFailed(tick=at, robot=rid)
+            else:
                 reason = entry.get("reason", "Unwilling")
                 try:
-                    fm.WithdrawReason(reason)
+                    event = fm.RobotWithdrew(tick=at, robot=rid, reason=fm.WithdrawReason(reason))
                 except ValueError:
                     raise ConfigError(f"{where}.reason", f"unknown reason {reason!r}") from None
-                item["reason"] = reason
-            script.append(((at, kind, rid), item))
+            script.append(((at, kind, rid), event))
         else:
             raise ConfigError(where, f"unknown event type {kind!r}")
 
@@ -442,7 +442,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         net=net,
         params=params,
         robots=built_robots,
-        script=[item for _, item in sorted(script, key=lambda keyed: keyed[0])],
+        script=[event for _, event in sorted(script, key=lambda keyed: keyed[0])],
     )
 
 

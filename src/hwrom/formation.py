@@ -52,9 +52,9 @@ from .org_core import (
 )
 from .rules_engine import (
     STANDARD_RULES,
-    AuctionHistory,
     ConstraintKind,
     ConstraintRelation,
+    LockLedger,
     Rule,
     RuleScope,
     RuleSet,
@@ -183,7 +183,7 @@ class EngineParams:
 class AuctionState:
     announcement: Announcement
     parent_node: str | None
-    bids: list[Bid] = field(default_factory=list)
+    bids: dict[str, Bid] = field(default_factory=dict)  # by bidder, in arrival order
 
 
 @dataclass(frozen=True)
@@ -206,13 +206,13 @@ class HashCache:
     A fragment keyed by id is reused only while its inputs are the same
     objects, and each input is immutable (`TaskAssignment`,
     `CooperativeRobot`, `Announcement`, a `TaskStatus` member, a reward
-    `Fraction`) or append-only (an auction's bid list, `org.known_tasks`), so
+    `Fraction`) or append-only (an auction's bids, `org.known_tasks`), so
     no mutation site has to drop them. The org tree is edited in place:
     `_renumber`, which ends every tree edit and rebuilds the relation web, and
     utility settlement drop `tree`, the org's relations and root fragments."""
 
     tasks: dict[str, tuple[TaskStatus, Fraction, str]] = field(default_factory=dict)
-    auctions: dict[str, tuple[Announcement, list[Bid], int, str]] = field(default_factory=dict)
+    auctions: dict[str, tuple[Announcement, dict[str, Bid], int, str]] = field(default_factory=dict)
     assignments: dict[str, tuple[TaskAssignment, str]] = field(default_factory=dict)
     robots: dict[str, tuple[CooperativeRobot, str]] = field(default_factory=dict)
     known_tasks: tuple[int, str] = (0, "[]")
@@ -230,7 +230,7 @@ class FormationState:
     pending: deque[PendingTask] = field(default_factory=deque)
     active_auctions: dict[str, AuctionState] = field(default_factory=dict)
     org: Organization = field(default_factory=Organization)
-    history: AuctionHistory = field(default_factory=AuctionHistory)
+    locks: LockLedger = field(default_factory=LockLedger)
     tasks: dict[str, TaskNode] = field(default_factory=dict)
     root_tasks: list[str] = field(default_factory=list)
     task_parent: dict[str, str | None] = field(default_factory=dict)
@@ -352,7 +352,7 @@ def _context(state: FormationState) -> ScenarioContext:
 def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> str | None:
     """The norm the robot would break by taking the announced task, as a
     decline reason, or None when it may take it."""
-    if winner_locked(state.history, robot_id, state.now):
+    if winner_locked(state.locks, robot_id, state.now):
         return "winner_locked"
     # a sitting leader may only extend its own chain downward
     if ann.leadership and ann.auctioneer != ENV and not _chain_with(state, robot_id, ann.id_task):
@@ -393,7 +393,8 @@ def _new_leaf(state: FormationState, robot: str) -> OrgNode:
 
 def _renumber(state: FormationState) -> None:
     """Restore derived structure after an edit: levels, positions, team rule
-    intersections, scoped constraints, the relation web, and the level gauge.
+    intersections, scoped constraints, the relation web, the level gauge, and
+    `org.robots`, the robots bound anywhere in the tree.
 
     Every edit of the tree or of the assignments' assignees ends here before
     the next structural lookup, so this is where the org's index and the
@@ -403,6 +404,7 @@ def _renumber(state: FormationState) -> None:
     org.index_cache = None
     if org.root is None:
         org.relations = set()
+        org.robots = []
         state.level = 0
         return
 
@@ -414,7 +416,10 @@ def _renumber(state: FormationState) -> None:
     state.level = visit(org.root, 0, 0)
 
     relations: set[Relation] = set()
+    bound: set[str] = set()
     for node in org.root.walk():
+        if node.id_robot is not None:
+            bound.add(node.id_robot)
         if not node.children:
             continue
         node.rules = rules_engine.whole_rules(node)
@@ -434,24 +439,7 @@ def _renumber(state: FormationState) -> None:
                     lo, hi = sorted((a, b))
                     relations.add(Relation(lo, hi, RelationKind.COOPERATION))
     org.relations = relations
-
-
-def _bind_robot_to_org(state: FormationState, robot: str) -> None:
-    state.pool.discard(robot)
-    if all(r.id_cr != robot for r in state.org.robots):
-        state.org.robots.append(state.robots[robot])
-
-
-def _bound_robots(org: Organization) -> set[str]:
-    """Every robot bound anywhere in the tree, read from the tree itself
-    because callers run mid-edit, before `_renumber`."""
-    nodes = org.root.walk() if org.root is not None else ()
-    return {n.id_robot for n in nodes if n.id_robot}
-
-
-def _prune_org_robots(state: FormationState) -> None:
-    kept = _bound_robots(state.org)
-    state.org.robots = [r for r in state.org.robots if r.id_cr in kept]
+    org.robots = [state.robots[r] for r in sorted(bound)]
 
 
 # --- announcements -----------------------------------------------------------------
@@ -531,7 +519,6 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
     winner = bid.bidder
 
     if state.is_composite(t):
-        state.history.record_win(state.now, winner, t, bid.price, locks=False)
         _install_team(state, t, winner, auction.parent_node)
         state.org.assignments[t] = TaskAssignment(
             t, winner, bid.price, AssignmentMode.LED, tuple(state.task_children[t])
@@ -544,7 +531,7 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
                 )
         _maybe_complete_parent(state, t, result)
     else:
-        state.history.record_win(state.now, winner, t, bid.price, locks=True)
+        state.locks.lock(winner, t, state.now)
         _install_member(state, winner, t, auction.parent_node)
         state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
         task.status = TaskStatus.ASSIGNED
@@ -605,26 +592,23 @@ def _install_team(state: FormationState, t: str, leader: str, parent_node: str |
         else:
             team.children = [_new_leaf(state, leader)]
             parent.children.append(team)
-    _bind_robot_to_org(state, leader)
+    state.pool.discard(leader)
 
 
 def _install_member(state: FormationState, robot: str, t: str, parent_node: str | None) -> None:
     ix = org_core.index(state.org)
     leaf = ix.leaf_of_robot.get(robot)
-    if leaf is not None:
-        leaf.goals.append(t)
-        _bind_robot_to_org(state, robot)
-        return
-    leaf = _new_leaf(state, robot)
+    if leaf is None:
+        leaf = _new_leaf(state, robot)
+        if parent_node is None:
+            state.org.root = leaf  # single-robot organization
+        else:
+            parent = ix.node.get(parent_node)
+            if parent is None:
+                raise ProtocolViolationError(f"award under unknown node {parent_node}")
+            parent.children.append(leaf)
     leaf.goals.append(t)
-    if parent_node is None:
-        state.org.root = leaf  # single-robot organization
-    else:
-        parent = ix.node.get(parent_node)
-        if parent is None:
-            raise ProtocolViolationError(f"award under unknown node {parent_node}")
-        parent.children.append(leaf)
-    _bind_robot_to_org(state, robot)
+    state.pool.discard(robot)
 
 
 def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) -> None:
@@ -659,15 +643,14 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
     ann = auction.announcement
     valid = [
         bid
-        for bid in auction.bids
+        for bid in auction.bids.values()
         if state.alive(bid.bidder) and _norm_violation(state, bid.bidder, ann) is None
     ]
 
     winner = select_winner(valid)
     del state.active_auctions[t]
     if winner is not None:
-        winning_bid = min((b for b in valid if b.bidder == winner), key=lambda b: b.price)
-        _award(state, auction, winning_bid, result)
+        _award(state, auction, auction.bids[winner], result)
         _check_formed(state, result)
         return
 
@@ -755,7 +738,7 @@ def _revoke_task(state: FormationState, t: str, reason: str, result: StepResult)
     task = state.tasks[t]
     assignment = state.org.assignments.pop(t, None)
     if assignment is not None and task.status is TaskStatus.ASSIGNED:
-        state.history.record_revocation(state.now, assignment.assignee, t, reason)
+        state.locks.release(assignment.assignee, t, state.now)
         result.notes.append(
             {"kind": "revoked", "task": t, "robot": assignment.assignee, "reason": reason}
         )
@@ -776,9 +759,7 @@ def _dissolve_team(
         for sub in _descendants(state, t):
             if state.tasks[sub].status is not TaskStatus.COMPLETED:
                 _revoke_task(state, sub, "team_dissolved", result)
-        assignment = state.org.assignments.pop(t, None)
-        if assignment is not None:
-            state.history.record_revocation(state.now, assignment.assignee, t, "team_dissolved")
+        state.org.assignments.pop(t, None)
         if state.tasks[t].status is not TaskStatus.COMPLETED:
             state.tasks[t].status = TaskStatus.UNASSIGNED
             state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
@@ -787,10 +768,8 @@ def _dissolve_team(
             state.pool.add(rid)
     if parent is None:
         state.org.root = None
-        state.org.robots = []
     else:
         parent.children.remove(node)
-        _prune_org_robots(state)
     result.notes.append(
         {"kind": "dissolved", "node": node.id_ros, "task": t, "forfeited": str(node.utility)}
     )
@@ -1056,14 +1035,13 @@ def _rebuild_tree(state: FormationState) -> None:
             root = _new_leaf(state, a.assignee)
             root.goals = atomic_goals(a.assignee)
     state.org.root = root
-    bound = _bound_robots(state.org)
-    state.org.robots = [state.robots[r] for r in sorted(bound) if r in state.robots]
+    _renumber(state)
+    bound = {r.id_cr for r in state.org.robots}
     for r in sorted(state.robots):
         if state.alive(r) and r not in bound:
             state.pool.add(r)
         else:
             state.pool.discard(r)
-    _renumber(state)
 
 
 # --- execution ---------------------------------------------------------------------
@@ -1147,7 +1125,7 @@ def _complete_task(state: FormationState, event: TaskCompleted, result: StepResu
         result.notes.append({"kind": "completion_ignored", "task": t, "robot": event.robot})
         return
     task.status = TaskStatus.COMPLETED
-    state.history.record_completion(state.now, event.robot, t)
+    state.locks.release(event.robot, t, state.now)
     result.notes.append({"kind": "completed", "task": t, "robot": event.robot})
 
     parent = state.task_parent.get(t)
@@ -1267,7 +1245,6 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
         for team in sorted(led, key=lambda n: -n.level_i):
             reelect_leader(state, team.id_ros, result)
 
-    _prune_org_robots(state)
     _renumber(state)
     result.notes.append({"kind": "withdrew", "robot": robot, "reason": reason.value})
     return result
@@ -1290,12 +1267,9 @@ def reelect_leader(
         return result
     parent = ix.parent[node_id]
     t = node.goals[0] if node.goals else None
-    old = node.id_robot
     node.id_robot = None
     if t is not None:
-        assignment = state.org.assignments.pop(t, None)
-        if assignment is not None and old is not None:
-            state.history.record_revocation(state.now, assignment.assignee, t, "leader_lost")
+        state.org.assignments.pop(t, None)
         if state.tasks[t].status in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
             state.tasks[t].status = TaskStatus.UNASSIGNED
             state.active_auctions.pop(t, None)
@@ -1331,7 +1305,6 @@ def reelect_leader(
     if element is not None:
         node.children.remove(element)
         node.children.insert(0, element)
-    state.history.record_win(state.now, winner, t, price, locks=False)
     state.org.assignments[t] = TaskAssignment(
         t, winner, price, AssignmentMode.LED, tuple(state.task_children.get(t, ()))
     )
@@ -1537,7 +1510,6 @@ def _install_designated_root(
     if not state.alive(leader):
         result.notes.append({"kind": "designation_void", "task": t, "robot": leader})
         return
-    state.history.record_win(state.now, leader, t, Fraction(0), locks=False)
     parent = state.org.root.id_ros if state.org.root is not None else None
     _install_team(state, t, leader, parent)
     state.org.assignments[t] = TaskAssignment(
@@ -1568,7 +1540,7 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
             {"kind": "late_bid", "task": bid.id_task, "robot": bid.bidder, "deadline": ann.deadline}
         )
         return
-    if winner_locked(state.history, bid.bidder, bid.sent_at):
+    if winner_locked(state.locks, bid.bidder, bid.sent_at):
         result.notes.append(
             {
                 "kind": "protocol_violation",
@@ -1578,10 +1550,10 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
             }
         )
         return
-    if any(b.bidder == bid.bidder for b in auction.bids):
+    if bid.bidder in auction.bids:
         result.notes.append({"kind": "duplicate_bid", "task": bid.id_task, "robot": bid.bidder})
         return
-    auction.bids.append(bid)
+    auction.bids[bid.bidder] = bid
     result.notes.append(
         {
             "kind": "bid",
@@ -1612,7 +1584,7 @@ def state_snapshot(state: FormationState) -> dict:
                 "round": a.announcement.round,
                 "reward": str(a.announcement.reward),
                 "deadline": a.announcement.deadline,
-                "bids": [[b.bidder, str(b.price), b.round, b.sent_at] for b in a.bids],
+                "bids": [[b.bidder, str(b.price), b.round, b.sent_at] for b in a.bids.values()],
             }
             for t, a in sorted(state.active_auctions.items())
         },
@@ -1651,7 +1623,7 @@ def _state_json(state: FormationState) -> str:
                 "round": ann.round,
                 "reward": str(ann.reward),
                 "deadline": ann.deadline,
-                "bids": [[b.bidder, str(b.price), b.round, b.sent_at] for b in bids],
+                "bids": [[b.bidder, str(b.price), b.round, b.sent_at] for b in bids.values()],
             }
             hit = cache.auctions[t] = (ann, bids, len(bids), _encode({t: entry})[1:-1])
         auctions.append(hit[3])

@@ -142,10 +142,6 @@ class TaskNode:
         if self.reward < 0:
             raise ValueError("task reward must be >= 0")
 
-    @property
-    def is_atomic(self) -> bool:
-        return not self.subtasks
-
     def walk(self) -> Iterator["TaskNode"]:
         yield self
         for sub in self.subtasks:
@@ -487,10 +483,6 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
 # --- canonical snapshot -----------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def node_dict(node: OrgNode) -> dict:
     return {
         "id_ros": node.id_ros,
@@ -502,7 +494,7 @@ def node_dict(node: OrgNode) -> dict:
             {"a": c.a, "b": c.b, "kind": c.kind.value} for c in node.constraints
         ],
         "rules": sorted(r.id_rule for r in node.rules.rules),
-        "utility": _frac(node.utility),
+        "utility": str(node.utility),
         "children": [node_dict(c) for c in node.children],
     }
 
@@ -511,7 +503,7 @@ def robot_dict(robot: CooperativeRobot) -> dict:
     return {
         "id_cr": robot.id_cr,
         "capabilities": sorted(
-            [c.kind.value, c.subkind, _frac(c.magnitude)] for c in robot.capabilities
+            [c.kind.value, c.subkind, str(c.magnitude)] for c in robot.capabilities
         ),
         "resources": sorted(list(pair) for pair in robot.resources),
         "interface": sorted(robot.interface),
@@ -521,7 +513,7 @@ def robot_dict(robot: CooperativeRobot) -> dict:
 def assignment_dict(assignment: TaskAssignment) -> dict:
     return {
         "assignee": assignment.assignee,
-        "price": _frac(assignment.price),
+        "price": str(assignment.price),
         "mode": assignment.mode.value,
         "subtasks": list(assignment.subtask_ids),
     }

@@ -187,8 +187,7 @@ def _flee_step(world: WorldState, pos: Cell) -> Cell:
     def score(cell: Cell) -> int:
         return min(chebyshev(cell, h) for h in hunters)
 
-    best = max(score(c) for c in candidates)
-    return min(c for c in candidates if score(c) == best)
+    return min(candidates, key=lambda c: (-score(c), c))
 
 
 def tick_world(

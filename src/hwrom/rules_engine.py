@@ -95,9 +95,6 @@ class ConstraintRelation:
     b: str
     kind: ConstraintKind
 
-    def involves(self, x: str, y: str) -> bool:
-        return {self.a, self.b} == {x, y}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -169,14 +166,6 @@ def whole_rules(node: "OrgNode") -> RuleSet:
     return RuleSet(acc if acc is not None else frozenset(), RuleScope.WHOLE)
 
 
-@dataclass(frozen=True)
-class FormationCandidate:
-    """A candidate organization shape offered to the forming-preference rule."""
-
-    structure: object
-    members: tuple[str, ...]
-
-
 def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:
     """The forming-preference norm as a sort key: fewer members first, then
     id-lexicographic.
@@ -186,11 +175,6 @@ def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:
     """
     team = tuple(sorted(members))
     return len(team), team
-
-
-def forming_preference(candidates: Sequence[FormationCandidate]) -> list[FormationCandidate]:
-    """Rank candidate organizations best first under forming_key."""
-    return sorted(candidates, key=lambda c: forming_key(c.members))
 
 
 def preferred_teams(robots: Iterable[str], min_size: int = 1) -> Iterator[tuple[str, ...]]:
@@ -204,65 +188,34 @@ def preferred_teams(robots: Iterable[str], min_size: int = 1) -> Iterator[tuple[
     return chain.from_iterable(combinations(pool, k) for k in range(min_size, len(pool) + 1))
 
 
-@dataclass(frozen=True)
-class WinRecord:
-    tick: int
-    robot: str
-    id_task: str
-    price: object  # Fraction; kept opaque here to avoid an import cycle
-    locks: bool = True
-
-
-@dataclass(frozen=True)
-class CompletionRecord:
-    tick: int
-    robot: str
-    id_task: str
-
-
-@dataclass(frozen=True)
-class RevocationRecord:
-    tick: int
-    robot: str
-    id_task: str
-    reason: str
-
-
 @dataclass
-class AuctionHistory:
-    """Append-only record of auction activity, the basis of the winner lock."""
+class LockLedger:
+    """The winner lock's record: per robot, one [task, won_at, released_at]
+    span per locking win, with released_at None while the span is open.
 
-    wins: list[WinRecord] = field(default_factory=list)
-    completions: list[CompletionRecord] = field(default_factory=list)
-    revocations: list[RevocationRecord] = field(default_factory=list)
+    Closed spans stay, because a bid is judged at the tick it was sent
+    (`winner_locked` with a past ``at``). A release is assumed never to
+    precede a lock of the same robot and task at the same tick: a revoked or
+    finished task is announced again on a later Tick at the earliest."""
 
-    def record_win(self, tick: int, robot: str, id_task: str, price: object, *, locks: bool = True) -> None:
-        self.wins.append(WinRecord(tick, robot, id_task, price, locks))
+    spans: dict[str, list[list]] = field(default_factory=dict)
 
-    def record_completion(self, tick: int, robot: str, id_task: str) -> None:
-        self.completions.append(CompletionRecord(tick, robot, id_task))
+    def lock(self, robot: str, id_task: str, tick: int) -> None:
+        self.spans.setdefault(robot, []).append([id_task, tick, None])
 
-    def record_revocation(self, tick: int, robot: str, id_task: str, reason: str) -> None:
-        self.revocations.append(RevocationRecord(tick, robot, id_task, reason))
+    def release(self, robot: str, id_task: str, tick: int) -> None:
+        for span in self.spans.get(robot, ()):
+            if span[0] == id_task and span[2] is None:
+                span[2] = tick
 
 
-def winner_locked(history: AuctionHistory, robot: str, at: int) -> bool:
-    """True iff the robot holds a locking win with no completion by tick ``at``.
+def winner_locked(ledger: LockLedger, robot: str, at: int) -> bool:
+    """True iff the robot holds a locking win not yet released at tick ``at``.
 
-    A win at tick t locks from t onward; a completion or revocation at tick t
-    releases from t onward.
+    A win at tick t locks from t onward; a completion or revocation at tick r
+    releases from r onward.
     """
-    for win in history.wins:
-        if win.robot != robot or not win.locks or win.tick > at:
-            continue
-        done = any(
-            c.robot == robot and c.id_task == win.id_task and win.tick <= c.tick <= at
-            for c in history.completions
-        )
-        revoked = any(
-            r.robot == robot and r.id_task == win.id_task and win.tick <= r.tick <= at
-            for r in history.revocations
-        )
-        if not done and not revoked:
-            return True
-    return False
+    return any(
+        won <= at and (released is None or released > at)
+        for _, won, released in ledger.spans.get(robot, ())
+    )

@@ -194,23 +194,6 @@ class Scheduler:
         # robots are frozen and only ever added (join refuses a known id)
         if len(self._interfaces) != len(robots):
             self._interfaces = {r.id_cr: r.interface for r in robots.values()}
-        try:
-            outcome = route(
-                self.net, msg, self.state.org, alive=alive, msg_seq=seq, interfaces=self._interfaces
-            )
-        except DeadSenderError:
-            self._emit(
-                {
-                    "type": "net",
-                    "tick": self.state.now,
-                    "msg_seq": seq,
-                    "kind": msg.kind,
-                    "sender": msg.sender,
-                    "to": msg.to,
-                    "outcome": "dead_sender",
-                }
-            )
-            return
         rec = {
             "type": "net",
             "tick": self.state.now,
@@ -219,6 +202,14 @@ class Scheduler:
             "sender": msg.sender,
             "to": msg.to,
         }
+        try:
+            outcome = route(
+                self.net, msg, self.state.org, alive=alive, msg_seq=seq, interfaces=self._interfaces
+            )
+        except DeadSenderError:
+            rec["outcome"] = "dead_sender"
+            self._emit(rec)
+            return
         if isinstance(outcome, Deliver):
             rec["outcome"] = "deliver"
             rec["at"] = outcome.at
@@ -316,17 +307,6 @@ def _event_summary(event: fm.FormationEvent) -> dict:
 # --- event (de)serialization for logs -------------------------------------------
 
 
-def _robot_to_dict(robot: org_core.CooperativeRobot) -> dict:
-    return {
-        "id": robot.id_cr,
-        "capabilities": sorted(
-            [c.kind.value, c.subkind, str(c.magnitude)] for c in robot.capabilities
-        ),
-        "resources": sorted(list(p) for p in robot.resources),
-        "interface": sorted(robot.interface),
-    }
-
-
 def robot_from_dict(data: dict) -> org_core.CooperativeRobot:
     return org_core.CooperativeRobot(
         id_cr=data["id"],
@@ -366,7 +346,10 @@ def event_to_dict(event: fm.FormationEvent) -> dict:
     elif isinstance(event, fm.RobotFailed):
         base.update(robot=event.robot)
     elif isinstance(event, fm.RobotJoined):
-        base["robot"] = _robot_to_dict(event.robot)
+        # logs name the robot's id "id", as configs do
+        robot = org_core.robot_dict(event.robot)
+        robot["id"] = robot.pop("id_cr")
+        base["robot"] = robot
         base["pose"] = list(event.pose) if event.pose is not None else None
     return base
 

@@ -25,10 +25,8 @@ from hwrom.rules_engine import (
     RULE_LEAST_REWARD,
     RULE_NO_PARALLEL,
     RULE_WINNER_LOCK,
-    AuctionHistory,
     RuleSet,
     whole_rules,
-    winner_locked,
 )
 
 from conftest import (
@@ -179,28 +177,34 @@ def test_criterion_3_auction_oracle():
 
 
 def _scan_locked_bids(trace) -> list[dict]:
-    history = AuctionHistory()
+    """Bids sent while the bidder was winner-locked, by a scan of the trace's
+    records: a non-leadership award at tick t locks its winner from t on,
+    until a completion or revocation of that task at a tick r >= t."""
+    wins: list[tuple[int, str, str]] = []
+    releases: list[tuple[int, str, str]] = []
     for rec in trace:
         if rec.get("type") != "event":
             continue
         tick = rec["tick"]
         for note in rec["detail"]["notes"]:
-            if note["kind"] == "award":
-                history.record_win(
-                    tick, note["robot"], note["task"], Fraction(note["price"]),
-                    locks=not note["leadership"],
-                )
-            elif note["kind"] == "reelected":
-                history.record_win(tick, note["robot"], note["task"], Fraction(note["price"]), locks=False)
-            elif note["kind"] == "completed":
-                history.record_completion(tick, note["robot"], note["task"])
-            elif note["kind"] == "revoked":
-                history.record_revocation(tick, note["robot"], note["task"], note["reason"])
+            if note["kind"] == "award" and not note["leadership"]:
+                wins.append((tick, note["robot"], note["task"]))
+            elif note["kind"] in ("completed", "revoked"):
+                releases.append((tick, note["robot"], note["task"]))
+
+    def locked(robot: str, at: int) -> bool:
+        return any(
+            won_by == robot
+            and won <= at
+            and not any(by == robot and t == task and won <= r <= at for r, by, t in releases)
+            for won, won_by, task in wins
+        )
+
     offenders = []
     for rec in trace:
         if rec.get("type") == "event" and rec.get("event") == "BidSubmitted":
             bid = rec["data"]["bid"]
-            if winner_locked(history, bid["bidder"], bid["sent_at"]):
+            if locked(bid["bidder"], bid["sent_at"]):
                 offenders.append(bid)
     return offenders
 

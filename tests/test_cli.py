@@ -15,6 +15,18 @@ from conftest import log_notes
 CANONICAL = Path(__file__).parent / "fixtures" / "canonical_pursuit.json"
 
 
+def canonical_with(where: str, value, **fields) -> dict:
+    """The canonical pursuit config with `fields` added and the field at
+    `where` (dotted, with [i] list indices) set to `value`."""
+    data = dict(json.loads(CANONICAL.read_text()), **fields)
+    *path, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", where)]
+    target = data
+    for key in path:
+        target = target[key] if isinstance(key, int) else target.setdefault(key, {})
+    target[last] = value
+    return data
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -191,17 +203,55 @@ class TestRunCommand:
          ("pursuit.capture_quorum", "x"), ("pursuit.evaders[0].speed", "x")],
     )
     def test_bad_integer_field_exits_two(self, runner, tmp_path, where, value):
-        data = json.loads(CANONICAL.read_text())
-        *path, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", where)]
-        target = data
-        for key in path:
-            target = target[key] if isinstance(key, int) else target.setdefault(key, {})
-        target[last] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(canonical_with(where, value)))
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2
         assert f"config error: {where}: " in result.output
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("pursuit.robots[0].pos", ["a", 1]), ("pursuit.robots[0].pos", [None, 1]),
+         ("pursuit.robots[1].pos", [1.5, 2]), ("pursuit.robots[2].pos", [True, 0]),
+         ("pursuit.evaders[0].pos", ["a", 1]), ("pursuit.evaders[0].pos", [None, 1]),
+         ("events[0].pos", ["x", 0]), ("events[0].pos", [99, 0]), ("events[0].pos", None)],
+    )
+    def test_bad_pursuit_cell_exits_two(self, runner, tmp_path, where, value):
+        join = {"at": 3, "type": "join", "pos": [0, 0], "robot": {
+            "id": "J1", "capabilities": [["Moving", "speed", 1], ["Sensing", "vision", 4]]}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(canonical_with(where, value, events=[join])))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: " in result.output
+
+    def test_integer_pursuit_robot_id_runs(self, runner, tmp_path):
+        data = json.loads(CANONICAL.read_text())
+        data["robots"][0]["id"] = 7
+        data["pursuit"]["robots"][0]["id"] = 7
+        path = tmp_path / "int_id.json"
+        path.write_text(json.dumps(data))
+        log = tmp_path / "int_id.jsonl"
+        result = runner.invoke(main, ["run", str(path), "--log", str(log)])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
+
+    def test_scripted_fail_of_a_joiner_runs(self, runner, generic_config, tmp_path):
+        data = json.loads(generic_config.read_text())
+        data["events"] = [
+            {"at": 2, "type": "join", "robot": {
+                "id": "J1", "capabilities": [["Action", "weld", 3], ["Communication", "radio", 1]]}},
+            {"at": 6, "type": "fail", "robot": "J1"},
+        ]
+        path = tmp_path / "join_fail.json"
+        path.write_text(json.dumps(data))
+        log = tmp_path / "join_fail.jsonl"
+        result = runner.invoke(main, ["run", str(path), "--log", str(log)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(x) for x in log.read_text().splitlines()]
+        failed = [(r["tick"], r["robot"]) for r in records if r.get("event") == "RobotFailed"]
+        assert failed == [(6, "J1")]
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
     def test_negative_ticks_flag_exits_two(self, runner, generic_config):
         result = runner.invoke(main, ["run", str(generic_config), "--ticks", "-1"])

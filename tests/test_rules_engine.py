@@ -2,28 +2,28 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hwrom.org_core import OrgNode
+from hwrom import config as cfg
+from hwrom import formation as fm
+from hwrom import simnet
+from hwrom.org_core import AssignmentMode, OrgNode
 from hwrom.rules_engine import (
     RULE_LEAST_REWARD,
     RULE_NO_PARALLEL,
     RULE_WINNER_LOCK,
     STANDARD_RULES,
-    AuctionHistory,
     ConstraintKind,
     ConstraintRelation,
-    FormationCandidate,
+    LockLedger,
     Rule,
     RuleCategory,
     RuleScope,
     RuleSet,
     check_assignment,
     forming_key,
-    forming_preference,
     preferred_teams,
     whole_rules,
     winner_locked,
@@ -148,21 +148,16 @@ class TestWholeRules:
 
 class TestFormingPreference:
     def test_fewer_members_first(self):
-        cands = [
-            FormationCandidate("a", ("R1", "R2", "R3", "R4")),
-            FormationCandidate("b", ("R1", "R2")),
-            FormationCandidate("c", ("R1", "R2", "R3")),
-        ]
-        assert [c.structure for c in forming_preference(cands)] == ["b", "c", "a"]
+        a, b, c = ("R1", "R2", "R3", "R4"), ("R1", "R2"), ("R1", "R2", "R3")
+        assert sorted([a, b, c], key=forming_key) == [b, c, a]
 
     def test_single_candidate(self):
-        only = FormationCandidate("x", ("R1",))
-        assert forming_preference([only]) == [only]
+        assert sorted([("R1",)], key=forming_key) == [("R1",)]
 
     def test_tie_breaks_on_member_id_vector(self):
-        a = FormationCandidate("a", ("R2", "R9", "R5"))
-        b = FormationCandidate("b", ("R2", "R5", "R8"))
-        assert [c.structure for c in forming_preference([a, b])] == ["b", "a"]
+        # compared as sorted id vectors: (R2, R5, R8) before (R2, R5, R9)
+        a, b = ("R2", "R9", "R5"), ("R2", "R5", "R8")
+        assert sorted([a, b], key=forming_key) == [b, a]
 
     @pytest.mark.parametrize("min_size", [1, 2, 4])
     def test_preferred_teams_follow_forming_key(self, min_size):
@@ -177,38 +172,73 @@ class TestFormingPreference:
 
 
 class TestWinnerLock:
-    def _history(self) -> AuctionHistory:
-        h = AuctionHistory()
-        h.record_win(3, "R1", "t1", Fraction(2))
-        h.record_completion(7, "R1", "t1")
-        return h
+    def _ledger(self) -> LockLedger:
+        ledger = LockLedger()
+        ledger.lock("R1", "t1", 3)
+        ledger.release("R1", "t1", 7)  # completed
+        return ledger
 
     def test_locked_between_win_and_completion(self):
-        assert winner_locked(self._history(), "R1", 5)
+        assert winner_locked(self._ledger(), "R1", 5)
 
     def test_unlocked_after_completion(self):
-        assert not winner_locked(self._history(), "R1", 8)
+        assert not winner_locked(self._ledger(), "R1", 8)
 
     def test_never_won_is_unlocked(self):
-        assert not winner_locked(self._history(), "R9", 5)
+        assert not winner_locked(self._ledger(), "R9", 5)
 
     def test_locked_at_win_tick(self):
-        assert winner_locked(self._history(), "R1", 3)
+        assert winner_locked(self._ledger(), "R1", 3)
 
     def test_unlocked_before_win(self):
-        assert not winner_locked(self._history(), "R1", 2)
+        assert not winner_locked(self._ledger(), "R1", 2)
 
     def test_revocation_unlocks(self):
-        h = AuctionHistory()
-        h.record_win(3, "R1", "t1", Fraction(2))
-        h.record_revocation(5, "R1", "t1", "reallocated")
-        assert winner_locked(h, "R1", 4)
-        assert not winner_locked(h, "R1", 5)
+        ledger = LockLedger()
+        ledger.lock("R1", "t1", 3)
+        ledger.release("R1", "t1", 5)  # revoked
+        assert winner_locked(ledger, "R1", 4)
+        assert not winner_locked(ledger, "R1", 5)
+
+    def test_release_frees_only_its_own_task(self):
+        ledger = LockLedger()
+        ledger.lock("R1", "t1", 3)
+        ledger.lock("R1", "t2", 4)
+        ledger.release("R1", "t1", 5)
+        assert winner_locked(ledger, "R1", 6)
+        ledger.release("R1", "t2", 6)
+        assert not winner_locked(ledger, "R1", 6)
+
+    def test_a_later_win_of_a_released_task_locks_again(self):
+        ledger = self._ledger()
+        ledger.lock("R1", "t1", 9)
+        assert not winner_locked(ledger, "R1", 8)
+        assert winner_locked(ledger, "R1", 9)
+        assert winner_locked(ledger, "R1", 5)  # the closed span still answers for the past
 
     def test_leadership_wins_do_not_lock(self):
-        h = AuctionHistory()
-        h.record_win(3, "R1", "T", Fraction(2), locks=False)
-        assert not winner_locked(h, "R1", 5)
+        """The engine locks the winner of an atomic award, never a leader."""
+        organizer = [["Organization", "plan", 1], ["Communication", "radio", 1]]
+        scenario = cfg.from_dict(
+            {
+                "robots": [
+                    {"id": "R1", "capabilities": organizer},
+                    {"id": "R2", "capabilities": [["Action", "weld", 1]]},
+                ],
+                "task": {"id": "T", "reward": 30, "subtasks": [
+                    {"id": "t1", "reward": 10, "requires": [["Action", "weld", 1]], "duration": 5}
+                ]},
+            }
+        )
+        state = scenario.build_state()
+        scheduler = simnet.Scheduler(state, scenario.net)
+        scenario.schedule(scheduler)
+        scheduler.run(until=scenario.max_ticks, stop_when=lambda s: s.phase is not fm.Phase.FORMING)
+        assert state.phase is fm.Phase.EXECUTING
+        leader = state.org.assignments["T"]
+        assert (leader.assignee, leader.mode) == ("R1", AssignmentMode.LED)
+        assert not winner_locked(state.locks, "R1", state.now)
+        assert winner_locked(state.locks, state.org.assignments["t1"].assignee, state.now)
 
 
 class TestRuleHygiene:
