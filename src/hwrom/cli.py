@@ -1,7 +1,8 @@
 """Command line entry point: run seeded simulations, replay and verify traces.
 
-Exit codes: 0 mission success, 1 formation/mission failure (logs still
-written), 2 configuration or log-format errors.
+Exit codes: 0 mission success or a verified replay, 1 formation/mission
+failure (logs still written) or a replay that diverges, 2 configuration or
+log-format errors (a truncated log or another log version included).
 """
 
 from __future__ import annotations
@@ -14,20 +15,21 @@ import click
 from . import config as cfg
 from . import eventlog
 from . import formation as fm
-from . import metrics as metrics_mod
-from . import org_core, simnet
+from . import org_core
+
 
 @click.group()
 def main() -> None:
     """Hierarchical multi-robot organization engine and simulator."""
 
 
-def _parse_fail(spec: str) -> tuple[str, int]:
+def _fail_event(spec: str) -> dict:
+    """A `--fail ROBOT@TICK` as the scripted event it adds to the config."""
     robot, sep, tick = spec.partition("@")
     if not sep or not robot:
         raise click.BadParameter(f"--fail expects ROBOT@TICK, got {spec!r}")
     try:
-        return robot, int(tick)
+        return {"at": int(tick), "type": "fail", "robot": robot}
     except ValueError:
         raise click.BadParameter(f"--fail tick must be an integer, got {tick!r}") from None
 
@@ -36,7 +38,8 @@ def _parse_fail(spec: str) -> tuple[str, int]:
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--ticks", type=int, default=None, help="Override max ticks.")
-@click.option("--fail", "fails", multiple=True, help="Inject a failure: ROBOT@TICK (repeatable).")
+@click.option("--fail", "fails", multiple=True,
+              help="Add a scripted failure: ROBOT@TICK (repeatable).")
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), default=None,
               help="Write the JSONL event log here.")
 @click.option("--snapshot", "snapshot_path", type=click.Path(dir_okay=False), default=None,
@@ -46,46 +49,24 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
     """Run one scenario to completion (or until the tick budget runs out)."""
     try:
         scenario = cfg.load_config(config_path)
-        if seed is not None or ticks is not None:
+        if seed is not None or ticks is not None or fails:
+            # the overrides go into the config, so the log header holds every input
             raw = dict(scenario.raw)
             if seed is not None:
                 raw["seed"] = seed
             if ticks is not None:
                 raw["max_ticks"] = ticks
+            if fails:
+                raw["events"] = [*raw.get("events", []), *map(_fail_event, fails)]
             scenario = cfg.from_dict(raw)
-        fail_specs = [_parse_fail(f) for f in fails]
     except cfg.ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         ctx.exit(2)
         return
 
-    state = scenario.build_state()
     writer = eventlog.TraceWriter(log_path) if log_path else None
-    scheduler = simnet.Scheduler(
-        state,
-        scenario.net,
-        record=writer.write if writer else None,
-        hash_states=writer is not None,
-    )
-    if writer:
-        writer.write(eventlog.header_record(scenario))
     try:
-        scenario.schedule(scheduler)
-        for robot, tick in fail_specs:
-            try:
-                scheduler.inject_failure(robot, tick)
-            except simnet.UnknownRobotError:
-                click.echo(f"config error: --fail references unknown robot {robot!r}", err=True)
-                ctx.exit(2)
-                return
-        scheduler.run(
-            until=scenario.max_ticks,
-            stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED),
-        )
-        final_hash = org_core.snapshot_hash(state.org)
-        run_metrics = metrics_mod.compute_metrics(scheduler.trace, final_org_hash=final_hash)
-        if writer:
-            writer.write(eventlog.end_record(state, run_metrics.to_dict()))
+        state, run_metrics = eventlog.simulate(scenario, writer.write if writer else None)
     finally:
         if writer:
             writer.close()
@@ -96,7 +77,7 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
     summary = {
         "phase": state.phase.value,
         "ticks": state.now,
-        "org_hash": final_hash,
+        "org_hash": run_metrics.final_org_hash,
         "metrics": run_metrics.to_dict(),
     }
     click.echo(json.dumps(summary, sort_keys=True))
@@ -107,7 +88,7 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
 def replay_command(ctx, log_path) -> None:
-    """Re-execute a logged trace and verify every state hash."""
+    """Re-run a log's header config and check every logged record."""
     try:
         outcome = eventlog.replay(log_path)
     except eventlog.MalformedLogError as exc:

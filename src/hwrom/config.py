@@ -24,6 +24,7 @@ from .org_core import (
     CapabilityRequirement,
     CooperativeRobot,
     TaskNode,
+    canonical_json,
 )
 from .rules_engine import (
     PREDICATES,
@@ -102,10 +103,6 @@ def _as_dict(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(where, "expected an object")
     return value
-
-
-def canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(data: dict) -> str:
@@ -387,8 +384,8 @@ def from_dict(data: dict) -> ScenarioConfig:
     if not 0 <= net.drop_rate <= 1:
         raise ConfigError("net.drop_rate", "must be within [0, 1]")
 
-    # (order key, event): events run by tick, type, then robot id, or for a
-    # join the text of its robot entry
+    # (order key, event): events run by tick, type, then robot id, so their
+    # order does not depend on the key order of the entries
     script: list[tuple[tuple, fm.FormationEvent]] = []
     known = set(robot_ids)
     for i, entry in enumerate(_as_list(data.get("events", []), "events")):
@@ -407,7 +404,7 @@ def from_dict(data: dict) -> ScenarioConfig:
                 pos = entry.get("pos")
                 pose = tuple(_as_list(pos, f"{where}.pos")) if pos is not None else None
             event = fm.RobotJoined(tick=at, robot=robot, pose=pose)
-            script.append(((at, kind, str(entry["robot"])), event))
+            script.append(((at, kind, robot.id_cr), event))
         elif kind in ("fail", "withdraw"):
             rid = str(_require(entry, "robot", where))
             if rid not in known:

@@ -1,28 +1,35 @@
-"""Append-only JSONL event logs and trace replay verification.
+"""Append-only JSONL event logs, and replay by re-running the logged scenario.
 
-A log is self-contained: the header embeds the full scenario config, every
-event record carries the post-transition state hash, and the end record seals
-the final hash. Replay rebuilds the simulation from the header, re-applies
-the logged events through the same transition function, and checks every
-hash; any tampering shows up as the first divergent sequence number.
+A log is self-contained: the header embeds the full scenario config, which
+is every input of the run. The body holds the `event`, `net` and `decline`
+records the run emitted, and the end record holds the final phase, the final
+state hash and the run metrics. `simulate` is the run itself, shared by
+`hwrom run` and `replay`. A deterministic machine fed the same inputs gives
+the same outputs, so replay proves a log by running its header config again
+and comparing every record it emits with the next log line, byte for byte;
+the first line that differs is reported with its record type.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, Iterator
 
 from . import config as cfg
 from . import formation as fm
-from . import simnet
+from . import metrics, org_core, simnet
+from .org_core import canonical_json
 
-LOG_VERSION = 1
+LOG_VERSION = 2
 
 
 class MalformedLogError(Exception):
-    pass
+    """The log cannot be checked: unreadable, no usable header, another
+    version, or cut short."""
 
 
 class TraceWriter:
@@ -33,7 +40,7 @@ class TraceWriter:
         self._fh: IO[str] = self.path.open("w")
 
     def write(self, record: dict) -> None:
-        self._fh.write(cfg.canonical_json(record) + "\n")
+        self._fh.write(canonical_json(record) + "\n")
 
     def close(self) -> None:
         self._fh.close()
@@ -49,71 +56,123 @@ def header_record(scenario: cfg.ScenarioConfig) -> dict:
     }
 
 
-def end_record(state: fm.FormationState, metrics: dict) -> dict:
+def end_record(state: fm.FormationState, run_metrics: dict) -> dict:
     return {
         "type": "end",
         "phase": state.phase.value,
         "final_hash": fm.state_hash(state),
-        "metrics": metrics,
+        "metrics": run_metrics,
     }
 
 
-def read_log(path: str | Path) -> tuple[dict, list[dict], dict]:
-    """Parse a log into (header, body records, end)."""
-    lines = []
+def simulate(
+    scenario: cfg.ScenarioConfig, record: Callable[[dict], None] | None = None
+) -> tuple[fm.FormationState, metrics.RunMetrics]:
+    """Run a scenario until it is Done or Failed or its tick budget is spent,
+    handing every log record to `record` in log order: header, body, end."""
+    state = scenario.build_state()
+    scheduler = simnet.Scheduler(state, scenario.net, record=record)
+    if record is not None:
+        record(header_record(scenario))
+    scenario.schedule(scheduler)
+    scheduler.run(
+        until=scenario.max_ticks,
+        stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED),
+    )
+    final_org_hash = org_core.snapshot_hash(state.org)
+    run_metrics = metrics.compute_metrics(scheduler.trace, final_org_hash=final_org_hash)
+    if record is not None:
+        record(end_record(state, run_metrics.to_dict()))
+    return state, run_metrics
+
+
+def read_log(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """Stream a log as (line number, line without its newline)."""
     try:
-        with Path(path).open() as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    lines.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise MalformedLogError(f"line {i}: invalid JSON: {exc.msg}") from None
+        with Path(path).open("rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    raise MalformedLogError(f"line {number} has no newline (truncated log?)")
+                yield number, line[:-1]
     except OSError as exc:
         raise MalformedLogError(f"cannot read log: {exc}") from None
-    if not lines or lines[0].get("type") != "header":
-        raise MalformedLogError("missing header record")
-    if lines[-1].get("type") != "end":
-        raise MalformedLogError("missing end record (truncated log?)")
-    return lines[0], lines[1:-1], lines[-1]
 
 
 @dataclass
 class ReplayOutcome:
     ok: bool
-    divergence_seq: int | None = None
+    line: int | None = None  # the first log line that differs from the re-run
     message: str = ""
 
 
-def replay(path: str | Path) -> ReplayOutcome:
-    """Re-execute a log's events and verify every recorded state hash."""
-    header, records, end = read_log(path)
-    try:
-        scenario = cfg.from_dict(header["config"])
-    except (KeyError, cfg.ConfigError) as exc:
-        raise MalformedLogError(f"header config invalid: {exc}") from None
-    if header.get("config_hash") != scenario.hash():
-        raise MalformedLogError("header config_hash does not match embedded config")
-    state = scenario.build_state()
-    for rec in records:
-        if rec.get("type") != "event":
-            continue
-        data = rec.get("data")
-        expected = rec.get("state_hash")
-        if data is None or expected is None:
-            raise MalformedLogError(f"event record missing data/state_hash: {rec}")
+class _Diverged(Exception):
+    pass
+
+
+def _describe(record: dict | bytes) -> str:
+    """A record's type, with the seq of an event record."""
+    if isinstance(record, bytes):
         try:
-            event = simnet.event_from_dict(data)
-            fm.step(state, event)
-        except Exception as exc:  # tampered events surface as divergence
-            return ReplayOutcome(False, rec.get("seq"), f"replay error at seq {rec.get('seq')}: {exc}")
-        got = fm.state_hash(state)
-        if got != expected:
-            return ReplayOutcome(
-                False, rec.get("seq"), f"state hash diverges at seq {rec.get('seq')}"
+            record = json.loads(record)
+        except ValueError:
+            return "a line that is not JSON"
+        if not isinstance(record, dict):
+            return "a line that is not a record"
+    if record.get("type") == "event":
+        return f"event record (seq {record.get('seq')})"
+    return f"{record.get('type')} record"
+
+
+def replay(path: str | Path) -> ReplayOutcome:
+    """Re-run the log's header config and compare each record it emits with
+    the next log line, byte for byte."""
+    with contextlib.closing(read_log(path)) as lines:
+        return _replay(lines)
+
+
+def _replay(lines: Iterator[tuple[int, bytes]]) -> ReplayOutcome:
+    first = next(lines, None)
+    try:
+        header = json.loads(first[1]) if first is not None else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("type") != "header":
+        raise MalformedLogError("missing header record")
+    if header.get("version") != LOG_VERSION:
+        raise MalformedLogError(
+            f"log version {header.get('version')!r} cannot be replayed, only version "
+            f"{LOG_VERSION}: run the header's config again with `hwrom run` to get one"
+        )
+    try:
+        scenario = cfg.from_dict(header.get("config"))
+    except cfg.ConfigError as exc:
+        raise MalformedLogError(f"header config invalid: {exc}") from None
+
+    logged = itertools.chain([first], lines)
+    emitted = 0
+
+    def compare(record: dict) -> None:
+        nonlocal emitted
+        emitted += 1
+        entry = next(logged, None)
+        if entry is None:
+            raise MalformedLogError(
+                f"the log ends at line {emitted - 1}, before the re-run's "
+                f"{_describe(record)} (truncated log?)"
             )
-    if end.get("final_hash") != fm.state_hash(state):
-        return ReplayOutcome(False, None, "final hash mismatch")
+        number, line = entry
+        if line != canonical_json(record).encode():
+            logged_as, rerun_as = _describe(line), _describe(record)
+            what = logged_as if logged_as == rerun_as else f"{logged_as}, re-run: {rerun_as}"
+            raise _Diverged(number, f"line {number} differs from the re-run: {what}")
+
+    try:
+        simulate(scenario, compare)
+    except _Diverged as exc:
+        number, message = exc.args
+        return ReplayOutcome(False, number, message)
+    extra = next(logged, None)
+    if extra is not None:
+        number, line = extra
+        return ReplayOutcome(False, number, f"line {number} follows the end record: {_describe(line)}")
     return ReplayOutcome(True, None, "replay verified")

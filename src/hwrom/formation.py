@@ -15,12 +15,10 @@ complete whenever a feasible assignment exists at all.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator
 
 from . import org_core, pursuit, rules_engine, wire
@@ -49,6 +47,7 @@ from .org_core import (
     TaskAssignment,
     TaskNode,
     TaskStatus,
+    canonical_json,
 )
 from .rules_engine import (
     STANDARD_RULES,
@@ -200,26 +199,6 @@ class StepResult:
 
 
 @dataclass
-class HashCache:
-    """JSON fragments of `state_snapshot`, reused by `state_hash`.
-
-    A fragment keyed by id is reused only while its inputs are the same
-    objects, and each input is immutable (`TaskAssignment`,
-    `CooperativeRobot`, `Announcement`, a `TaskStatus` member, a reward
-    `Fraction`) or append-only (an auction's bids, `org.known_tasks`), so
-    no mutation site has to drop them. The org tree is edited in place:
-    `_renumber`, which ends every tree edit and rebuilds the relation web, and
-    utility settlement drop `tree`, the org's relations and root fragments."""
-
-    tasks: dict[str, tuple[TaskStatus, Fraction, str]] = field(default_factory=dict)
-    auctions: dict[str, tuple[Announcement, dict[str, Bid], int, str]] = field(default_factory=dict)
-    assignments: dict[str, tuple[TaskAssignment, str]] = field(default_factory=dict)
-    robots: dict[str, tuple[CooperativeRobot, str]] = field(default_factory=dict)
-    known_tasks: tuple[int, str] = (0, "[]")
-    tree: tuple[str, str] | None = None
-
-
-@dataclass
 class FormationState:
     params: EngineParams
     robots: dict[str, CooperativeRobot] = field(default_factory=dict)
@@ -240,7 +219,7 @@ class FormationState:
     phase: Phase = Phase.FORMING
     now: int = 0
     busy_until: dict[str, int] = field(default_factory=dict)
-    exec_started: set[str] = field(default_factory=set)
+    exec_started: dict[str, int] = field(default_factory=dict)  # atomic task -> due tick
     # pursuit bookkeeping
     world: pursuit.WorldState | None = None
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -248,7 +227,6 @@ class FormationState:
     planned_evaders: set[str] = field(default_factory=set)
     flank_target: dict[str, tuple[str, tuple[int, int]]] = field(default_factory=dict)
     flank_cell: dict[str, tuple[int, int]] = field(default_factory=dict)
-    hash_cache: HashCache = field(default_factory=HashCache, init=False, repr=False, compare=False)
 
     def alive(self, robot: str) -> bool:
         return robot in self.robots and robot not in self.dead and robot not in self.departed
@@ -397,9 +375,7 @@ def _renumber(state: FormationState) -> None:
     `org.robots`, the robots bound anywhere in the tree.
 
     Every edit of the tree or of the assignments' assignees ends here before
-    the next structural lookup, so this is where the org's index and the
-    hashed tree fragment are dropped."""
-    state.hash_cache.tree = None
+    the next structural lookup, so this is where the org's index is dropped."""
     org = state.org
     org.index_cache = None
     if org.root is None:
@@ -745,7 +721,7 @@ def _revoke_task(state: FormationState, t: str, reason: str, result: StepResult)
     if task.status in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
         task.status = TaskStatus.UNASSIGNED
     state.active_auctions.pop(t, None)
-    state.exec_started.discard(t)
+    state.exec_started.pop(t, None)
 
 
 def _dissolve_team(
@@ -1060,7 +1036,7 @@ def _start_execution(
         start = max(state.busy_until.get(robot, state.now), state.now) + 1
         done = start + max(state.tasks[t].duration, 1) - 1
         state.busy_until[robot] = done
-        state.exec_started.add(t)
+        state.exec_started[t] = done
         result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
         result.messages.append(
             wire.Message(ENV, robot, wire.KIND_START_WORK, {"task": t, "done_at": done}, state.now)
@@ -1121,6 +1097,9 @@ def _complete_task(state: FormationState, event: TaskCompleted, result: StepResu
         or assignment is None
         or assignment.assignee != event.robot
         or not state.alive(event.robot)
+        # a timer of an earlier award, since revoked; a task with no due tick
+        # (a surround goal) completes when its evader is captured
+        or state.exec_started.get(t, event.tick) != event.tick
     ):
         result.notes.append({"kind": "completion_ignored", "task": t, "robot": event.robot})
         return
@@ -1164,7 +1143,6 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
         else:
             payouts[t] = state.org.assignments[t].price
     deltas = org_core.settle_utilities(state.org, payouts)
-    state.hash_cache.tree = None
     result.notes.append(
         {
             "kind": "mission_done",
@@ -1569,8 +1547,7 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
 
 
 def state_snapshot(state: FormationState) -> dict:
-    """The state a hash seals, as plain data: the reference definition that
-    `state_hash` reproduces byte for byte from its cached fragments."""
+    """The state a hash seals, as plain data."""
     return {
         "now": state.now,
         "phase": state.phase.value,
@@ -1602,96 +1579,9 @@ def state_snapshot(state: FormationState) -> dict:
     }
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def state_hash(state: FormationState) -> str:
-    """sha256 of the canonical JSON of `state_snapshot` (sorted keys, no
-    spaces), assembled from the fragments in `state.hash_cache`."""
-    return hashlib.sha256(_state_json(state).encode()).hexdigest()
-
-
-def _state_json(state: FormationState) -> str:
-    cache = state.hash_cache
-    auctions = []
-    for t in sorted(state.active_auctions):
-        auction = state.active_auctions[t]
-        ann, bids = auction.announcement, auction.bids
-        hit = cache.auctions.get(t)
-        if hit is None or hit[0] is not ann or hit[1] is not bids or hit[2] != len(bids):
-            entry = {
-                "round": ann.round,
-                "reward": str(ann.reward),
-                "deadline": ann.deadline,
-                "bids": [[b.bidder, str(b.price), b.round, b.sent_at] for b in bids.values()],
-            }
-            hit = cache.auctions[t] = (ann, bids, len(bids), _encode({t: entry})[1:-1])
-        auctions.append(hit[3])
-    tasks = []
-    for t in sorted(state.tasks):
-        status, reward = state.tasks[t].status, state.current_reward[t]
-        hit = cache.tasks.get(t)
-        if hit is None or hit[0] is not status or hit[1] is not reward:
-            entry = {"status": status.value, "reward": str(reward)}
-            hit = cache.tasks[t] = (status, reward, _encode({t: entry})[1:-1])
-        tasks.append(hit[2])
-    # the small fields, in two runs split where "org" and "tasks" sort between them
-    before_org = _encode(
-        {
-            "now": state.now,
-            "level": state.level,
-            "dead": sorted(state.dead),
-            "departed": sorted(state.departed),
-            "busy": state.busy_until,
-            "exec_started": sorted(state.exec_started),
-            "detections": sorted([r, e, t] for (r, e), t in state.first_detection.items()),
-        }
-    )
-    before_tasks = _encode(
-        {
-            "phase": state.phase.value,
-            "pool": sorted(state.pool),
-            "pending": [[p.id_task, p.parent_node] for p in state.pending],
-            "organizer": state.organizer,
-            "planned": sorted(state.planned_evaders),
-        }
-    )
-    world = "null" if state.world is None else _encode(pursuit.world_snapshot(state.world))
-    return "".join(
-        (
-            '{"auctions":{', ",".join(auctions), "},", before_org[1:-1],
-            ',"org":', _org_json(state.org, cache), ",", before_tasks[1:-1],
-            ',"tasks":{', ",".join(tasks), '},"world":', world, "}",
-        )
-    )
-
-
-def _org_json(org: Organization, cache: HashCache) -> str:
-    assignments = []
-    for t in sorted(org.assignments):
-        a = org.assignments[t]
-        hit = cache.assignments.get(t)
-        if hit is None or hit[0] is not a:
-            hit = cache.assignments[t] = (a, _encode({t: org_core.assignment_dict(a)})[1:-1])
-        assignments.append(hit[1])
-    robots = []
-    for r in sorted(org.robots, key=attrgetter("id_cr")):
-        hit = cache.robots.get(r.id_cr)
-        if hit is None or hit[0] is not r:
-            hit = cache.robots[r.id_cr] = (r, _encode(org_core.robot_dict(r)))
-        robots.append(hit[1])
-    if cache.known_tasks[0] != len(org.known_tasks):
-        cache.known_tasks = (len(org.known_tasks), _encode(sorted(org.known_tasks)))
-    if cache.tree is None:
-        root = org_core.node_dict(org.root) if org.root is not None else None
-        cache.tree = (_encode(org_core.relations_list(org.relations)), _encode(root))
-    relations, root_json = cache.tree
-    return "".join(
-        (
-            '{"assignments":{', ",".join(assignments), '},"known_tasks":', cache.known_tasks[1],
-            ',"relations":', relations, ',"robots":[', ",".join(robots), '],"root":', root_json, "}",
-        )
-    )
+    """sha256 of the canonical JSON of `state_snapshot`: a log's `final_hash`."""
+    return hashlib.sha256(canonical_json(state_snapshot(state)).encode()).hexdigest()
 
 
 # --- synchronous formation ----------------------------------------------------------------

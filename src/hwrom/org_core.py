@@ -482,6 +482,9 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
 
 # --- canonical snapshot -----------------------------------------------------
 
+#: The one JSON encoding the engine hashes and logs: sorted keys, no spaces.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def node_dict(node: OrgNode) -> dict:
     return {
@@ -535,7 +538,7 @@ def snapshot_dict(org: Organization) -> dict:
 
 
 def snapshot_json(org: Organization) -> str:
-    return json.dumps(snapshot_dict(org), sort_keys=True, separators=(",", ":"))
+    return canonical_json(snapshot_dict(org))
 
 
 def snapshot_hash(org: Organization) -> str:

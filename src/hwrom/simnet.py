@@ -5,7 +5,8 @@ Messages route with configurable latency and seeded drops; the topology rule
 the event heap: it feeds events to the formation machine in (tick, seq)
 order, converts outbound messages into future deliveries, and runs the
 robot-side bidding responses at delivery time. Everything it does is a pure
-function of (config, seed, script), so traces hash identically across runs.
+function of (config, seed, script), so the same inputs give the same trace,
+record for record.
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ class Scheduler:
         record: Callable[[dict], None] | None = None,
         hash_states: bool | None = None,
     ):
+        # `hash_states` has no effect: event records carry no state hash since
+        # log version 2. The benchmark harness still passes it; the next change
+        # to the benchmark removes that argument and this keyword together.
         self.state = state
         self.net = net
         self.record = record
-        self.hash_states = hash_states if hash_states is not None else record is not None
         self.trace: list[dict] = []
         self._heap: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
@@ -278,8 +281,6 @@ class Scheduler:
                 "detail": {"notes": result.notes},
                 "data": event_to_dict(event),
             }
-            if self.hash_states:
-                rec["state_hash"] = fm.state_hash(self.state)
             self._emit(rec)
             for m in result.messages:
                 self.send(m)
@@ -304,19 +305,7 @@ def _event_summary(event: fm.FormationEvent) -> dict:
     return {"task": task, "robot": robot, "round": rnd}
 
 
-# --- event (de)serialization for logs -------------------------------------------
-
-
-def robot_from_dict(data: dict) -> org_core.CooperativeRobot:
-    return org_core.CooperativeRobot(
-        id_cr=data["id"],
-        capabilities=frozenset(
-            org_core.Capability(org_core.CapabilityKind(k), sub, Fraction(mag))
-            for k, sub, mag in data.get("capabilities", [])
-        ),
-        resources=tuple((name, int(qty)) for name, qty in data.get("resources", [])),
-        interface=frozenset(data.get("interface", [])),
-    )
+# --- event data for logs ---------------------------------------------------------
 
 
 def event_to_dict(event: fm.FormationEvent) -> dict:
@@ -352,51 +341,3 @@ def event_to_dict(event: fm.FormationEvent) -> dict:
         base["robot"] = robot
         base["pose"] = list(event.pose) if event.pose is not None else None
     return base
-
-
-def event_from_dict(data: dict) -> fm.FormationEvent:
-    kind = data["type"]
-    tick = data["tick"]
-    seq = data.get("seq", -1)
-    if kind == "Tick":
-        return fm.Tick(tick=tick, seq=seq)
-    if kind == "TaskArrived":
-        return fm.TaskArrived(
-            tick=tick,
-            seq=seq,
-            id_task=data["id_task"],
-            parent_node=data.get("parent_node"),
-            designated_leader=data.get("designated_leader"),
-        )
-    if kind == "BidSubmitted":
-        b = data["bid"]
-        return fm.BidSubmitted(
-            tick=tick,
-            seq=seq,
-            bid=Bid(
-                bidder=b["bidder"],
-                id_task=b["id_task"],
-                price=Fraction(b["price"]),
-                computed_cost=Fraction(b["computed_cost"]),
-                round=b["round"],
-                sent_at=b["sent_at"],
-            ),
-        )
-    if kind == "AuctionClosed":
-        return fm.AuctionClosed(tick=tick, seq=seq, id_task=data["id_task"], round=data["round"])
-    if kind == "TaskCompleted":
-        return fm.TaskCompleted(tick=tick, seq=seq, id_task=data["id_task"], robot=data["robot"])
-    if kind == "RobotWithdrew":
-        return fm.RobotWithdrew(
-            tick=tick, seq=seq, robot=data["robot"], reason=fm.WithdrawReason(data["reason"])
-        )
-    if kind == "RobotFailed":
-        return fm.RobotFailed(tick=tick, seq=seq, robot=data["robot"])
-    if kind == "RobotJoined":
-        return fm.RobotJoined(
-            tick=tick,
-            seq=seq,
-            robot=robot_from_dict(data["robot"]),
-            pose=tuple(data["pose"]) if data.get("pose") else None,
-        )
-    raise ValueError(f"unknown event type {kind!r}")

@@ -36,6 +36,8 @@ from conftest import (
     build_task,
     make_instance,
 )
+from test_golden_traces import GOLDEN, scenario_config
+from test_state_hash import random_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
@@ -53,7 +55,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _run_instance(spec: dict, until: int = 300):
+def _run_instance(spec: dict, until: int = 300, observe=None):
     state = fm.new_state(
         build_robots(spec),
         fm.EngineParams(
@@ -62,7 +64,7 @@ def _run_instance(spec: dict, until: int = 300):
         ),
     )
     fm.register_task_tree(state, build_task(spec["task"]))
-    sched = simnet.Scheduler(state, simnet.NetConfig())
+    sched = simnet.Scheduler(state, simnet.NetConfig(), record=_recorder(state, None, observe))
     sched.push_event(fm.TaskArrived(tick=0, id_task=spec["task"]["id"]))
     sched.run(
         until=until,
@@ -84,16 +86,28 @@ def corpus():
     return runs, elapsed
 
 
-def _run_fixture(path: Path, fail: tuple[str, int] | None = None, log_path: Path | None = None):
+def _recorder(state: fm.FormationState, writer: eventlog.TraceWriter | None, observe):
+    """The scheduler's record callback: write each record to `writer` and
+    show it to `observe(state, record)` with the live state, when given."""
+
+    def record(rec: dict) -> None:
+        if writer is not None:
+            writer.write(rec)
+        if observe is not None:
+            observe(state, rec)
+
+    return record
+
+
+def _run_fixture(
+    path: Path, fail: tuple[str, int] | None = None, log_path: Path | None = None, observe=None
+):
     raw = json.loads(path.read_text())
     raw.pop("meta", None)
     scenario = cfg.from_dict(raw)
     state = scenario.build_state()
     writer = eventlog.TraceWriter(log_path) if log_path else None
-    sched = simnet.Scheduler(
-        state, scenario.net, record=writer.write if writer else None,
-        hash_states=writer is not None,
-    )
+    sched = simnet.Scheduler(state, scenario.net, record=_recorder(state, writer, observe))
     if writer:
         writer.write(eventlog.header_record(scenario))
     scenario.schedule(sched)
@@ -323,53 +337,45 @@ def test_criterion_7_leader_failure_reelection():
     )
 
 
-def _scan_deliveries(spec_source, trace) -> list[dict]:
-    """Re-derive affiliation over the event stream and verify every delivered
-    message was topology-legal at send time."""
-    if isinstance(spec_source, dict):
-        state = fm.new_state(
-            build_robots(spec_source),
-            fm.EngineParams(
-                cost_table={k: Fraction(v) for k, v in spec_source["costs"].items()},
-                constraints=build_constraints(spec_source),
-            ),
-        )
-        fm.register_task_tree(state, build_task(spec_source["task"]))
-    else:
-        state = spec_source.build_state()
-    illegal = []
-    for rec in trace:
-        if rec.get("type") == "event":
-            fm.step(state, simnet.event_from_dict(rec["data"]))
-        elif rec.get("type") == "net" and rec.get("outcome") == "deliver":
+class _TopologyScan:
+    """An observer of live runs: checks every delivered message against the
+    topology of the org at the moment it was sent."""
+
+    def __init__(self) -> None:
+        self.delivered = 0
+        self.illegal: list[dict] = []
+
+    def __call__(self, state: fm.FormationState, rec: dict) -> None:
+        if rec["type"] == "net" and rec["outcome"] == "deliver":
+            self.delivered += 1
             if not org_core.communication_allowed(state.org, rec["sender"], rec["to"]):
-                illegal.append(rec)
-    return illegal
+                self.illegal.append(rec)
 
 
 def test_criterion_8_communication_topology(corpus):
     runs, _ = corpus
-    delivered = 0
-    illegal = []
-    for seed, spec, _, trace in runs[::10]:  # every 10th randomized trace
-        delivered += sum(
-            1 for r in trace if r.get("type") == "net" and r.get("outcome") == "deliver"
-        )
-        illegal.extend(_scan_deliveries(spec, trace))
+    scan = _TopologyScan()
+    for _, spec, _, _ in runs[::10]:  # every 10th randomized run
+        _run_instance(spec, observe=scan)
     for path in ROBUSTNESS_FIXTURES:
-        raw = json.loads(path.read_text())
-        meta = raw.pop("meta")
-        scenario = cfg.from_dict(raw)
-        _, trace = _run_fixture(path, fail=(meta["leader"], meta["leader_fail_tick"]))
-        delivered += sum(
-            1 for r in trace if r.get("type") == "net" and r.get("outcome") == "deliver"
-        )
-        illegal.extend(_scan_deliveries(scenario, trace))
+        meta = json.loads(path.read_text())["meta"]
+        _run_fixture(path, fail=(meta["leader"], meta["leader_fail_tick"]), observe=scan)
     _report(
         "8 communication topology",
-        not illegal,
-        f"{delivered} deliveries re-checked, 0 cross-team non-leader expected",
+        scan.delivered > 0 and not scan.illegal,
+        f"{scan.delivered} deliveries re-checked, 0 cross-team non-leader expected",
     )
+
+
+def _hash_after_each_event(hashes: list[str]):
+    """An observer that appends the state hash after every event to `hashes`,
+    so two runs compare equal only if their hidden state matched throughout."""
+
+    def observe(state: fm.FormationState, rec: dict) -> None:
+        if rec["type"] == "event":
+            hashes.append(fm.state_hash(state))
+
+    return observe
 
 
 def test_criterion_9_determinism_and_replay(tmp_path):
@@ -378,10 +384,12 @@ def test_criterion_9_determinism_and_replay(tmp_path):
     for path in paths:
         log_a = tmp_path / f"{path.stem}_a.jsonl"
         log_b = tmp_path / f"{path.stem}_b.jsonl"
-        _run_fixture(path, log_path=log_a)
-        _run_fixture(path, log_path=log_b)
-        if log_a.read_bytes() != log_b.read_bytes():
-            problems.append((path.stem, "nondeterministic log"))
+        hashes_a: list[str] = []
+        hashes_b: list[str] = []
+        _run_fixture(path, log_path=log_a, observe=_hash_after_each_event(hashes_a))
+        _run_fixture(path, log_path=log_b, observe=_hash_after_each_event(hashes_b))
+        if log_a.read_bytes() != log_b.read_bytes() or hashes_a != hashes_b:
+            problems.append((path.stem, "nondeterministic run"))
             continue
         outcome = eventlog.replay(log_a)
         if not outcome.ok:
@@ -403,4 +411,54 @@ def test_criterion_10_canonical_pursuit_fixture():
         "10 canonical pursuit fixture",
         state.phase is fm.Phase.DONE and captured == expected and elapsed < 1.0,
         f"capture at tick {captured} (expected {expected}), {elapsed * 1000:.0f}ms",
+    )
+
+
+def _early_completions(config: dict, trace: list[dict]) -> list[tuple[str, int]]:
+    """Atomic tasks that complete before their latest award or allocation
+    tick plus their duration, as (task, tick)."""
+    durations: dict[str, int] = {}
+    stack = [config["task"]]
+    while stack:
+        node = stack.pop()
+        if not node.get("subtasks"):
+            durations[node["id"]] = max(int(node.get("duration", 1)), 1)
+        stack.extend(node.get("subtasks", []))
+        for alternative in node.get("alternatives", []):
+            stack.extend(alternative)
+    assigned_at: dict[str, int] = {}
+    early = []
+    for rec in trace:
+        if rec["type"] != "event":
+            continue
+        for note in rec["detail"]["notes"]:
+            task = note.get("task")
+            if task not in durations:
+                continue
+            if note["kind"] in ("award", "allocated"):
+                assigned_at[task] = rec["tick"]
+            elif note["kind"] == "completed" and rec["tick"] < assigned_at[task] + durations[task]:
+                early.append((task, rec["tick"]))
+    return early
+
+
+def test_completion_timers_belong_to_their_award():
+    configs = [scenario_config(entry) for entry in GOLDEN.values() if "task" in entry.get("config", {})]
+    configs += [random_scenario(seed) for seed in range(200)]
+    early = []
+    completed = 0
+    for config in configs:
+        trace: list[dict] = []
+        eventlog.simulate(cfg.from_dict(config), trace.append)
+        completed += sum(
+            note["kind"] == "completed"
+            for rec in trace
+            if rec["type"] == "event"
+            for note in rec["detail"]["notes"]
+        )
+        early.extend(_early_completions(config, trace))
+    _report(
+        "completion timers",
+        completed > 0 and not early,
+        f"{len(configs)} runs, {completed} completions, none before award + duration",
     )

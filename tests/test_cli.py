@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from hwrom import metrics as metrics_mod
 from hwrom.cli import main
+from hwrom.org_core import canonical_json
 
 from conftest import log_notes
 
@@ -178,6 +179,18 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(generic_config), "--fail", "R99@5"])
         assert result.exit_code == 2
 
+    def test_fail_flag_in_the_past_exits_two(self, runner, generic_config):
+        result = runner.invoke(main, ["run", str(generic_config), "--fail", "R1@-3"])
+        assert result.exit_code == 2
+        assert re.search(r"config error: events\[\d+\]\.at: ", result.output)
+
+    def test_fail_flag_goes_into_the_header(self, runner, generic_config, tmp_path):
+        log = tmp_path / "run.jsonl"
+        runner.invoke(main, ["run", str(generic_config), "--fail", "R2@9", "--log", str(log)])
+        header = json.loads(log.read_text().splitlines()[0])
+        assert header["config"]["events"] == [{"at": 9, "type": "fail", "robot": "R2"}]
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
+
     def test_snapshot_written(self, runner, generic_config, tmp_path):
         snap = tmp_path / "org.json"
         result = runner.invoke(main, ["run", str(generic_config), "--snapshot", str(snap)])
@@ -292,17 +305,59 @@ class TestReplayCommand:
         log = self._run(runner, pursuit_config, tmp_path)
         assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
+    def _records(self, log: Path) -> list[dict]:
+        return [json.loads(x) for x in log.read_text().splitlines()]
+
+    def _diverges_at(self, runner, log: Path, records: list[dict], line: int, what: str) -> None:
+        """Write `records` as the log; replay must exit 1 naming `line` and
+        `what` record it holds."""
+        log.write_text("".join(canonical_json(r) + "\n" for r in records))
+        result = runner.invoke(main, ["replay", str(log)])
+        assert result.exit_code == 1, result.output
+        assert f"line {line} " in result.output and what in result.output, result.output
+
     def test_tampered_bid_detected(self, runner, generic_config, tmp_path):
         log = self._run(runner, generic_config, tmp_path)
-        records = [json.loads(x) for x in log.read_text().splitlines()]
-        for rec in records:
-            if rec.get("type") == "event" and rec.get("event") == "BidSubmitted":
-                rec["data"]["bid"]["price"] = "999"
-                break
-        log.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        result = runner.invoke(main, ["replay", str(log)])
-        assert result.exit_code == 1
-        assert "seq" in result.output
+        records = self._records(log)
+        i = next(i for i, r in enumerate(records) if r.get("event") == "BidSubmitted")
+        records[i]["data"]["bid"]["price"] = "999"
+        self._diverges_at(runner, log, records, i + 1, f"event record (seq {records[i]['seq']})")
+
+    def test_delivery_changed_to_drop_detected(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        i = next(i for i, r in enumerate(records) if r.get("outcome") == "deliver")
+        records[i]["outcome"] = "drop"
+        del records[i]["at"]
+        self._diverges_at(runner, log, records, i + 1, "net record")
+
+    def test_deleted_net_records_detected(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        first_net = next(i for i, r in enumerate(records) if r["type"] == "net")
+        kept = [r for r in records if r["type"] != "net"]
+        self._diverges_at(runner, log, kept, first_net + 1, "net record")
+
+    def test_edited_end_metrics_detected(self, runner, pursuit_config, tmp_path):
+        log = self._run(runner, pursuit_config, tmp_path)
+        records = self._records(log)
+        metrics = records[-1]["metrics"]
+        metrics["messages_sent"] += 1
+        metrics["capture_ticks"]["e1"] -= 1
+        self._diverges_at(runner, log, records, len(records), "end record")
+
+    def test_changed_decline_reason_detected(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        i = next(i for i, r in enumerate(records) if r["type"] == "decline")
+        records[i]["reason"] = "forged"
+        self._diverges_at(runner, log, records, i + 1, "decline record")
+
+    def test_record_after_the_end_detected(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        extra = next(r for r in records if r["type"] == "net")
+        self._diverges_at(runner, log, records + [extra], len(records) + 1, "net record")
 
     def test_truncated_log_exits_two(self, runner, generic_config, tmp_path):
         log = self._run(runner, generic_config, tmp_path)
@@ -310,3 +365,13 @@ class TestReplayCommand:
         log.write_text("\n".join(lines[:-2]) + "\n")
         result = runner.invoke(main, ["replay", str(log)])
         assert result.exit_code == 2
+        assert "truncated" in result.output
+
+    def test_version_1_log_exits_two(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        records[0]["version"] = 1
+        log.write_text("".join(canonical_json(r) + "\n" for r in records))
+        result = runner.invoke(main, ["replay", str(log)])
+        assert result.exit_code == 2
+        assert "log version 1 " in result.output

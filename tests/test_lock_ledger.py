@@ -126,7 +126,8 @@ def test_engine_lock_matches_scan_on_pursuit_fixtures(path, checked_calls):
 def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
     """R2 leads c1 and R3 holds c1.1 when R2 fails; nobody left in c1 can
     lead, so the team dissolves and revokes c1.1. The revocation releases
-    R3's lock, so R3 wins c1.1 again under R1."""
+    R3's lock, so R3 wins c1.1 again under R1. The timer of the first award
+    (tick 35) is ignored: c1.1 takes its full 20 ticks from the second."""
     organizer = [["Organization", "plan", 1], ["Communication", "radio", 1]]
     config = {
         "max_ticks": 120,
@@ -144,17 +145,25 @@ def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
         "events": [{"at": 22, "type": "fail", "robot": "R2"}],
     }
     awards = []
+    completions = []
     step = fm.step
 
     def noting_step(state, event):
         result = step(state, event)
         awards.extend((n["task"], n["robot"]) for n in result.notes if n["kind"] == "award")
+        completions.extend(
+            (n["kind"], n["task"], state.now) for n in result.notes if n["kind"].startswith("complet")
+        )
         return result
 
     monkeypatch.setattr(fm, "step", noting_step)
     state = run_logged(config)
     assert state.phase is fm.Phase.DONE
     assert awards == [("T", "R1"), ("c1", "R2"), ("c1.1", "R3"), ("c1", "R1"), ("c1.1", "R3")]
+    assert [c for c in completions if c[1] == "c1.1"] == [
+        ("completion_ignored", "c1.1", 35),
+        ("completed", "c1.1", 55),
+    ]
     assert checked_calls
 
 

@@ -15,26 +15,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 LEVEL_CODES = {"LevelSkew", "RootLevelNotZero", "PositionMismatch", "LeaderMismatch"}
 
 
-def _replay_with(spec_or_scenario, trace, check):
-    if isinstance(spec_or_scenario, dict):
-        spec = spec_or_scenario
-        state = fm.new_state(
-            build_robots(spec),
-            fm.EngineParams(
-                cost_table={k: Fraction(v) for k, v in spec["costs"].items()},
-                constraints=build_constraints(spec),
-            ),
-        )
-        fm.register_task_tree(state, build_task(spec["task"]))
-    else:
-        state = spec_or_scenario.build_state()
-    for rec in trace:
-        if rec.get("type") != "event":
-            continue
-        fm.step(state, simnet.event_from_dict(rec["data"]))
-        check(state, rec)
-
-
 def test_level_discipline_after_every_step():
     """validate() never reports level violations at any point of a run."""
     spec = make_instance(3)
@@ -46,17 +26,20 @@ def test_level_discipline_after_every_step():
         ),
     )
     fm.register_task_tree(state, build_task(spec["task"]))
-    sched = simnet.Scheduler(state, simnet.NetConfig())
+
+    def check(rec):
+        # the scheduler records each event right after its transition
+        if rec["type"] != "event" or state.org.root is None:
+            return
+        codes = org_core.validate(state.org).codes()
+        assert not (codes & LEVEL_CODES), (rec["event"], rec["tick"], codes)
+        checked.append(rec["seq"])
+
+    checked: list[int] = []
+    sched = simnet.Scheduler(state, simnet.NetConfig(), record=check)
     sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
     sched.run(until=120, stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED))
-
-    def check(replayed, rec):
-        if replayed.org.root is None:
-            return
-        codes = org_core.validate(replayed.org).codes()
-        assert not (codes & LEVEL_CODES), (rec["event"], rec["tick"], codes)
-
-    _replay_with(spec, sched.trace, check)
+    assert checked
 
 
 def test_level_discipline_through_leader_failure():
@@ -65,21 +48,24 @@ def test_level_discipline_through_leader_failure():
     meta = raw.pop("meta")
     scenario = cfg.from_dict(raw)
     state = scenario.build_state()
-    sched = simnet.Scheduler(state, scenario.net)
+
+    def check(rec):
+        # the scheduler records each event right after its transition
+        if rec["type"] != "event" or state.org.root is None:
+            return
+        codes = org_core.validate(state.org).codes()
+        # a failed leader leaves the node unbound until the same-transition
+        # re-election resolves, so only level geometry is asserted here
+        assert not (codes & {"LevelSkew", "RootLevelNotZero", "PositionMismatch"})
+        checked.append(rec["seq"])
+
+    checked: list[int] = []
+    sched = simnet.Scheduler(state, scenario.net, record=check)
     scenario.schedule(sched)
     sched.inject_failure(meta["leader"], meta["leader_fail_tick"])
     sched.run(until=scenario.max_ticks, stop_when=lambda s: s.phase is fm.Phase.DONE)
     assert state.phase is fm.Phase.DONE
-
-    def check(replayed, rec):
-        if replayed.org.root is None:
-            return
-        codes = org_core.validate(replayed.org).codes()
-        # a failed leader leaves the node unbound until the same-transition
-        # re-election resolves, so only level geometry is asserted here
-        assert not (codes & {"LevelSkew", "RootLevelNotZero", "PositionMismatch"})
-
-    _replay_with(cfg.from_dict(raw), sched.trace, check)
+    assert checked
 
 
 def test_simnet_module_level_surface():

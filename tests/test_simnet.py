@@ -104,7 +104,14 @@ def fresh_scheduler(drop_rate=0, seed=0, spec=None, cls=Scheduler):
     }
     state = fm.new_state(build_robots(spec), fm.EngineParams())
     fm.register_task_tree(state, build_task(spec["task"]))
-    sched = cls(state, NetConfig(drop_rate=Fraction(drop_rate), seed=seed), hash_states=True)
+
+    def hash_into(rec):
+        # seal the post-transition state in each event record, so that traces
+        # compare equal only when the hidden state matched at every event
+        if rec["type"] == "event":
+            rec["state_hash"] = fm.state_hash(state)
+
+    sched = cls(state, NetConfig(drop_rate=Fraction(drop_rate), seed=seed), record=hash_into)
     sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
     return state, sched
 
@@ -231,11 +238,13 @@ class TestScheduler:
         ]
         assert reannounces == [fail_at + 1]
 
-    def test_state_hashes_present_when_enabled(self):
-        _, sched = fresh_scheduler()
-        trace = sched.run(until=10)
-        events = [r for r in trace if r["type"] == "event"]
-        assert all("state_hash" in r for r in events)
+    def test_event_records_carry_no_state_hash(self):
+        state = fm.new_state([robot("R1")], fm.EngineParams())
+        logged: list[dict] = []
+        sched = Scheduler(state, NetConfig(), record=logged.append)
+        sched.run(until=10)
+        assert len(logged) == 10
+        assert not any("state_hash" in r for r in logged)
 
     def test_joiner_interface_applies_to_later_messages(self):
         _, sched = fresh_scheduler()

@@ -1,11 +1,15 @@
-"""The cached state hash against the from-scratch one.
+"""Replay and key order over a corpus of logged runs.
 
-`formation.state_hash` assembles the canonical JSON of `state_snapshot` from
-fragments cached on the state. After every `step` of every run here, it must
-equal sha256 of `state_snapshot` serialized from scratch, the definition
-logs carry. The runs cover the golden-trace scenarios, every pursuit fixture
+Replay re-runs a log's header config, and the header holds that config with
+its keys sorted. So each run here is logged twice, from its config and from
+the config's sorted-key dump, and the two logs must be equal byte for byte.
+The log must then replay clean, and its end record's `final_hash` must equal
+sha256 of the canonical JSON of `state_snapshot`, computed here from that
+definition. The runs cover the golden-trace scenarios, every pursuit fixture
 with and without a leader failure, and seeded random generic scenarios with
-drops, latency, membership churn, Parallel pairs and forced give-ups.
+drops, latency, membership churn, Parallel pairs and forced give-ups. The
+test names keep `cached_hash` from the log v1 fragment cache these runs
+used to check, so that the test ids stay stable.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from hwrom import config as cfg
+from hwrom import eventlog
 from hwrom import formation as fm
-from hwrom import simnet
+from hwrom.org_core import canonical_json
 
 from test_golden_traces import GOLDEN, scenario_config
 
@@ -34,34 +39,41 @@ def reference_hash(state: fm.FormationState) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.fixture
-def checked_steps(monkeypatch) -> list[int]:
-    """Check the cached hash after every step the scheduler takes; the list
-    counts the checks."""
-    step = fm.step
-    checks: list[int] = []
-
-    def checking_step(state, event):
-        result = step(state, event)
-        assert fm.state_hash(state) == reference_hash(state), (type(event).__name__, event.tick)
-        checks.append(1)
-        return result
-
-    monkeypatch.setattr(fm, "step", checking_step)
-    return checks
+def with_fail(config: dict, fail: tuple[str, int] | None) -> dict:
+    """`config` with a scripted failure of robot `fail[0]` at tick `fail[1]`
+    added, as `hwrom run --fail ROBOT@TICK` adds it."""
+    if fail is None:
+        return config
+    robot, at = fail
+    return {**config, "events": [*config.get("events", []), {"at": at, "type": "fail", "robot": robot}]}
 
 
-def run_logged(config: dict, fail: tuple[str, int] | None = None) -> fm.FormationState:
-    scenario = cfg.from_dict(config)
-    state = scenario.build_state()
-    scheduler = simnet.Scheduler(state, scenario.net, hash_states=True)
-    scenario.schedule(scheduler)
-    if fail is not None:
-        scheduler.inject_failure(*fail)
-    scheduler.run(
-        until=scenario.max_ticks, stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED)
+def run_logged(
+    config: dict, fail: tuple[str, int] | None = None, log: list[str] | None = None
+) -> fm.FormationState:
+    """Run `config` as `hwrom run --log` does, with `fail` added as `--fail`
+    adds it; append each log line to `log` when one is given."""
+    lines = log if log is not None else []
+    state, _ = eventlog.simulate(
+        cfg.from_dict(with_fail(config, fail)), lambda rec: lines.append(canonical_json(rec))
     )
     return state
+
+
+def check_log(config: dict, tmp_path: Path) -> list[str]:
+    """Log `config` and its sorted-key dump, check that the logs are equal and
+    that the log replays clean; return the log's lines."""
+    log: list[str] = []
+    resorted: list[str] = []
+    state = run_logged(config, log=log)
+    run_logged(json.loads(json.dumps(config, sort_keys=True)), log=resorted)
+    assert log == resorted
+    assert json.loads(log[-1])["final_hash"] == reference_hash(state)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in log))
+    outcome = eventlog.replay(path)
+    assert outcome.ok, outcome.message
+    return log
 
 
 def random_scenario(seed: int) -> dict:
@@ -115,35 +127,48 @@ def random_scenario(seed: int) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cached_hash_matches_on_golden_scenarios(name, checked_steps):
-    run_logged(scenario_config(GOLDEN[name]))
-    assert checked_steps
+def test_cached_hash_matches_on_golden_scenarios(name, tmp_path):
+    check_log(scenario_config(GOLDEN[name]), tmp_path)
 
 
 @pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
-def test_cached_hash_matches_on_pursuit_fixtures(path, checked_steps):
+def test_cached_hash_matches_on_pursuit_fixtures(path, tmp_path):
     raw = json.loads(path.read_text())
     meta = raw.pop("meta", None)
-    state = run_logged(raw)
-    assert state.world is not None and checked_steps
+    check_log(raw, tmp_path)
     if meta is not None:
-        run_logged(raw, fail=(meta["leader"], meta["leader_fail_tick"]))
+        check_log(with_fail(raw, (meta["leader"], meta["leader_fail_tick"])), tmp_path)
 
 
-def test_cached_hash_matches_on_random_churn(checked_steps):
+def test_cached_hash_matches_on_random_churn(tmp_path):
     notes: set[str] = set()
-    original_step = fm.step
-
-    def noting_step(state, event):
-        result = original_step(state, event)
-        notes.update(note["kind"] for note in result.notes)
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fm, "step", noting_step)
-        for seed in range(200):
-            run_logged(random_scenario(seed))
+    for seed in range(200):
+        for line in check_log(random_scenario(seed), tmp_path):
+            rec = json.loads(line)
+            if rec["type"] == "event":
+                notes.update(note["kind"] for note in rec["detail"]["notes"])
     # the corpus reaches every path that edits the tree or settles utilities
     assert {"award", "give_up", "allocated", "withdrew", "joined", "reelected",
             "dissolved", "mission_done"} <= notes
-    assert len(checked_steps) > 5000
+
+
+def test_same_tick_joins_run_in_robot_id_order(tmp_path):
+    """J1 and J2 join at tick 2. With sorted keys, the text of J2's entry
+    sorts first; the joins still run in id order, from either key order."""
+    config = {
+        "seed": 1,
+        "max_ticks": 60,
+        "robots": [{"id": "R1", "capabilities": ORGANIZER}],
+        "task": {"id": "T", "reward": 30, "subtasks": [
+            {"id": "t1", "reward": 10, "requires": [["Action", "weld", 1]]}]},
+        "events": [
+            {"at": 2, "type": "join", "robot": {"id": "J1", "capabilities": [["Action", "weld", 3]]}},
+            {"at": 2, "type": "join", "robot": {"id": "J2", "capabilities": [["Action", "weld", 1]]}},
+        ],
+    }
+    joined = [
+        rec["robot"]
+        for rec in map(json.loads, check_log(config, tmp_path))
+        if rec.get("event") == "RobotJoined"
+    ]
+    assert joined == ["J1", "J2"]
