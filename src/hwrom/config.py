@@ -61,6 +61,15 @@ def _frac(value: Any, where: str) -> Fraction:
     raise ConfigError(where, f"expected a rational number, got {value!r}")
 
 
+def _money(value: Any, where: str) -> Fraction:
+    """A reward, margin or cost: a rational >= 0. A robot never bids below its
+    own cost, and a negative amount would make it."""
+    amount = _frac(value, where)
+    if amount.numerator < 0:
+        raise ConfigError(where, "must be >= 0")
+    return amount
+
+
 def _int(value: Any, where: str, minimum: int | None = None) -> int:
     """An integer field: whatever int() takes (floats truncate), at least
     `minimum` when one is given."""
@@ -225,7 +234,7 @@ def _build_robot(data: dict, where: str) -> CooperativeRobot:
 def _build_task(data: dict, where: str) -> TaskNode:
     data = _as_dict(data, where)
     tid = str(_require(data, "id", where))
-    reward = _frac(data.get("reward", 0), f"{where}.reward")
+    reward = _money(data.get("reward", 0), f"{where}.reward")
     requires = frozenset(
         _build_requirement(r, f"{where}.requires[{i}]")
         for i, r in enumerate(_as_list(data.get("requires", []), f"{where}.requires"))
@@ -336,7 +345,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         for tid, cost in _as_dict(tasks, f"costs.{rid}").items():
             if task_ids and tid not in task_ids:
                 raise ConfigError(f"costs.{rid}.{tid}", f"unknown task {tid!r}")
-            cost_table[(rid, tid)] = _frac(cost, f"costs.{rid}.{tid}")
+            cost_table[(rid, tid)] = _money(cost, f"costs.{rid}.{tid}")
 
     rules_pool, robot_rules = _build_rules(data)
     for rid in robot_rules:
@@ -364,9 +373,9 @@ def from_dict(data: dict) -> ScenarioConfig:
             _int(entry.get("speed", 1), f"{where}.speed")
         pursuit_params = fm.PursuitParams(
             k=_int(block.get("k", 4), "pursuit.k"),
-            base_reward=_frac(block.get("base_reward", 5), "pursuit.base_reward"),
+            base_reward=_money(block.get("base_reward", 5), "pursuit.base_reward"),
             capture_quorum=_int(block.get("capture_quorum", 2), "pursuit.capture_quorum"),
-            mission_reward=_frac(block.get("mission_reward", 20), "pursuit.mission_reward"),
+            mission_reward=_money(block.get("mission_reward", 20), "pursuit.mission_reward"),
             required_speed=
             _frac(block["required_speed"], "pursuit.required_speed")
             if "required_speed" in block
@@ -422,10 +431,10 @@ def from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(where, f"unknown event type {kind!r}")
 
     params = fm.EngineParams(
-        margin=_frac(auction.get("margin", "1/10"), "auction.margin"),
+        margin=_money(auction.get("margin", "1/10"), "auction.margin"),
         policy=policy,
         bid_window=bid_window,
-        default_cost=_frac(auction.get("default_cost", 1), "auction.default_cost"),
+        default_cost=_money(auction.get("default_cost", 1), "auction.default_cost"),
         cost_table=cost_table,
         constraints=tuple(constraints),
         rules_pool=rules_pool,

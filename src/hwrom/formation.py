@@ -15,13 +15,15 @@ complete whenever a feasible assignment exists at all.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
-from . import org_core, pursuit, rules_engine, wire
+from . import org_core, pursuit, wire
 from .market import (
     AdjustPolicy,
     Announcement,
@@ -165,7 +167,11 @@ class PursuitParams:
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Engine knobs: auction economics, norms, constraints, scenario costs."""
+    """Engine knobs: auction economics, norms, constraints, scenario costs.
+
+    `parallel_norm` is derived once, at construction: whether the Parallel
+    norm can ever refuse an assignment, that is, whether some constraint is
+    `Parallel` and the rules pool holds `no_parallel_coassignment`."""
 
     margin: Fraction = Fraction(1, 10)
     policy: AdjustPolicy = AdjustPolicy()
@@ -176,6 +182,15 @@ class EngineParams:
     rules_pool: frozenset[Rule] = STANDARD_RULES
     robot_rules: dict[str, frozenset[Rule]] = field(default_factory=dict)
     pursuit: PursuitParams | None = None
+    parallel_norm: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "parallel_norm",
+            any(c.kind is ConstraintKind.PARALLEL for c in self.constraints)
+            and RuleSet(self.rules_pool).has_predicate("no_parallel_coassignment"),
+        )
 
 
 @dataclass
@@ -220,6 +235,8 @@ class FormationState:
     now: int = 0
     busy_until: dict[str, int] = field(default_factory=dict)
     exec_started: dict[str, int] = field(default_factory=dict)  # atomic task -> due tick
+    # the pricing context of tick `pricing.now`, derived and rebuilt by `_context`
+    pricing: ScenarioContext | None = field(default=None, init=False, repr=False, compare=False)
     # pursuit bookkeeping
     world: pursuit.WorldState | None = None
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -320,11 +337,17 @@ def _cost_of(state: FormationState, robot: CooperativeRobot, ann: Announcement) 
 
 
 def _context(state: FormationState) -> ScenarioContext:
-    return ScenarioContext(
-        cost_of=lambda robot, ann: _cost_of(state, robot, ann),
-        margin=state.params.margin,
-        now=state.now,
-    )
+    """The pricing context of the current tick, built once per tick. It is
+    kept on the state, so it reaches the state through a weak proxy: a strong
+    reference would leave every finished state to the cycle collector."""
+    ctx = state.pricing
+    if ctx is None or ctx.now != state.now:
+        ctx = state.pricing = ScenarioContext(
+            cost_of=partial(_cost_of, weakref.proxy(state)),
+            margin=state.params.margin,
+            now=state.now,
+        )
+    return ctx
 
 
 def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> str | None:
@@ -335,6 +358,8 @@ def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> 
     # a sitting leader may only extend its own chain downward
     if ann.leadership and ann.auctioneer != ENV and not _chain_with(state, robot_id, ann.id_task):
         return "leadership_chain"
+    if not state.params.parallel_norm:
+        return None
     # every task ever assigned to the robot is its Parallel legality footprint
     held = org_core.index(state.org).tasks_by_robot.get(robot_id, set()) | {ann.id_task}
     check = check_assignment(
@@ -383,28 +408,44 @@ def _renumber(state: FormationState) -> None:
         org.robots = []
         state.level = 0
         return
-
-    def visit(node: OrgNode, depth: int, pos: int) -> int:
-        node.level_i = depth
-        node.pos_j = pos
-        return max((visit(c, depth + 1, i) for i, c in enumerate(node.children)), default=depth)
-
-    state.level = visit(org.root, 0, 0)
-
     relations: set[Relation] = set()
     bound: set[str] = set()
-    for node in org.root.walk():
-        if node.id_robot is not None:
-            bound.add(node.id_robot)
-        if not node.children:
-            continue
-        node.rules = rules_engine.whole_rules(node)
-        subtree_tasks = {g for n in node.walk() for g in n.goals}
-        node.constraints = [
-            c for c in state.params.constraints if c.a in subtree_tasks and c.b in subtree_tasks
-        ]
-        if node.id_robot is None:
-            continue
+    state.level = _renumber_subtree(state, org.root, 0, 0, relations, bound)[0]
+    org.relations = relations
+    org.robots = [state.robots[r] for r in sorted(bound)]
+
+
+def _renumber_subtree(
+    state: FormationState,
+    node: OrgNode,
+    depth: int,
+    pos: int,
+    relations: set[Relation],
+    bound: set[str],
+) -> tuple[int, frozenset[Rule], set[str]]:
+    """`_renumber` of one subtree, in one post-order walk: number it, collect
+    its relations and bound robots, and return its depth, its rule
+    intersection and its goals. A team's rules and goals come from its
+    children's, as `rules_engine.whole_rules` and a subtree scan give them."""
+    node.level_i = depth
+    node.pos_j = pos
+    if node.id_robot is not None:
+        bound.add(node.id_robot)
+    if not node.children:
+        return depth, node.rules.rules, set(node.goals)
+    deepest = depth
+    rules: frozenset[Rule] | None = None
+    goals = set(node.goals)
+    for i, child in enumerate(node.children):
+        child_depth, child_rules, child_goals = _renumber_subtree(
+            state, child, depth + 1, i, relations, bound
+        )
+        deepest = max(deepest, child_depth)
+        rules = child_rules if rules is None else rules & child_rules
+        goals |= child_goals
+    node.rules = RuleSet(rules, RuleScope.WHOLE)
+    node.constraints = [c for c in state.params.constraints if c.a in goals and c.b in goals]
+    if node.id_robot is not None:
         element_robots = [c.id_robot for c in node.children if c.id_robot is not None]
         for r in element_robots:
             if r != node.id_robot:
@@ -414,8 +455,7 @@ def _renumber(state: FormationState) -> None:
                 if a != b:
                     lo, hi = sorted((a, b))
                     relations.add(Relation(lo, hi, RelationKind.COOPERATION))
-    org.relations = relations
-    org.robots = [state.robots[r] for r in sorted(bound)]
+    return deepest, rules, goals
 
 
 # --- announcements -----------------------------------------------------------------
@@ -821,16 +861,17 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
         if c.kind is ConstraintKind.PARALLEL
     }
 
-    def parallel_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
-        held = fixed_held[robot] | {x for x, r in chosen.items() if r == robot}
-        return all(frozenset((t, h)) not in parallel_pairs for h in held)
+    def parallel_ok(robot: str, t: str) -> bool:
+        return all(
+            frozenset((t, h)) not in parallel_pairs for h in (*fixed_held[robot], *taken[robot])
+        )
 
-    def chain_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
+    def chain_ok(robot: str, t: str) -> bool:
         # composites arrive parents-first, so contiguity means each new one
         # hangs off the robot's current deepest composite
         if not state.is_composite(t):
             return True
-        mine = [x for x in composites if chosen.get(x) == robot]
+        mine = [x for x in taken[robot] if state.is_composite(x)]
         if not mine:
             return True
         deepest = max(mine, key=lambda x: (_task_depth(state, x), x))
@@ -849,56 +890,80 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
     # onto another, so once one fails as t's assignee, the rest fail too
     kind = {r: (tuple(r in eligible[t] for t in order), frozenset(fixed_held[r])) for r in robots}
     chosen: dict[str, str] = {}
+    # the partial assignment by robot, and how many robots it uses, kept in
+    # step with `chosen`
+    taken: dict[str, list[str]] = {r: [] for r in robots}
+    used = 0
 
     def search(i: int, options: dict[str, list[str]], team: set[str], cap: int) -> bool:
         """Extend `chosen` over order[i:] with at most `cap` distinct robots,
         so that every member of `team` ends up with a task."""
+        nonlocal used
         visit()
-        used = set(chosen.values())
-        if len(order) - i < len(team - used):
+        # every robot in use is a member of `team` when `team` is not empty
+        # (options hold members only), so this counts the members still idle
+        if len(order) - i < len(team) - used:
             return False
         if i == len(order):
             return True
         t = order[i]
         fresh_tried = set()
         for r in options[t]:
-            if r not in used:
-                if len(used) >= cap or kind[r] in fresh_tried:
+            mine = taken[r]
+            if not mine:
+                if used >= cap or kind[r] in fresh_tried:
                     continue
                 fresh_tried.add(kind[r])
-            if parallel_ok(r, t, chosen) and chain_ok(r, t, chosen):
+            if (not parallel_pairs or parallel_ok(r, t)) and chain_ok(r, t):
                 chosen[t] = r
+                mine.append(t)
+                used += len(mine) == 1
                 if search(i + 1, options, team, cap):
                     return True
+                used -= len(mine) == 1
+                mine.pop()
                 del chosen[t]
         return False
 
-    # one first-hit search proves feasibility, so an infeasible instance never
-    # pays for the team enumeration; its team bounds the least size from above
-    if not search(0, eligible, set(), len(order)):
-        return None
-    upper = len(set(chosen.values()))
-    chosen.clear()
+    def forget() -> None:
+        """Empty the assignment a successful search leaves behind."""
+        nonlocal used
+        chosen.clear()
+        for mine in taken.values():
+            mine.clear()
+        used = 0
 
-    # each robot's composites form one parent-child path (chain_ok), and a
-    # composite with no unfinished composite child can only end such a path
-    open_composites = set(composites)
-    size = max(1, sum(1 for t in composites if open_composites.isdisjoint(state.task_children[t])))
-    # a search capped at `size` robots visits each partial assignment once,
-    # where trying every team of that size would revisit it in each superset
-    while size < upper and not search(0, eligible, set(), size):
-        size += 1
-    chosen.clear()
+    try:
+        # one first-hit search proves feasibility, so an infeasible instance never
+        # pays for the team enumeration; its team bounds the least size from above
+        if not search(0, eligible, set(), len(order)):
+            return None
+        upper = used
+        forget()
 
-    # a robot that is no task's candidate can hold nothing, so it is in no team
-    pool = set().union(*eligible.values())
-    for team in preferred_teams(pool, size):
-        visit()
-        members = set(team)
-        options = {t: [r for r in eligible[t] if r in members] for t in order}
-        if all(options.values()) and search(0, options, members, size):
-            return [(t, chosen[t]) for t in order]
-    return None  # unreachable: the capped search above found a team of `size`
+        # each robot's composites form one parent-child path (chain_ok), and a
+        # composite with no unfinished composite child can only end such a path
+        open_composites = set(composites)
+        size = max(1, sum(1 for t in composites if open_composites.isdisjoint(state.task_children[t])))
+        # a search capped at `size` robots visits each partial assignment once,
+        # where trying every team of that size would revisit it in each superset
+        while size < upper and not search(0, eligible, set(), size):
+            size += 1
+        forget()
+
+        # a robot that is no task's candidate can hold nothing, so it is in no team
+        pool = set().union(*eligible.values())
+        for team in preferred_teams(pool, size):
+            visit()
+            members = set(team)
+            options = {t: [r for r in eligible[t] if r in members] for t in order}
+            if all(options.values()) and search(0, options, members, size):
+                return [(t, chosen[t]) for t in order]
+        return None  # unreachable: the capped search above found a team of `size`
+    finally:
+        # `search` calls itself through its closure cell, a cycle that would
+        # keep the state alive until the cycle collector runs; empty the cell
+        del search
 
 
 def _replan(state: FormationState, result: StepResult) -> bool:
@@ -1001,6 +1066,9 @@ def _rebuild_tree(state: FormationState) -> None:
         return team
 
     built = [b for b in (build(t) for t in state.root_tasks) if b is not None]
+    # `build` calls itself through its closure cell, a cycle that would keep
+    # the state alive until the cycle collector runs; empty the cell
+    del build
     root: OrgNode | None = None
     if built:
         root = built[0]

@@ -3,7 +3,7 @@ and the adjustment tactics applied when an auction attracts no winner."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -83,11 +83,15 @@ class Decline:
 @dataclass(frozen=True)
 class ScenarioContext:
     """What a bidder consults to price a task: margin, scenario cost model
-    and the current tick."""
+    and the current tick. `markup`, 1 + margin, is derived at construction."""
 
     cost_of: Callable[[CooperativeRobot, Announcement], Fraction]
     margin: Fraction = Fraction(1, 10)
     now: int = 0
+    markup: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "markup", 1 + self.margin)
 
 
 def compute_bid(robot: CooperativeRobot, ann: Announcement, ctx: ScenarioContext) -> Bid | Decline:
@@ -98,8 +102,7 @@ def compute_bid(robot: CooperativeRobot, ann: Announcement, ctx: ScenarioContext
     cost * (1 + margin), capped at the reward. The caller checks the norms
     (winner lock included) before asking for a price.
     """
-    missing = [r for r in ann.required_capabilities if not robot.satisfies(r)]
-    if missing:
+    if not robot.dominates(ann.required_capabilities):
         return Decline(robot.id_cr, ann.id_task, "missing_capability")
     try:
         cost = ctx.cost_of(robot, ann)
@@ -107,7 +110,7 @@ def compute_bid(robot: CooperativeRobot, ann: Announcement, ctx: ScenarioContext
         return Decline(robot.id_cr, ann.id_task, "cost_unavailable")
     if cost > ann.reward:
         return Decline(robot.id_cr, ann.id_task, "cost_exceeds_reward")
-    price = min(cost * (1 + ctx.margin), ann.reward)
+    price = min(cost * ctx.markup, ann.reward)
     return Bid(robot.id_cr, ann.id_task, price, cost, ann.round, ctx.now)
 
 

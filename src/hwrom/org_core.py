@@ -78,31 +78,64 @@ class CapabilityRequirement:
     minimum: Fraction = Fraction(0)
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True, eq=True)
 class CooperativeRobot:
-    """Unified frame for individual robots, team leaders and the society leader."""
+    """Unified frame for individual robots, team leaders and the society leader.
+
+    `magnitudes` is derived from `capabilities` on first use and kept: the
+    largest positive magnitude per (kind, subkind), and per (kind, "") over
+    every subkind of the kind. It is never compared, hashed or printed."""
 
     id_cr: str
     capabilities: frozenset[Capability]
     resources: tuple[tuple[str, int], ...] = ()
     interface: frozenset[str] = frozenset()
+    magnitudes: dict[tuple[CapabilityKind, str], Fraction] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _build_magnitudes(self) -> dict[tuple[CapabilityKind, str], Fraction]:
+        table: dict[tuple[CapabilityKind, str], Fraction] = {}
+        for cap in self.capabilities:
+            magnitude = cap.magnitude
+            if not magnitude:  # never negative (Capability checks)
+                continue
+            key = cap.kind, cap.subkind
+            best = table.setdefault(key, magnitude)
+            if best is not magnitude and magnitude > best:
+                table[key] = magnitude
+            key = cap.kind, ""
+            best = table.setdefault(key, magnitude)
+            if best is not magnitude and magnitude > best:
+                table[key] = magnitude
+        # derived from frozen fields, so filling it in once keeps the robot frozen
+        object.__setattr__(self, "magnitudes", table)
+        return table
 
     def capability(self, kind: CapabilityKind, subkind: str = "") -> Fraction:
         """Largest magnitude held for kind (and subkind, when given); 0 if absent."""
-        best = Fraction(0)
-        for cap in self.capabilities:
-            if cap.kind is kind and (not subkind or cap.subkind == subkind):
-                best = max(best, cap.magnitude)
-        return best
+        table = self.magnitudes
+        if table is None:
+            table = self._build_magnitudes()
+        return table.get((kind, subkind), _ZERO)
 
     def satisfies(self, req: CapabilityRequirement) -> bool:
-        mag = self.capability(req.kind, req.subkind)
-        if req.minimum > 0:
-            return mag >= req.minimum
-        return mag > 0
+        return self.dominates((req,))
 
     def dominates(self, requirements: Iterable[CapabilityRequirement]) -> bool:
-        return all(self.satisfies(r) for r in requirements)
+        table = self.magnitudes
+        if table is None:
+            table = self._build_magnitudes()
+        for req in requirements:
+            # the table holds positive magnitudes only, so a present entry
+            # meets any minimum <= 0, and an absent one meets none
+            mag = table.get((req.kind, req.subkind))
+            if mag is None or (req.minimum and mag < req.minimum):
+                return False
+        return True
 
 
 #: Leadership requirement: organization plus communication ability.
@@ -483,7 +516,12 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
 # --- canonical snapshot -----------------------------------------------------
 
 #: The one JSON encoding the engine hashes and logs: sorted keys, no spaces.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: Records, snapshots and parsed configs are trees, never cyclic, so the
+#: encoder skips the per-container circular-reference check; the bytes are
+#: the same with or without it.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 def node_dict(node: OrgNode) -> dict:

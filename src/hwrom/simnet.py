@@ -64,11 +64,12 @@ class Drop:
     pass
 
 
-def _drop_roll(seed: int, msg_seq: int) -> Fraction:
-    """Counter-based uniform draw: independent per message, stable under
-    insertion of unrelated messages."""
+def _drop_draw(seed: int, msg_seq: int) -> int:
+    """Counter-based uniform draw in [0, 2**64): independent per message,
+    stable under insertion of unrelated messages. A message drops when
+    draw / 2**64 < drop_rate."""
     digest = hashlib.sha256(f"{seed}:{msg_seq}".encode()).digest()
-    return Fraction(int.from_bytes(digest[:8], "big"), 2**64)
+    return int.from_bytes(digest[:8], "big")
 
 
 def route(
@@ -92,7 +93,9 @@ def route(
                 return Reject("InterfaceMismatch")
     if not org_core.communication_allowed(org, msg.sender, msg.to):
         return Reject("CrossTeamViolation")
-    if net.drop_rate > 0 and _drop_roll(net.seed, msg_seq) < net.drop_rate:
+    rate = net.drop_rate
+    # draw / 2**64 < p / q, in exact integers
+    if rate and _drop_draw(net.seed, msg_seq) * rate.denominator < rate.numerator << 64:
         return Drop()
     return Deliver(msg.sent_at + net.latency)
 

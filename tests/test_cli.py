@@ -16,16 +16,21 @@ from conftest import log_notes
 CANONICAL = Path(__file__).parent / "fixtures" / "canonical_pursuit.json"
 
 
-def canonical_with(where: str, value, **fields) -> dict:
-    """The canonical pursuit config with `fields` added and the field at
-    `where` (dotted, with [i] list indices) set to `value`."""
-    data = dict(json.loads(CANONICAL.read_text()), **fields)
+def with_field(data: dict, where: str, value) -> dict:
+    """`data` with the field at `where` (dotted, with [i] list indices) set to
+    `value`; missing objects on the way are created."""
     *path, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", where)]
     target = data
     for key in path:
         target = target[key] if isinstance(key, int) else target.setdefault(key, {})
     target[last] = value
     return data
+
+
+def canonical_with(where: str, value, **fields) -> dict:
+    """The canonical pursuit config with `fields` added and the field at
+    `where` set to `value`."""
+    return with_field(dict(json.loads(CANONICAL.read_text()), **fields), where, value)
 
 
 @pytest.fixture
@@ -237,6 +242,29 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2, result.output
         assert f"config error: {where}: " in result.output
+
+    @pytest.mark.parametrize(
+        "where",
+        ["task.reward", "task.subtasks[1].reward", "task.subtasks[0].alternatives[0][0].reward",
+         "auction.margin", "auction.default_cost", "costs.R2.t1"],
+    )
+    def test_negative_money_exits_two(self, runner, generic_config, tmp_path, where):
+        data = json.loads(generic_config.read_text())
+        data["task"]["subtasks"][0]["alternatives"] = [
+            [{"id": "t1a", "reward": 10, "requires": [["Action", "weld", 1]]}]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(data, where, "-1/10")))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: must be >= 0" in result.output
+
+    @pytest.mark.parametrize("where", ["pursuit.base_reward", "pursuit.mission_reward"])
+    def test_negative_pursuit_reward_exits_two(self, runner, tmp_path, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(canonical_with(where, -5)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: must be >= 0" in result.output
 
     def test_integer_pursuit_robot_id_runs(self, runner, tmp_path):
         data = json.loads(CANONICAL.read_text())

@@ -1,0 +1,323 @@
+"""Each per-run fast path against the code it replaced: the robot's magnitude
+table against the capability scan, the integer drop decision against the
+rational draw, the Parallel-norm gate against `check_assignment`, and the
+one-walk `_renumber` against `whole_rules` and a per-team subtree scan."""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from hwrom import config as cfg
+from hwrom import eventlog
+from hwrom import formation as fm
+from hwrom import org_core
+from hwrom.org_core import (
+    Capability,
+    CapabilityKind,
+    CapabilityRequirement,
+    CooperativeRobot,
+    Organization,
+    OrgNode,
+    Relation,
+    RelationKind,
+)
+from hwrom.rules_engine import (
+    STANDARD_RULES,
+    ConstraintKind,
+    ConstraintRelation,
+    Rule,
+    RuleCategory,
+    RuleScope,
+    RuleSet,
+    check_assignment,
+    whole_rules,
+    winner_locked,
+)
+from hwrom.simnet import Drop, NetConfig, _drop_draw, route
+from hwrom.wire import ENV, Message
+
+from test_state_hash import random_scenario
+
+# --- the magnitude table ---------------------------------------------------------
+
+
+def scan_capability(robot: CooperativeRobot, kind: CapabilityKind, subkind: str = "") -> Fraction:
+    """The capability scan the table replaced."""
+    best = Fraction(0)
+    for cap in robot.capabilities:
+        if cap.kind is kind and (not subkind or cap.subkind == subkind):
+            best = max(best, cap.magnitude)
+    return best
+
+
+def scan_satisfies(robot: CooperativeRobot, req: CapabilityRequirement) -> bool:
+    mag = scan_capability(robot, req.kind, req.subkind)
+    if req.minimum > 0:
+        return mag >= req.minimum
+    return mag > 0
+
+
+def test_magnitude_table_matches_the_capability_scan():
+    rng = random.Random(7)
+    kinds = [CapabilityKind.MOVING, CapabilityKind.ACTION, CapabilityKind.SENSING]
+    subkinds = ["", "a", "b"]
+    minimums = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+    seen = {"empty_subkind": 0, "zero": 0, "duplicate_kind": 0, "same_key": 0}
+    for _ in range(1500):
+        caps = frozenset(
+            Capability(rng.choice(kinds), rng.choice(subkinds), Fraction(rng.randint(0, 6), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 6))
+        )
+        seen["empty_subkind"] += any(c.subkind == "" for c in caps)
+        seen["zero"] += any(c.magnitude == 0 for c in caps)
+        seen["duplicate_kind"] += len({c.kind for c in caps}) < len(caps)
+        seen["same_key"] += len({(c.kind, c.subkind) for c in caps}) < len(caps)
+        robot = CooperativeRobot("R", caps)
+        reqs = []
+        # LEARNING is held by no robot here
+        for kind in [*kinds, CapabilityKind.LEARNING]:
+            for sub in [*subkinds, "c"]:
+                assert robot.capability(kind, sub) == scan_capability(robot, kind, sub)
+                for minimum in minimums:
+                    req = CapabilityRequirement(kind, sub, minimum)
+                    assert robot.satisfies(req) == scan_satisfies(robot, req), (caps, req)
+                    reqs.append(req)
+        for _ in range(5):
+            sample = frozenset(rng.sample(reqs, rng.randint(0, 3)))
+            assert robot.dominates(sample) == all(scan_satisfies(robot, r) for r in sample)
+        # the table is derived: a used robot equals and hashes like a fresh one
+        fresh = CooperativeRobot("R", caps)
+        assert robot == fresh and hash(robot) == hash(fresh) and repr(robot) == repr(fresh)
+    assert all(seen.values()), seen
+
+
+# --- the integer drop decision -------------------------------------------------------
+
+
+def _drop_roll(seed: int, msg_seq: int) -> Fraction:
+    """The rational draw `route` compared with the drop rate before."""
+    digest = hashlib.sha256(f"{seed}:{msg_seq}".encode()).digest()
+    return Fraction(int.from_bytes(digest[:8], "big"), 2**64)
+
+
+@pytest.mark.parametrize(
+    "rate", [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1)], ids=str
+)
+def test_integer_drop_decision_matches_the_rational_draw(rate):
+    msg = Message("R1", "R2", "announce", None, 3)
+    org = Organization()  # no teams: everyone may talk
+    drops = 0
+    for seed in range(25):
+        net = NetConfig(drop_rate=rate, seed=seed)
+        for msg_seq in range(400):
+            dropped = isinstance(route(net, msg, org, msg_seq=msg_seq), Drop)
+            assert dropped == (_drop_roll(seed, msg_seq) < rate), (seed, msg_seq)
+            drops += dropped
+    assert drops == 0 if rate == 0 else 0 < drops <= 10_000
+
+
+def test_integer_drop_decision_is_exact_at_the_draw():
+    """A rate equal to a message's draw keeps it (the test is strict); one
+    2**-64 above drops it. A float could not tell the two apart."""
+    msg = Message("R1", "R2", "announce", None, 3)
+    for seed, msg_seq in [(0, 0), (3, 17), (11, 402)]:
+        draw = _drop_draw(seed, msg_seq)
+        for rate, dropped in [(Fraction(draw, 2**64), False), (Fraction(draw + 1, 2**64), True)]:
+            out = route(NetConfig(drop_rate=rate, seed=seed), msg, Organization(), msg_seq=msg_seq)
+            assert isinstance(out, Drop) is dropped
+            assert (_drop_roll(seed, msg_seq) < rate) is dropped
+
+
+# --- the Parallel-norm gate --------------------------------------------------------------
+
+
+def reference_norm_violation(state: fm.FormationState, robot_id: str, ann) -> str | None:
+    """`_norm_violation` before the gate: `check_assignment` on every call."""
+    if winner_locked(state.locks, robot_id, state.now):
+        return "winner_locked"
+    if ann.leadership and ann.auctioneer != ENV and not fm._chain_with(state, robot_id, ann.id_task):
+        return "leadership_chain"
+    held = org_core.index(state.org).tasks_by_robot.get(robot_id, set()) | {ann.id_task}
+    check = check_assignment(
+        RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
+    )
+    return None if check.ok else "parallel_conflict"
+
+
+CUSTOM_NO_PARALLEL = Rule("custom.apart", RuleCategory.CUSTOM, "no_parallel_coassignment")
+POOLS = [
+    STANDARD_RULES,
+    STANDARD_RULES - {r for r in STANDARD_RULES if r.predicate == "no_parallel_coassignment"},
+    frozenset({CUSTOM_NO_PARALLEL}),
+    frozenset(),
+]
+
+
+def rule_entries(pool: frozenset[Rule]) -> list[dict]:
+    return [
+        {"id": r.id_rule, "category": r.category.value, "predicate": r.predicate}
+        for r in sorted(pool, key=lambda r: r.id_rule)
+    ]
+
+
+def test_parallel_gate_is_closed_only_where_no_assignment_can_break_the_norm():
+    rng = random.Random(3)
+    tasks = ["a", "b", "c", "d"]
+    for _ in range(400):
+        constraints = tuple(
+            ConstraintRelation(rng.choice(tasks), rng.choice(tasks), rng.choice(list(ConstraintKind)))
+            for _ in range(rng.randint(0, 4))
+        )
+        pool = rng.choice(POOLS)
+        params = fm.EngineParams(constraints=constraints, rules_pool=pool)
+        if params.parallel_norm:
+            continue
+        for _ in range(10):
+            held = set(rng.sample(tasks, rng.randint(0, 4)))
+            assert check_assignment(RuleSet(pool), constraints, {"R1": held}).ok
+
+
+def gate_scenario(seed: int) -> dict:
+    """`random_scenario(seed)` with up to three constraints of random kinds
+    among its leaves and one of `POOLS` as its rules pool."""
+    rng = random.Random(seed)
+    config = random_scenario(seed)
+    leaves = [
+        t["id"]
+        for top in config["task"]["subtasks"]
+        for t in (top.get("subtasks") or [top])
+    ]
+    kinds = ["Parallel", "Parallel", "Priority", "Sequence"]
+    config["constraints"] = [
+        {"a": a, "b": b, "kind": rng.choice(kinds)}
+        for a, b in (rng.sample(leaves, 2) for _ in range(rng.randint(0, 3)) if len(leaves) >= 2)
+    ]
+    pool = POOLS[seed % len(POOLS)]
+    if pool != STANDARD_RULES:
+        # an empty rules list means the standard pool, so `frozenset()` keeps
+        # one rule the gate ignores
+        config["rules"] = rule_entries(pool) or [
+            {"id": "bidding.winner-lock", "category": "Bidding", "predicate": "winner_lock"}
+        ]
+    return config
+
+
+def test_parallel_gate_matches_check_assignment_on_random_runs(monkeypatch):
+    gated = fm._norm_violation
+    reasons: dict[tuple[bool, str | None], int] = {}
+
+    def both(state, robot_id, ann):
+        want = reference_norm_violation(state, robot_id, ann)
+        got = gated(state, robot_id, ann)
+        assert got == want, (state.params.constraints, state.params.rules_pool, robot_id, ann)
+        key = (state.params.parallel_norm, got)
+        reasons[key] = reasons.get(key, 0) + 1
+        return got
+
+    monkeypatch.setattr(fm, "_norm_violation", both)
+    for seed in range(160):
+        eventlog.simulate(cfg.from_dict(gate_scenario(seed)), None)
+    # both sides of the gate are reached, and the open gate refuses some bids
+    assert (True, "parallel_conflict") in reasons
+    assert (False, None) in reasons and (True, None) in reasons
+    assert any(not open_ and reason == "winner_locked" for open_, reason in reasons)
+
+
+# --- `_renumber` in one walk ---------------------------------------------------------------
+
+
+def reference_renumber(state: fm.FormationState) -> None:
+    """`_renumber` before the one-walk rewrite: per team, `whole_rules` and a
+    scan of the team's subtree."""
+    org = state.org
+    org.index_cache = None
+    if org.root is None:
+        org.relations = set()
+        org.robots = []
+        state.level = 0
+        return
+
+    def visit(node: OrgNode, depth: int, pos: int) -> int:
+        node.level_i = depth
+        node.pos_j = pos
+        return max((visit(c, depth + 1, i) for i, c in enumerate(node.children)), default=depth)
+
+    state.level = visit(org.root, 0, 0)
+    relations: set[Relation] = set()
+    bound: set[str] = set()
+    for node in org.root.walk():
+        if node.id_robot is not None:
+            bound.add(node.id_robot)
+        if not node.children:
+            continue
+        node.rules = whole_rules(node)
+        subtree_tasks = {g for n in node.walk() for g in n.goals}
+        node.constraints = [
+            c for c in state.params.constraints if c.a in subtree_tasks and c.b in subtree_tasks
+        ]
+        if node.id_robot is None:
+            continue
+        element_robots = [c.id_robot for c in node.children if c.id_robot is not None]
+        for r in element_robots:
+            if r != node.id_robot:
+                relations.add(Relation(node.id_robot, r, RelationKind.CONTROL))
+        for i, a in enumerate(element_robots):
+            for b in element_robots[i + 1 :]:
+                if a != b:
+                    lo, hi = sorted((a, b))
+                    relations.add(Relation(lo, hi, RelationKind.COOPERATION))
+    org.relations = relations
+    org.robots = [state.robots[r] for r in sorted(bound)]
+
+
+def random_tree_state(rng: random.Random) -> fm.FormationState:
+    """A state with a random tree: up to 4 levels, leaves with random rule
+    sets and goals, teams (sometimes unbound, as mid re-election) with goals
+    of their own, stale levels and positions, and random constraints."""
+    robots = [CooperativeRobot(f"R{i}", frozenset()) for i in range(1, 7)]
+    tasks = [f"t{i}" for i in range(8)]
+    constraints = tuple(
+        ConstraintRelation(rng.choice(tasks), rng.choice(tasks), rng.choice(list(ConstraintKind)))
+        for _ in range(rng.randint(0, 6))
+    )
+    state = fm.new_state(robots, fm.EngineParams(constraints=constraints))
+    rules = sorted(STANDARD_RULES, key=lambda r: r.id_rule) + [CUSTOM_NO_PARALLEL]
+    serial = iter(range(1000))
+
+    def node(depth: int) -> OrgNode:
+        robot = rng.choice(robots).id_cr
+        goals = rng.sample(tasks, rng.randint(0, 2))
+        if depth >= 3 or rng.random() < 0.4:
+            leaf_rules = RuleSet(frozenset(rng.sample(rules, rng.randint(0, len(rules)))), RuleScope.LOCAL)
+            return OrgNode(f"unit:{next(serial)}", robot, 9, 9, goals=goals, rules=leaf_rules)
+        children = [node(depth + 1) for _ in range(rng.randint(1, 3))]
+        leader = None if rng.random() < 0.15 else children[0].id_robot
+        return OrgNode(f"team:{next(serial)}", leader, 9, 9, children=children, goals=goals)
+
+    state.org.root = node(0)
+    return state
+
+
+def test_one_walk_renumber_matches_whole_rules_and_the_per_team_scan():
+    rng = random.Random(5)
+    for _ in range(300):
+        state = random_tree_state(rng)
+        want = copy.deepcopy(state)
+        reference_renumber(want)
+        fm._renumber(state)
+        assert org_core.node_dict(state.org.root) == org_core.node_dict(want.org.root)
+        assert state.org.relations == want.org.relations
+        assert state.org.robots == want.org.robots
+        assert state.level == want.level
+        for team in state.org.root.walk():
+            if team.children:
+                assert team.rules == whole_rules(team)
+                goals = {g for n in team.walk() for g in n.goals}
+                assert team.constraints == [
+                    c for c in state.params.constraints if c.a in goals and c.b in goals
+                ]
