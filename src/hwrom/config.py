@@ -122,8 +122,9 @@ def config_hash(data: dict) -> str:
 class ScenarioConfig:
     """A validated scenario. build_state() yields a fresh simulation each call.
 
-    `robots` and the `script` events (joins with their robots) are built
-    once: they are frozen, so every simulation shares them."""
+    `robots`, the `task` tree and the `script` events (joins with their
+    robots) are built once and every simulation shares them: a run keeps its
+    own state, task statuses included, in its `FormationState`."""
 
     raw: dict
     seed: int
@@ -131,6 +132,7 @@ class ScenarioConfig:
     net: simnet.NetConfig
     params: fm.EngineParams
     robots: list[CooperativeRobot]
+    task: TaskNode | None = None
     script: list[fm.FormationEvent] = field(default_factory=list)
 
     @property
@@ -165,15 +167,14 @@ class ScenarioConfig:
 
     def build_state(self) -> fm.FormationState:
         state = fm.new_state(self.robots, self.params, world=self.build_world())
-        if "task" in self.raw:
-            # task nodes carry a mutable status: every simulation builds its own
-            fm.register_task_tree(state, _build_task(self.raw["task"], "task"))
+        if self.task is not None:
+            fm.register_task_tree(state, self.task)
         return state
 
     def schedule(self, scheduler: simnet.Scheduler) -> None:
         """Queue the root task arrival and the scripted membership events."""
-        if "task" in self.raw:
-            scheduler.push_event(fm.TaskArrived(tick=0, id_task=self.raw["task"]["id"]))
+        if self.task is not None:
+            scheduler.push_event(fm.TaskArrived(tick=0, id_task=self.task.id_task))
         for event in self.script:
             scheduler.push_event(event)
 
@@ -194,7 +195,10 @@ def _build_capability(data: Any, where: str) -> Capability:
         ck = CapabilityKind(kind)
     except ValueError:
         raise ConfigError(where, f"unknown capability kind {kind!r}") from None
-    return Capability(ck, str(subkind), _frac(magnitude, where))
+    amount = _frac(magnitude, where)
+    if amount.numerator < 0:
+        raise ConfigError(where, "capability magnitude must be >= 0")
+    return Capability(ck, str(subkind), amount)
 
 
 def _build_requirement(data: Any, where: str) -> CapabilityRequirement:
@@ -227,7 +231,18 @@ def _build_robot(data: dict, where: str) -> CooperativeRobot:
             for k, v in _as_dict(data.get("resources", {}), f"{where}.resources").items()
         )
     )
-    interface = frozenset(data.get("interface", sorted(ALL_KINDS)))
+    # the message kinds the robot understands: all of them by default, and []
+    # means every kind too
+    interface = ALL_KINDS
+    if "interface" in data:
+        kinds = _as_list(data["interface"], f"{where}.interface")
+        for i, kind in enumerate(kinds):
+            if not isinstance(kind, str) or kind not in ALL_KINDS:
+                raise ConfigError(
+                    f"{where}.interface[{i}]",
+                    f"unknown message kind {kind!r}, expected one of {sorted(ALL_KINDS)}",
+                )
+        interface = frozenset(kinds)
     return CooperativeRobot(str(rid), caps, resources, interface)
 
 
@@ -295,6 +310,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         robot_ids.add(built.id_cr)
 
     task_ids: set[str] = set()
+    root: TaskNode | None = None
     if "task" in data:
         root = _build_task(data["task"], "task")
         stack = [root]
@@ -448,6 +464,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         net=net,
         params=params,
         robots=built_robots,
+        task=root,
         script=[event for _, event in sorted(script, key=lambda keyed: keyed[0])],
     )
 

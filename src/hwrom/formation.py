@@ -57,7 +57,6 @@ from .rules_engine import (
     ConstraintRelation,
     LockLedger,
     Rule,
-    RuleScope,
     RuleSet,
     check_assignment,
     preferred_teams,
@@ -104,7 +103,6 @@ class WithdrawReason(Enum):
 @dataclass(frozen=True, kw_only=True)
 class FormationEvent:
     tick: int
-    seq: int = -1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -226,6 +224,8 @@ class FormationState:
     org: Organization = field(default_factory=Organization)
     locks: LockLedger = field(default_factory=LockLedger)
     tasks: dict[str, TaskNode] = field(default_factory=dict)
+    # the run's status of each task: the task nodes are the parsed, shared inputs
+    status: dict[str, TaskStatus] = field(default_factory=dict)
     root_tasks: list[str] = field(default_factory=list)
     task_parent: dict[str, str | None] = field(default_factory=dict)
     task_children: dict[str, list[str]] = field(default_factory=dict)
@@ -242,8 +242,8 @@ class FormationState:
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
     organizer: str | None = None
     planned_evaders: set[str] = field(default_factory=set)
-    flank_target: dict[str, tuple[str, tuple[int, int]]] = field(default_factory=dict)
-    flank_cell: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # surround goal -> (its evader, its planned sub-goal)
+    flank: dict[str, tuple[str, pursuit.Subgoal]] = field(default_factory=dict)
 
     def alive(self, robot: str) -> bool:
         return robot in self.robots and robot not in self.dead and robot not in self.departed
@@ -271,6 +271,7 @@ def register_task_tree(state: FormationState, task: TaskNode, *, as_root: bool =
         if node.id_task in state.tasks:
             raise FormationError("DuplicateTaskId", node.id_task)
         state.tasks[node.id_task] = node
+        state.status[node.id_task] = TaskStatus.UNASSIGNED
         state.task_children[node.id_task] = [s.id_task for s in node.subtasks]
         state.current_reward[node.id_task] = node.reward
         for sub in node.subtasks:
@@ -316,7 +317,7 @@ def _chain_with(state: FormationState, robot: str, extra: str) -> bool:
         x
         for x in org_core.index(state.org).tasks_by_robot.get(robot, ())
         if state.is_composite(x)
-        and state.tasks[x].status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
+        and state.status[x] in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
     }
     mine.add(extra)
     if len(mine) <= 1:
@@ -327,10 +328,11 @@ def _chain_with(state: FormationState, robot: str, extra: str) -> bool:
 
 def _cost_of(state: FormationState, robot: CooperativeRobot, ann: Announcement) -> Fraction:
     if state.world is not None:
-        if ann.id_task in state.flank_cell:
+        flank = state.flank.get(ann.id_task)
+        if flank is not None:
             if robot.id_cr not in state.world.robots:
                 raise pursuit.ZeroSpeedError(robot.id_cr)
-            return pursuit.robot_cost(state.world, robot.id_cr, state.flank_cell[ann.id_task])
+            return pursuit.robot_cost(state.world, robot.id_cr, flank[1].cell)
         if ann.leadership:
             return Fraction(0)
     return state.params.cost_table.get((robot.id_cr, ann.id_task), state.params.default_cost)
@@ -381,7 +383,7 @@ def consider_announcement(state: FormationState, robot_id: str, ann: Announcemen
 
 
 def _rules_for(state: FormationState, robot: str) -> RuleSet:
-    return RuleSet(state.params.robot_rules.get(robot, state.params.rules_pool), RuleScope.LOCAL)
+    return RuleSet(state.params.robot_rules.get(robot, state.params.rules_pool))
 
 
 def _new_leaf(state: FormationState, robot: str) -> OrgNode:
@@ -443,7 +445,7 @@ def _renumber_subtree(
         deepest = max(deepest, child_depth)
         rules = child_rules if rules is None else rules & child_rules
         goals |= child_goals
-    node.rules = RuleSet(rules, RuleScope.WHOLE)
+    node.rules = RuleSet(rules)
     node.constraints = [c for c in state.params.constraints if c.a in goals and c.b in goals]
     if node.id_robot is not None:
         element_robots = [c.id_robot for c in node.children if c.id_robot is not None]
@@ -461,21 +463,22 @@ def _renumber_subtree(
 # --- announcements -----------------------------------------------------------------
 
 
+def _requirements(state: FormationState, t: str) -> tuple[frozenset[CapabilityRequirement], bool]:
+    """What a holder of task t must have, and whether holding it is
+    leadership. The auction and the allocation fallback both ask this."""
+    if state.is_composite(t):
+        return LEADERSHIP_REQUIREMENTS, True
+    own = state.tasks[t].required_capabilities
+    if state.task_parent.get(t) is None:
+        # whoever holds an atomic root must both organize and execute it alone
+        return LEADERSHIP_REQUIREMENTS | own, True
+    return own, False
+
+
 def _announce(state: FormationState, item: PendingTask, result: StepResult) -> None:
     t = item.id_task
-    task = state.tasks.get(t)
-    if task is None or task.status is not TaskStatus.UNASSIGNED:
+    if state.status.get(t) is not TaskStatus.UNASSIGNED:
         return
-    leadership = state.is_composite(t)
-    is_root = item.parent_node is None
-    if leadership:
-        reqs = LEADERSHIP_REQUIREMENTS
-    elif is_root:
-        # whoever wins an atomic root must both organize and execute it alone
-        reqs = frozenset(LEADERSHIP_REQUIREMENTS | task.required_capabilities)
-        leadership = True
-    else:
-        reqs = task.required_capabilities
     if item.parent_node is None:
         auctioneer = ENV
     else:
@@ -486,19 +489,15 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
             state.pending.append(item)  # team mid re-election; retry next tick
             return
         auctioneer = node.id_robot
+    reqs, leadership = _requirements(state, t)
     ann = Announcement(
         id_task=t,
         reward=state.current_reward[t],
         required_capabilities=reqs,
-        round=0,
-        deadline=state.now + state.params.bid_window,
         auctioneer=auctioneer,
         leadership=leadership,
     )
-    state.active_auctions[t] = AuctionState(ann, item.parent_node)
-    task.status = TaskStatus.ANNOUNCED
-    _broadcast(state, state.active_auctions[t], result)
-    result.timers.append(AuctionClosed(tick=ann.deadline + 1, id_task=t, round=ann.round))
+    _open_auction(state, ann, item.parent_node, result)
     result.notes.append(
         {
             "kind": "announce",
@@ -511,19 +510,20 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
     )
 
 
-def _audience(state: FormationState, auction: AuctionState) -> list[str]:
-    ann = auction.announcement
-    return [
-        rid
-        for rid in sorted(state.robots)
-        if state.alive(rid) and org_core.communication_allowed(state.org, ann.auctioneer, rid)
-    ]
-
-
-def _broadcast(state: FormationState, auction: AuctionState, result: StepResult) -> None:
-    ann = auction.announcement
-    for rid in _audience(state, auction):
-        result.messages.append(wire.Message(ann.auctioneer, rid, wire.KIND_ANNOUNCE, ann, state.now))
+def _open_auction(
+    state: FormationState, ann: Announcement, parent_node: str | None, result: StepResult
+) -> None:
+    """Open one round of a task's auction: its bid window starts now, every
+    live robot the auctioneer may talk to hears it, and its close is timed."""
+    ann = replace(ann, deadline=state.now + state.params.bid_window)
+    t = ann.id_task
+    state.current_reward[t] = ann.reward
+    state.status[t] = TaskStatus.ANNOUNCED
+    state.active_auctions[t] = AuctionState(ann, parent_node)
+    for rid in sorted(state.robots):
+        if state.alive(rid) and org_core.communication_allowed(state.org, ann.auctioneer, rid):
+            result.messages.append(wire.Message(ann.auctioneer, rid, wire.KIND_ANNOUNCE, ann, state.now))
+    result.timers.append(AuctionClosed(tick=ann.deadline + 1, id_task=t, round=ann.round))
 
 
 # --- awards --------------------------------------------------------------------------
@@ -531,26 +531,15 @@ def _broadcast(state: FormationState, auction: AuctionState, result: StepResult)
 
 def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepResult) -> None:
     t = bid.id_task
-    task = state.tasks[t]
     winner = bid.bidder
 
     if state.is_composite(t):
-        _install_team(state, t, winner, auction.parent_node)
-        state.org.assignments[t] = TaskAssignment(
-            t, winner, bid.price, AssignmentMode.LED, tuple(state.task_children[t])
-        )
-        task.status = TaskStatus.ASSIGNED
-        for child_id in state.task_children[t]:
-            if state.tasks[child_id].status is TaskStatus.UNASSIGNED:
-                result.timers.append(
-                    TaskArrived(tick=state.now, id_task=child_id, parent_node=f"team:{t}")
-                )
-        _maybe_complete_parent(state, t, result)
+        _hang_team(state, t, winner, bid.price, auction.parent_node, result)
     else:
         state.locks.lock(winner, t, state.now)
         _install_member(state, winner, t, auction.parent_node)
         state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
-        task.status = TaskStatus.ASSIGNED
+        state.status[t] = TaskStatus.ASSIGNED
         result.messages.append(
             wire.Message(
                 auction.announcement.auctioneer,
@@ -576,18 +565,36 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
     _renumber(state)
 
 
-def _install_team(state: FormationState, t: str, leader: str, parent_node: str | None) -> None:
-    """Hang a new team for task t, led by leader, under parent_node. Runs
-    before the award's assignment is written: the index is still sealed."""
-    ix = org_core.index(state.org)
-    team = OrgNode(
-        id_ros=f"team:{t}",
-        id_robot=leader,
-        level_i=0,
-        pos_j=0,
-        goals=[t],
-        rules=RuleSet(frozenset(), RuleScope.WHOLE),
+def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
+    """Give task t to leader to lead: the LED assignment over t's current
+    decomposition, and t's status. Awards, designations, re-elections and
+    the allocation fallback all take leadership through here."""
+    state.org.assignments[t] = TaskAssignment(
+        t, leader, price, AssignmentMode.LED, tuple(state.task_children[t])
     )
+    state.status[t] = TaskStatus.ASSIGNED
+
+
+def _new_team(t: str, leader: str) -> OrgNode:
+    """The team node of task t, led by leader, before it gets its children;
+    `_renumber` fills in its place, rules and constraints."""
+    return OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
+
+
+def _hang_team(
+    state: FormationState,
+    t: str,
+    leader: str,
+    price: Fraction,
+    parent_node: str | None,
+    result: StepResult,
+) -> None:
+    """Hang a new team for task t, led by leader, under parent_node (the root
+    when None), hand leader the lead, and queue the arrival of each subtask
+    still unassigned. The tree lookups come before the assignment is
+    written, while the index still matches; the caller renumbers."""
+    ix = org_core.index(state.org)
+    team = _new_team(t, leader)
     existing_leaf = ix.leaf_of_robot.get(leader)
     if parent_node is None:
         team.children = [existing_leaf if existing_leaf is not None else _new_leaf(state, leader)]
@@ -609,6 +616,11 @@ def _install_team(state: FormationState, t: str, leader: str, parent_node: str |
             team.children = [_new_leaf(state, leader)]
             parent.children.append(team)
     state.pool.discard(leader)
+    _lead(state, t, leader, price)
+    for child in state.task_children[t]:
+        if state.status[child] is TaskStatus.UNASSIGNED:
+            result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
+    _maybe_complete_parent(state, t, result)
 
 
 def _install_member(state: FormationState, robot: str, t: str, parent_node: str | None) -> None:
@@ -628,15 +640,16 @@ def _install_member(state: FormationState, robot: str, t: str, parent_node: str 
 
 
 def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) -> None:
-    """A composite whose children all finished while it was leaderless (or
-    freshly awarded) completes as soon as it has an assignee again."""
+    """Queue the completion of composite t once it has an assignee and all
+    its subtasks are done: when its last subtask completes, or when it gets
+    a leader after they all finished without one."""
     children = state.task_children.get(t, [])
     a = state.org.assignments.get(t)
     if (
         a is not None
-        and state.tasks[t].status is TaskStatus.ASSIGNED
+        and state.status[t] is TaskStatus.ASSIGNED
         and children
-        and all(state.tasks[s].status is TaskStatus.COMPLETED for s in children)
+        and all(state.status[s] is TaskStatus.COMPLETED for s in children)
     ):
         result.timers.append(TaskCompleted(tick=state.now, id_task=t, robot=a.assignee))
 
@@ -671,41 +684,28 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
         return
 
     tactic = adjust_tactics(ann, state.params.policy)
-    if isinstance(tactic, Announcement):
-        _reannounce(state, auction, tactic, result)
-    elif isinstance(tactic, Redecompose):
+    if isinstance(tactic, Redecompose):
         if _apply_redecompose(state, t, tactic, result):
             _check_formed(state, result)
-        else:
-            escalated = replace(
-                ann, reward=ann.reward * (1 + state.params.policy.delta), round=tactic.round
-            )
-            _reannounce(state, auction, escalated, result)
-    else:
-        result.notes.append({"kind": "give_up", "task": t})
-        try:
-            planned = _replan(state, result)
-        except ReplanBudgetExhausted:
-            result.notes.append({"kind": "replan_budget_exhausted", "task": t})
-            planned = False
-        if not planned:
-            state.phase = Phase.FAILED
-            result.notes.append({"kind": "formation_failed", "task": t})
-        _check_formed(state, result)
-
-
-def _reannounce(
-    state: FormationState, auction: AuctionState, ann: Announcement, result: StepResult
-) -> None:
-    ann = replace(ann, deadline=state.now + state.params.bid_window)
-    state.current_reward[ann.id_task] = ann.reward
-    state.tasks[ann.id_task].status = TaskStatus.ANNOUNCED
-    state.active_auctions[ann.id_task] = AuctionState(ann, auction.parent_node)
-    _broadcast(state, state.active_auctions[ann.id_task], result)
-    result.timers.append(AuctionClosed(tick=ann.deadline + 1, id_task=ann.id_task, round=ann.round))
-    result.notes.append(
-        {"kind": "escalate", "task": ann.id_task, "round": ann.round, "reward": str(ann.reward)}
-    )
+            return
+        # no alternative left: escalate the reward instead
+        tactic = replace(ann, reward=ann.reward * (1 + state.params.policy.delta), round=tactic.round)
+    if isinstance(tactic, Announcement):
+        _open_auction(state, tactic, auction.parent_node, result)
+        result.notes.append(
+            {"kind": "escalate", "task": t, "round": tactic.round, "reward": str(tactic.reward)}
+        )
+        return
+    result.notes.append({"kind": "give_up", "task": t})
+    try:
+        planned = _replan(state, result)
+    except ReplanBudgetExhausted:
+        result.notes.append({"kind": "replan_budget_exhausted", "task": t})
+        planned = False
+    if not planned:
+        state.phase = Phase.FAILED
+        result.notes.append({"kind": "formation_failed", "task": t})
+    _check_formed(state, result)
 
 
 def _apply_redecompose(
@@ -725,7 +725,7 @@ def _apply_redecompose(
     siblings = state.task_children[parent_id]
     at = siblings.index(t)
     state.task_children[parent_id] = siblings[:at] + [p.id_task for p in pieces] + siblings[at + 1 :]
-    task.status = TaskStatus.FAILED
+    state.status[t] = TaskStatus.FAILED
     parent_assignment = state.org.assignments.get(parent_id)
     if parent_assignment is not None and parent_assignment.subtask_ids:
         state.org.assignments[parent_id] = replace(
@@ -751,15 +751,14 @@ def _descendants(state: FormationState, t: str) -> list[str]:
 
 
 def _revoke_task(state: FormationState, t: str, reason: str, result: StepResult) -> None:
-    task = state.tasks[t]
     assignment = state.org.assignments.pop(t, None)
-    if assignment is not None and task.status is TaskStatus.ASSIGNED:
+    if assignment is not None and state.status[t] is TaskStatus.ASSIGNED:
         state.locks.release(assignment.assignee, t, state.now)
         result.notes.append(
             {"kind": "revoked", "task": t, "robot": assignment.assignee, "reason": reason}
         )
-    if task.status in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
-        task.status = TaskStatus.UNASSIGNED
+    if state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
+        state.status[t] = TaskStatus.UNASSIGNED
     state.active_auctions.pop(t, None)
     state.exec_started.pop(t, None)
 
@@ -773,11 +772,11 @@ def _dissolve_team(
     freed = sorted({n.id_robot for n in node.walk() if n.id_robot is not None})
     if t is not None:
         for sub in _descendants(state, t):
-            if state.tasks[sub].status is not TaskStatus.COMPLETED:
+            if state.status[sub] is not TaskStatus.COMPLETED:
                 _revoke_task(state, sub, "team_dissolved", result)
         state.org.assignments.pop(t, None)
-        if state.tasks[t].status is not TaskStatus.COMPLETED:
-            state.tasks[t].status = TaskStatus.UNASSIGNED
+        if state.status[t] is not TaskStatus.COMPLETED:
+            state.status[t] = TaskStatus.UNASSIGNED
             state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
     for rid in freed:
         if state.alive(rid):
@@ -809,7 +808,7 @@ def _unfinished(state: FormationState) -> list[str]:
     return [
         t
         for t in state.effective_tasks()
-        if state.tasks[t].status
+        if state.status[t]
         in (TaskStatus.UNASSIGNED, TaskStatus.ANNOUNCED, TaskStatus.ASSIGNED)
     ]
 
@@ -830,7 +829,7 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
     robots = sorted(r for r in state.robots if state.alive(r))
     tasks_by_robot = org_core.index(state.org).tasks_by_robot
     fixed_held: dict[str, set[str]] = {
-        r: {t for t in tasks_by_robot.get(r, ()) if state.tasks[t].status is TaskStatus.COMPLETED}
+        r: {t for t in tasks_by_robot.get(r, ()) if state.status[t] is TaskStatus.COMPLETED}
         for r in robots
     }
 
@@ -838,28 +837,19 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
     atomics = [t for t in unfinished if not state.is_composite(t)]
     order = composites + atomics
 
-    def candidates(t: str) -> list[str]:
-        task = state.tasks[t]
-        need_leadership = state.is_composite(t) or state.task_parent.get(t) is None
-        out = []
-        for r in robots:
-            rb = state.robots[r]
-            if need_leadership and not _leadership_capable(rb):
-                continue
-            if not state.is_composite(t) and not rb.dominates(task.required_capabilities):
-                continue
-            out.append(r)
-        return out
-
-    eligible = {t: candidates(t) for t in order}
+    eligible: dict[str, list[str]] = {}
+    for t in order:
+        reqs, _ = _requirements(state, t)
+        eligible[t] = [r for r in robots if state.robots[r].dominates(reqs)]
     if not all(eligible.values()):
         return None
 
-    parallel_pairs = {
-        frozenset((c.a, c.b))
-        for c in state.params.constraints
-        if c.kind is ConstraintKind.PARALLEL
-    }
+    # the Parallel norm binds the fallback exactly when it binds the auction
+    parallel_pairs = (
+        {frozenset((c.a, c.b)) for c in state.params.constraints if c.kind is ConstraintKind.PARALLEL}
+        if state.params.parallel_norm
+        else set()
+    )
 
     def parallel_ok(robot: str, t: str) -> bool:
         return all(
@@ -984,12 +974,10 @@ def _replan(state: FormationState, result: StepResult) -> bool:
     for t, assignee in best:
         price = state.current_reward[t]
         if state.is_composite(t):
-            state.org.assignments[t] = TaskAssignment(
-                t, assignee, price, AssignmentMode.LED, tuple(state.task_children[t])
-            )
+            _lead(state, t, assignee, price)
         else:
             state.org.assignments[t] = TaskAssignment(t, assignee, price, AssignmentMode.ALLOCATED)
-        state.tasks[t].status = TaskStatus.ASSIGNED
+            state.status[t] = TaskStatus.ASSIGNED
         result.notes.append({"kind": "allocated", "task": t, "robot": assignee, "price": str(price)})
 
     _rebuild_tree(state)
@@ -1013,7 +1001,7 @@ def _rebuild_tree(state: FormationState) -> None:
     leaders = {
         a.assignee
         for t, a in assignments.items()
-        if state.is_composite(t) and state.tasks[t].status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
+        if state.is_composite(t) and state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
     }
     placed: set[str] = set()
 
@@ -1029,14 +1017,7 @@ def _rebuild_tree(state: FormationState) -> None:
         if a is None or not state.is_composite(t):
             return None
         leader = a.assignee
-        team = OrgNode(
-            id_ros=f"team:{t}",
-            id_robot=leader,
-            level_i=0,
-            pos_j=0,
-            goals=[t],
-            rules=RuleSet(frozenset(), RuleScope.WHOLE),
-        )
+        team = _new_team(t, leader)
         leader_element: OrgNode | None = None
         rest: list[OrgNode] = []
         for sub in state.task_children.get(t, []):
@@ -1115,7 +1096,7 @@ def _ordered_exec(state: FormationState, robot: str) -> list[str]:
     mine = sorted(
         t
         for t in org_core.index(state.org).tasks_by_robot[robot]
-        if not state.is_composite(t) and state.tasks[t].status is TaskStatus.ASSIGNED
+        if not state.is_composite(t) and state.status[t] is TaskStatus.ASSIGNED
     )
     orderings = check_assignment(
         RuleSet(state.params.rules_pool), state.params.constraints, {robot: set(mine)}
@@ -1140,7 +1121,7 @@ def _check_formed(state: FormationState, result: StepResult) -> None:
         return
     if state.pending or state.active_auctions:
         return
-    statuses = {state.tasks[t].status for t in state.effective_tasks()}
+    statuses = {state.status[t] for t in state.effective_tasks()}
     if statuses and statuses <= {TaskStatus.ASSIGNED, TaskStatus.COMPLETED}:
         state.phase = Phase.EXECUTING
         result.notes.append({"kind": "formed", "level": state.level})
@@ -1156,12 +1137,11 @@ def _check_formed(state: FormationState, result: StepResult) -> None:
 
 def _complete_task(state: FormationState, event: TaskCompleted, result: StepResult) -> None:
     t = event.id_task
-    task = state.tasks.get(t)
-    if task is None:
+    if t not in state.tasks:
         raise ProtocolViolationError(f"completion for unknown task {t}")
     assignment = state.org.assignments.get(t)
     if (
-        task.status is not TaskStatus.ASSIGNED
+        state.status[t] is not TaskStatus.ASSIGNED
         or assignment is None
         or assignment.assignee != event.robot
         or not state.alive(event.robot)
@@ -1171,19 +1151,12 @@ def _complete_task(state: FormationState, event: TaskCompleted, result: StepResu
     ):
         result.notes.append({"kind": "completion_ignored", "task": t, "robot": event.robot})
         return
-    task.status = TaskStatus.COMPLETED
+    state.status[t] = TaskStatus.COMPLETED
     state.locks.release(event.robot, t, state.now)
     result.notes.append({"kind": "completed", "task": t, "robot": event.robot})
-
     parent = state.task_parent.get(t)
     if parent is not None:
-        siblings = state.task_children[parent]
-        if all(state.tasks[s].status is TaskStatus.COMPLETED for s in siblings):
-            pa = state.org.assignments.get(parent)
-            if pa is not None and state.tasks[parent].status is TaskStatus.ASSIGNED:
-                result.timers.append(
-                    TaskCompleted(tick=state.now, id_task=parent, robot=pa.assignee)
-                )
+        _maybe_complete_parent(state, parent, result)
 
 
 def _check_mission_done(state: FormationState, result: StepResult) -> None:
@@ -1197,12 +1170,12 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
             state.phase = Phase.DONE
             result.notes.append({"kind": "mission_done", "tick": state.now, "utilities": {}})
         return
-    if not all(state.tasks[t].status is TaskStatus.COMPLETED for t in state.root_tasks):
+    if not all(state.status[t] is TaskStatus.COMPLETED for t in state.root_tasks):
         return
     state.phase = Phase.DONE
     payouts: dict[str, Fraction] = {}
     for t in state.effective_tasks():
-        if state.tasks[t].status is not TaskStatus.COMPLETED:
+        if state.status[t] is not TaskStatus.COMPLETED:
             continue
         if t not in state.org.assignments:
             continue  # goal met without an assignee; nobody to pay
@@ -1271,9 +1244,8 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
 
     # the robot's own unfinished work returns to the queue
     for t in sorted(ix.tasks_by_robot.get(robot, ())):
-        task = state.tasks[t]
         assignment = state.org.assignments[t]
-        if task.status is not TaskStatus.ASSIGNED or assignment.mode is AssignmentMode.LED:
+        if state.status[t] is not TaskStatus.ASSIGNED or assignment.mode is AssignmentMode.LED:
             continue
         _revoke_task(state, t, reason.value, result)
         parent = state.task_parent.get(t)
@@ -1316,8 +1288,8 @@ def reelect_leader(
     node.id_robot = None
     if t is not None:
         state.org.assignments.pop(t, None)
-        if state.tasks[t].status in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
-            state.tasks[t].status = TaskStatus.UNASSIGNED
+        if state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
+            state.status[t] = TaskStatus.UNASSIGNED
             state.active_auctions.pop(t, None)
     candidates = sorted(
         c.id_robot
@@ -1351,10 +1323,7 @@ def reelect_leader(
     if element is not None:
         node.children.remove(element)
         node.children.insert(0, element)
-    state.org.assignments[t] = TaskAssignment(
-        t, winner, price, AssignmentMode.LED, tuple(state.task_children.get(t, ()))
-    )
-    state.tasks[t].status = TaskStatus.ASSIGNED
+    _lead(state, t, winner, price)
     if state.task_parent.get(t) is None and state.world is not None:
         state.organizer = winner
     result.notes.append(
@@ -1380,16 +1349,17 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
     params = state.params.pursuit or PursuitParams()
 
     targets: dict[str, tuple[int, int]] = {}
-    for t, (evader, offset) in sorted(state.flank_target.items()):
+    for t, (evader, sg) in sorted(state.flank.items()):
+        # a captured evader's goals are done or superseded
         if evader in world.captured:
             continue
         assignment = state.org.assignments.get(t)
-        if assignment is None or state.tasks[t].status is not TaskStatus.ASSIGNED:
+        if assignment is None or state.status[t] is not TaskStatus.ASSIGNED:
             continue
         if not state.alive(assignment.assignee):
             continue
         center = pursuit.predicted_position(world, evader)
-        targets[assignment.assignee] = world.clamp((center[0] + offset[0], center[1] + offset[1]))
+        targets[assignment.assignee] = world.clamp((center[0] + sg.offset[0], center[1] + sg.offset[1]))
 
     before = set(world.captured)
     pursuit.tick_world(world, targets, capture_quorum=params.capture_quorum)
@@ -1447,8 +1417,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         )
         register_task_tree(state, root)
         for i, sg in enumerate(plan.subgoals):
-            state.flank_target[f"sg:{evader}:{i}"] = (evader, sg.offset)
-            state.flank_cell[f"sg:{evader}:{i}"] = sg.cell
+            state.flank[f"sg:{evader}:{i}"] = (evader, sg)
         result.timers.append(
             TaskArrived(
                 tick=state.now,
@@ -1473,31 +1442,30 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
         return
     live: list[str] = []
     for t in state.task_children.get(root_id, []):
-        task = state.tasks[t]
-        if task.status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED):
+        status = state.status[t]
+        if status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED):
             live.append(t)
-            if task.status is TaskStatus.ASSIGNED:
+            if status is TaskStatus.ASSIGNED:
                 a = state.org.assignments[t]
                 result.timers.append(TaskCompleted(tick=state.now, id_task=t, robot=a.assignee))
         else:
-            task.status = TaskStatus.FAILED
+            state.status[t] = TaskStatus.FAILED
             state.active_auctions.pop(t, None)
-            state.flank_target.pop(t, None)
             result.notes.append({"kind": "superseded_by_capture", "task": t})
     state.task_children[root_id] = live
     state.pending = deque(p for p in state.pending if state.task_parent.get(p.id_task) != root_id)
     root_assignment = state.org.assignments.get(root_id)
     if root_assignment is not None:
         state.org.assignments[root_id] = replace(root_assignment, subtask_ids=tuple(live))
-        if not live and state.tasks[root_id].status is TaskStatus.ASSIGNED:
+        if not live and state.status[root_id] is TaskStatus.ASSIGNED:
             result.timers.append(
                 TaskCompleted(tick=state.now, id_task=root_id, robot=root_assignment.assignee)
             )
-    elif state.tasks[root_id].status is not TaskStatus.COMPLETED:
+    elif state.status[root_id] is not TaskStatus.COMPLETED:
         # captured while the tree was leaderless: the goal is met regardless
         state.active_auctions.pop(root_id, None)
         state.pending = deque(p for p in state.pending if p.id_task != root_id)
-        state.tasks[root_id].status = TaskStatus.COMPLETED
+        state.status[root_id] = TaskStatus.COMPLETED
         result.notes.append({"kind": "captured_unled", "task": root_id})
 
 
@@ -1557,14 +1525,7 @@ def _install_designated_root(
         result.notes.append({"kind": "designation_void", "task": t, "robot": leader})
         return
     parent = state.org.root.id_ros if state.org.root is not None else None
-    _install_team(state, t, leader, parent)
-    state.org.assignments[t] = TaskAssignment(
-        t, leader, Fraction(0), AssignmentMode.LED, tuple(state.task_children.get(t, ()))
-    )
-    state.tasks[t].status = TaskStatus.ASSIGNED
-    for child in state.task_children.get(t, []):
-        if state.tasks[child].status is TaskStatus.UNASSIGNED:
-            result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
+    _hang_team(state, t, leader, Fraction(0), parent, result)
     result.notes.append({"kind": "designated_leader", "task": t, "robot": leader})
     _renumber(state)
 
@@ -1634,7 +1595,7 @@ def state_snapshot(state: FormationState) -> dict:
             for t, a in sorted(state.active_auctions.items())
         },
         "tasks": {
-            t: {"status": state.tasks[t].status.value, "reward": str(state.current_reward[t])}
+            t: {"status": state.status[t].value, "reward": str(state.current_reward[t])}
             for t in sorted(state.tasks)
         },
         "org": org_core.snapshot_dict(state.org),

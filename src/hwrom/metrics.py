@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -21,20 +21,7 @@ class RunMetrics:
     final_org_hash: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "formation_rounds": self.formation_rounds,
-            "re_auctions": self.re_auctions,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "messages_rejected": self.messages_rejected,
-            "failures_handled": self.failures_handled,
-            "reelections": self.reelections,
-            "utilities": dict(sorted(self.utilities.items())),
-            "capture_ticks": dict(sorted(self.capture_ticks.items())),
-            "mission_done": self.mission_done,
-            "done_tick": self.done_tick,
-            "final_org_hash": self.final_org_hash,
-        }
+        return asdict(self)
 
 
 def compute_metrics(trace: list[dict], *, final_org_hash: str | None = None) -> RunMetrics:

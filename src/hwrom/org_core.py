@@ -160,7 +160,9 @@ class TaskNode:
     """A goal and its declared decomposition into an ordered sub-task sequence.
 
     ``alternatives`` lists fallback decompositions used when an auction for
-    this task cannot attract bids and the leader must re-split it.
+    this task cannot attract bids and the leader must re-split it. A task
+    tree is input only: a run keeps each task's status in its own state, so
+    one parsed tree serves any number of runs.
     """
 
     id_task: str
@@ -169,7 +171,6 @@ class TaskNode:
     subtasks: list["TaskNode"] = field(default_factory=list)
     alternatives: list[list["TaskNode"]] = field(default_factory=list)
     duration: int = 1
-    status: TaskStatus = TaskStatus.UNASSIGNED
 
     def __post_init__(self) -> None:
         if self.reward < 0:
@@ -310,15 +311,18 @@ class ValidationReport:
 
 def iter_nodes(org: Organization) -> Iterator[tuple[OrgNode, OrgNode | None, int, str]]:
     """Yield (node, parent, depth, path) over the whole tree, root first."""
-    if org.root is None:
-        return
+    if org.root is not None:
+        yield from _iter_subtree(org.root, None, 0, "root")
 
-    def rec(node: OrgNode, parent: OrgNode | None, depth: int, path: str) -> Iterator:
-        yield node, parent, depth, path
-        for i, child in enumerate(node.children):
-            yield from rec(child, node, depth + 1, f"{path}/{i}")
 
-    yield from rec(org.root, None, 0, "root")
+def _iter_subtree(
+    node: OrgNode, parent: OrgNode | None, depth: int, path: str
+) -> Iterator[tuple[OrgNode, OrgNode | None, int, str]]:
+    """`iter_nodes` of one subtree. A module function, not a closure: a
+    closure that calls itself is a reference cycle left to the collector."""
+    yield node, parent, depth, path
+    for i, child in enumerate(node.children):
+        yield from _iter_subtree(child, node, depth + 1, f"{path}/{i}")
 
 
 def index(org: Organization) -> OrgIndex:

@@ -1,4 +1,4 @@
-"""Behavior norms, cooperation constraints, and rule scoping.
+"""Behavior norms, cooperation constraints, and rule-set intersection.
 
 Rules are declarative tags from a closed vocabulary; the engine hard-codes
 their enforcement (assignment checks, winner locking, least-reward selection,
@@ -23,11 +23,6 @@ class RuleCategory(Enum):
     BIDDING = "Bidding"
     SELECTION = "Selection"
     CUSTOM = "Custom"
-
-
-class RuleScope(Enum):
-    LOCAL = "Local"
-    WHOLE = "Whole"
 
 
 #: Closed predicate vocabulary. Arbitrary user predicates are out of scope.
@@ -67,7 +62,6 @@ STANDARD_RULES = frozenset({RULE_NO_PARALLEL, RULE_FEWER_MEMBERS, RULE_WINNER_LO
 @dataclass(frozen=True)
 class RuleSet:
     rules: frozenset[Rule] = frozenset()
-    scope: RuleScope = RuleScope.LOCAL
 
     def has_predicate(self, predicate: str) -> bool:
         return any(r.predicate == predicate for r in self.rules)
@@ -158,12 +152,12 @@ def whole_rules(node: "OrgNode") -> RuleSet:
     child abides, so the set shrinks monotonically toward the root.
     """
     if not node.children:
-        return RuleSet(node.rules.rules, RuleScope.WHOLE)
+        return RuleSet(node.rules.rules)
     acc: frozenset[Rule] | None = None
     for child in node.children:
         child_rules = whole_rules(child).rules
         acc = child_rules if acc is None else acc & child_rules
-    return RuleSet(acc if acc is not None else frozenset(), RuleScope.WHOLE)
+    return RuleSet(acc if acc is not None else frozenset())
 
 
 def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:

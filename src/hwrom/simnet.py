@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -100,8 +100,9 @@ def route(
     return Deliver(msg.sent_at + net.latency)
 
 
-# Heap entry kinds (the fourth field): a stamped formation event, a message
-# delivery, or a Tick whose seq `run` reserved in advance.
+# Heap entry kinds (the fourth field): a formation event, a message delivery,
+# or a Tick whose seq `run` reserved in advance. An event's seq lives only in
+# its heap entry; `run` writes it into the event's record.
 _EVENT, _DELIVERY, _TICK = 0, 1, 2
 
 
@@ -139,9 +140,8 @@ class Scheduler:
     # for tick T therefore re-announces at T+1, never within T itself.
 
     def push_event(self, event: fm.FormationEvent) -> None:
-        stamped = replace(event, seq=self._seq)
         lane = 0 if isinstance(event, fm.Tick) else 1
-        heapq.heappush(self._heap, (event.tick, lane, self._seq, _EVENT, stamped))
+        heapq.heappush(self._heap, (event.tick, lane, self._seq, _EVENT, event))
         self._seq += 1
 
     def _push_delivery(self, at: int, msg: Message) -> None:
@@ -161,7 +161,7 @@ class Scheduler:
 
     def _queue_tick(self) -> None:
         tick, _, seq = self._tick_blocks[0]
-        heapq.heappush(self._heap, (tick, 0, seq, _TICK, fm.Tick(tick=tick, seq=seq)))
+        heapq.heappush(self._heap, (tick, 0, seq, _TICK, fm.Tick(tick=tick)))
 
     def _tick_popped(self) -> None:
         block = self._tick_blocks[0]
@@ -267,7 +267,7 @@ class Scheduler:
         previous one stopped."""
         self._reserve_ticks(until)
         while self._heap and self._heap[0][0] <= until:
-            tick, _, _, kind, item = heapq.heappop(self._heap)
+            tick, _, seq, kind, item = heapq.heappop(self._heap)
             if kind == _DELIVERY:
                 self._deliver(item, tick)  # type: ignore[arg-type]
                 continue
@@ -278,11 +278,11 @@ class Scheduler:
             rec = {
                 "type": "event",
                 "tick": event.tick,
-                "seq": event.seq,
+                "seq": seq,
                 "event": type(event).__name__,
                 **_event_summary(event),
                 "detail": {"notes": result.notes},
-                "data": event_to_dict(event),
+                "data": event_to_dict(event, seq),
             }
             self._emit(rec)
             for m in result.messages:
@@ -311,8 +311,8 @@ def _event_summary(event: fm.FormationEvent) -> dict:
 # --- event data for logs ---------------------------------------------------------
 
 
-def event_to_dict(event: fm.FormationEvent) -> dict:
-    base = {"tick": event.tick, "seq": event.seq, "type": type(event).__name__}
+def event_to_dict(event: fm.FormationEvent, seq: int) -> dict:
+    base = {"tick": event.tick, "seq": seq, "type": type(event).__name__}
     if isinstance(event, fm.TaskArrived):
         base.update(
             id_task=event.id_task,

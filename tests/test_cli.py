@@ -33,6 +33,14 @@ def canonical_with(where: str, value, **fields) -> dict:
     return with_field(dict(json.loads(CANONICAL.read_text()), **fields), where, value)
 
 
+def with_joiner(config_path: Path) -> dict:
+    """The config at `config_path` with one robot J1 joining at tick 2."""
+    data = json.loads(config_path.read_text())
+    data["events"] = [{"at": 2, "type": "join", "robot": {
+        "id": "J1", "capabilities": [["Action", "weld", 3]]}}]
+    return data
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -266,6 +274,36 @@ class TestRunCommand:
         assert result.exit_code == 2, result.output
         assert f"config error: {where}: must be >= 0" in result.output
 
+    @pytest.mark.parametrize("where", ["robots[1].capabilities[0]", "events[0].robot.capabilities[0]"])
+    def test_negative_capability_magnitude_exits_two(self, runner, generic_config, tmp_path, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(with_joiner(generic_config), where, ["Action", "weld", -1])))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: capability magnitude must be >= 0" in result.output
+
+    @pytest.mark.parametrize("robot", ["robots[0]", "events[0].robot"])
+    @pytest.mark.parametrize(
+        "value, where",
+        [(5, ""), ("bid", ""), ([["x"]], "[0]"), (["bogus"], "[0]"), (["bid", None], "[1]")],
+    )
+    def test_bad_interface_exits_two(self, runner, generic_config, tmp_path, robot, value, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(with_joiner(generic_config), f"{robot}.interface", value)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {robot}.interface{where}: " in result.output
+
+    def test_empty_interface_means_every_kind(self, runner, generic_config, tmp_path):
+        data = with_joiner(generic_config)
+        for entry in (*data["robots"], data["events"][0]["robot"]):
+            entry["interface"] = []
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["run", str(path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["metrics"]["messages_rejected"] == 0
+
     def test_integer_pursuit_robot_id_runs(self, runner, tmp_path):
         data = json.loads(CANONICAL.read_text())
         data["robots"][0]["id"] = 7
@@ -273,6 +311,16 @@ class TestRunCommand:
         path = tmp_path / "int_id.json"
         path.write_text(json.dumps(data))
         log = tmp_path / "int_id.jsonl"
+        result = runner.invoke(main, ["run", str(path), "--log", str(log)])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
+
+    def test_integer_task_id_runs(self, runner, generic_config, tmp_path):
+        data = json.loads(generic_config.read_text())
+        data["task"]["id"] = 5
+        path = tmp_path / "int_task.json"
+        path.write_text(json.dumps(data))
+        log = tmp_path / "int_task.jsonl"
         result = runner.invoke(main, ["run", str(path), "--log", str(log)])
         assert result.exit_code == 0, result.output
         assert runner.invoke(main, ["replay", str(log)]).exit_code == 0

@@ -32,7 +32,6 @@ from hwrom.rules_engine import (
     ConstraintRelation,
     Rule,
     RuleCategory,
-    RuleScope,
     RuleSet,
     check_assignment,
     whole_rules,
@@ -293,7 +292,7 @@ def random_tree_state(rng: random.Random) -> fm.FormationState:
         robot = rng.choice(robots).id_cr
         goals = rng.sample(tasks, rng.randint(0, 2))
         if depth >= 3 or rng.random() < 0.4:
-            leaf_rules = RuleSet(frozenset(rng.sample(rules, rng.randint(0, len(rules)))), RuleScope.LOCAL)
+            leaf_rules = RuleSet(frozenset(rng.sample(rules, rng.randint(0, len(rules)))))
             return OrgNode(f"unit:{next(serial)}", robot, 9, 9, goals=goals, rules=leaf_rules)
         children = [node(depth + 1) for _ in range(rng.randint(1, 3))]
         leader = None if rng.random() < 0.15 else children[0].id_robot

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hwrom import formation as fm
-from hwrom import org_core, simnet
+from hwrom import config, eventlog, org_core, simnet
 from hwrom.formation import (
     EngineParams,
     FormationError,
@@ -285,7 +285,7 @@ class TestReelection:
         sched.run(until=fail_tick + 6)
         dissolved = notes(sched.trace, "dissolved")
         assert dissolved
-        assert state.tasks["T"].status in (TaskStatus.UNASSIGNED, TaskStatus.ANNOUNCED)
+        assert state.status["T"] in (TaskStatus.UNASSIGNED, TaskStatus.ANNOUNCED)
 
 
 class TestJoin:
@@ -356,7 +356,7 @@ class TestAdjustmentPaths:
         assert state.phase is Phase.DONE
         redecomposed = notes(sched.trace, "redecompose")
         assert redecomposed and redecomposed[0][1]["pieces"] == ["small1", "small2"]
-        assert state.tasks["big"].status is TaskStatus.FAILED  # superseded
+        assert state.status["big"] is TaskStatus.FAILED  # superseded
         assert state.org.assignments["small1"].assignee == "R2"
         assert state.org.assignments["small2"].assignee == "R3"
 
@@ -446,3 +446,25 @@ class TestAdjustmentPaths:
         assert not brute_force_feasible(spec)
         state, _ = run_scenario(spec, until=300, stop_at_formed=True)
         assert state.phase is Phase.FAILED
+
+    def test_parallel_outside_the_rules_pool_binds_no_path(self):
+        # the pool lacks no_parallel_coassignment, so the Parallel pair forbids
+        # nothing: the winner lock stalls the auction for b, and the fallback
+        # gives R1 both leaves
+        scenario = config.from_dict({
+            "robots": [{"id": "R1", "capabilities": [
+                ["Organization", "plan", 1], ["Communication", "radio", 1], ["Action", "weld", 1]]}],
+            "rules": [
+                {"id": "bidding.winner-lock", "category": "Bidding", "predicate": "winner_lock"},
+                {"id": "selection.least-reward", "category": "Selection", "predicate": "least_reward"},
+            ],
+            "task": {"id": "T", "reward": 30, "subtasks": [
+                {"id": "a", "reward": 10, "requires": [["Action", "weld", 1]]},
+                {"id": "b", "reward": 10, "requires": [["Action", "weld", 1]]},
+            ]},
+            "constraints": [{"a": "a", "b": "b", "kind": "Parallel"}],
+        })
+        state, _ = eventlog.simulate(scenario)
+        assert (state.phase, state.now) == (Phase.DONE, 32)
+        assert state.org.assignments["a"].assignee == state.org.assignments["b"].assignee == "R1"
+        assert state.org.assignments["b"].mode is org_core.AssignmentMode.ALLOCATED

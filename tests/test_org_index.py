@@ -10,6 +10,7 @@ membership churn, Parallel pairs and forced give-ups.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -128,3 +129,18 @@ def test_index_matches_scans_on_random_churn(checked_calls):
     assert {"award", "revoked", "give_up", "allocated", "withdrew", "joined", "reelected",
             "dissolved"} <= notes
     assert len(checked_calls) > 5000
+
+
+def test_index_rebuilds_leave_no_reference_cycle():
+    root = org_core.OrgNode("team:T", "R1", 0, 0)
+    root.children = [org_core.OrgNode("unit:R1", "R1", 1, 0), org_core.OrgNode("unit:R2", "R2", 1, 1)]
+    org = org_core.Organization(root=root)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            org.index_cache = None
+            org_core.index(org)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

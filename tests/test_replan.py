@@ -13,7 +13,7 @@ from hwrom.config import from_dict
 from hwrom import formation as fm
 from hwrom.formation import EngineParams, _leadership_capable, _task_depth
 from hwrom.org_core import AssignmentMode, TaskAssignment, TaskNode, TaskStatus
-from hwrom.rules_engine import ConstraintKind, ConstraintRelation
+from hwrom.rules_engine import RULE_NO_PARALLEL, STANDARD_RULES, ConstraintKind, ConstraintRelation
 
 from conftest import SKILLS, cap, log_notes, organizer_caps, req, robot, run_cli_logged
 
@@ -26,7 +26,7 @@ def exhaustive_allocation(state: fm.FormationState, unfinished: list[str]):
         r: {
             t
             for t, a in state.org.assignments.items()
-            if a.assignee == r and state.tasks[t].status is TaskStatus.COMPLETED
+            if a.assignee == r and state.status[t] is TaskStatus.COMPLETED
         }
         for r in robots
     }
@@ -48,10 +48,12 @@ def exhaustive_allocation(state: fm.FormationState, unfinished: list[str]):
             out.append(r)
         return out
 
+    # a Parallel pair binds only under the pool's no_parallel_coassignment norm
+    enforced = any(r.predicate == "no_parallel_coassignment" for r in state.params.rules_pool)
     parallel_pairs = {
         frozenset((c.a, c.b))
         for c in state.params.constraints
-        if c.kind is ConstraintKind.PARALLEL
+        if c.kind is ConstraintKind.PARALLEL and enforced
     }
 
     def parallel_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
@@ -93,7 +95,8 @@ def random_instance(seed: int) -> fm.FormationState:
     """A state as the fallback finds it: up to 5 live robots, a random task
     tree with up to 5 unfinished nodes (so nested and sibling composites),
     up to 2 leaves already completed by some robot, Parallel pairs that may
-    touch completed work, and sometimes a dead robot."""
+    touch completed work, and sometimes a dead robot. Every fifth pool lacks
+    the no_parallel_coassignment norm."""
     rng = random.Random(seed)
     robots = []
     for i in range(1, rng.randint(1, 5) + 1):
@@ -126,10 +129,11 @@ def random_instance(seed: int) -> fm.FormationState:
         for b in atomic[i + 1 :]
         if rng.random() < 0.4
     )
-    state = fm.new_state(robots, EngineParams(constraints=constraints))
+    pool = STANDARD_RULES - {RULE_NO_PARALLEL} if seed % 5 == 0 else STANDARD_RULES
+    state = fm.new_state(robots, EngineParams(constraints=constraints, rules_pool=pool))
     fm.register_task_tree(state, build("T"))
     for tid in done:
-        state.tasks[tid].status = TaskStatus.COMPLETED
+        state.status[tid] = TaskStatus.COMPLETED
         holder = rng.choice([r.id_cr for r in robots])
         state.org.assignments[tid] = TaskAssignment(tid, holder, Fraction(10), AssignmentMode.WON)
     if dead is not None:
@@ -138,8 +142,8 @@ def random_instance(seed: int) -> fm.FormationState:
 
 
 def test_team_search_matches_exhaustive_search():
-    seen = {"infeasible": 0, "parallel": 0, "nested": 0, "siblings": 0, "fixed_held": 0, "team>2": 0,
-            "twins": 0}
+    seen = {"infeasible": 0, "parallel": 0, "parallel_unenforced": 0, "nested": 0, "siblings": 0,
+            "fixed_held": 0, "team>2": 0, "twins": 0}
     for seed in range(600):
         state = random_instance(seed)
         unfinished = fm._unfinished(state)
@@ -149,6 +153,7 @@ def test_team_search_matches_exhaustive_search():
         composites = [t for t in unfinished if state.is_composite(t)]
         seen["infeasible"] += want is None
         seen["parallel"] += bool(state.params.constraints)
+        seen["parallel_unenforced"] += bool(state.params.constraints) and not state.params.parallel_norm
         seen["nested"] += any(state.task_parent[t] in composites for t in composites)
         seen["siblings"] += sum(state.task_parent[t] == "T" for t in composites) > 1
         seen["fixed_held"] += any(t.startswith("d") for t in state.org.assignments)

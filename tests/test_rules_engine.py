@@ -20,7 +20,6 @@ from hwrom.rules_engine import (
     LockLedger,
     Rule,
     RuleCategory,
-    RuleScope,
     RuleSet,
     check_assignment,
     forming_key,
@@ -109,7 +108,6 @@ class TestWholeRules:
         b = frozenset({RULE_WINNER_LOCK, RULE_LEAST_REWARD})
         node = team([leaf_node(a, "R1"), leaf_node(b, "R2")])
         assert whole_rules(node).rules == frozenset({RULE_WINNER_LOCK})
-        assert whole_rules(node).scope is RuleScope.WHOLE
 
     def test_disjoint_children_give_empty_set(self):
         node = team([leaf_node(frozenset({RULE_NO_PARALLEL}), "R1"),

@@ -9,11 +9,13 @@ definition. The runs cover the golden-trace scenarios, every pursuit fixture
 with and without a leader failure, and seeded random generic scenarios with
 drops, latency, membership churn, Parallel pairs and forced give-ups. The
 test names keep `cached_hash` from the log v1 fragment cache these runs
-used to check, so that the test ids stay stable.
+used to check, so that the test ids stay stable. Last, one parsed config
+runs twice: the second run must emit the first run's records.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -172,3 +174,36 @@ def test_same_tick_joins_run_in_robot_id_order(tmp_path):
         if rec.get("event") == "RobotJoined"
     ]
     assert joined == ["J1", "J2"]
+
+
+def resplit_with_failure() -> dict:
+    """The `redecompose` golden with a spare welder R4 and a longer small1:
+    `big` is re-split, R2 wins small1 and fails while working on it, and R4
+    takes it over."""
+    config = copy.deepcopy(scenario_config(GOLDEN["redecompose"]))
+    config["robots"].append({"id": "R4", "capabilities": [["Action", "weld", 1]]})
+    config["task"]["subtasks"][0]["alternatives"][0][0]["duration"] = 5
+    config["events"] = [{"at": 22, "type": "fail", "robot": "R2"}]
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, kinds",
+    [(resplit_with_failure(), {"redecompose", "revoked", "mission_done"}),
+     (json.loads((FIXTURES / "canonical_pursuit.json").read_text()), {"captured", "mission_done"})],
+    ids=["resplit_with_failure", "canonical_pursuit"],
+)
+def test_one_parsed_config_serves_two_runs(config, kinds):
+    """A parsed config is input only: two runs of one `ScenarioConfig` emit
+    the same records, and its task tree stays as parsed."""
+    scenario = cfg.from_dict(config)
+    parsed_task = copy.deepcopy(scenario.task)
+    runs = []
+    for _ in range(2):
+        records: list[dict] = []
+        eventlog.simulate(scenario, records.append)
+        runs.append(records)
+    notes = {n["kind"] for rec in runs[0] if rec["type"] == "event" for n in rec["detail"]["notes"]}
+    assert kinds <= notes
+    assert runs[0] == runs[1]
+    assert scenario.task == parsed_task
