@@ -215,10 +215,8 @@ class StepResult:
 class FormationState:
     params: EngineParams
     robots: dict[str, CooperativeRobot] = field(default_factory=dict)
-    pool: set[str] = field(default_factory=set)
     dead: set[str] = field(default_factory=set)
     departed: set[str] = field(default_factory=set)
-    level: int = 0
     pending: deque[PendingTask] = field(default_factory=deque)
     active_auctions: dict[str, AuctionState] = field(default_factory=dict)
     org: Organization = field(default_factory=Organization)
@@ -241,12 +239,21 @@ class FormationState:
     world: pursuit.WorldState | None = None
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
     organizer: str | None = None
-    planned_evaders: set[str] = field(default_factory=set)
     # surround goal -> (its evader, its planned sub-goal)
     flank: dict[str, tuple[str, pursuit.Subgoal]] = field(default_factory=dict)
 
     def alive(self, robot: str) -> bool:
         return robot in self.robots and robot not in self.dead and robot not in self.departed
+
+    @property
+    def pool(self) -> set[str]:
+        """The live robots the org tree binds nowhere."""
+        ix = org_core.index(self.org)
+        return {
+            r
+            for r in self.robots
+            if self.alive(r) and r not in ix.leaf_of_robot and r not in ix.led_by
+        }
 
     def effective_tasks(self) -> Iterator[str]:
         stack = list(self.root_tasks)
@@ -294,7 +301,6 @@ def new_state(
         if r.id_cr in state.robots:
             raise DuplicateRobotIdError(r.id_cr)
         state.robots[r.id_cr] = r
-        state.pool.add(r.id_cr)
     return state
 
 
@@ -398,8 +404,8 @@ def _new_leaf(state: FormationState, robot: str) -> OrgNode:
 
 def _renumber(state: FormationState) -> None:
     """Restore derived structure after an edit: levels, positions, team rule
-    intersections, scoped constraints, the relation web, the level gauge, and
-    `org.robots`, the robots bound anywhere in the tree.
+    intersections, scoped constraints, the relation web, and `org.robots`,
+    the robots bound anywhere in the tree.
 
     Every edit of the tree or of the assignments' assignees ends here before
     the next structural lookup, so this is where the org's index is dropped."""
@@ -408,11 +414,10 @@ def _renumber(state: FormationState) -> None:
     if org.root is None:
         org.relations = set()
         org.robots = []
-        state.level = 0
         return
     relations: set[Relation] = set()
     bound: set[str] = set()
-    state.level = _renumber_subtree(state, org.root, 0, 0, relations, bound)[0]
+    _renumber_subtree(state, org.root, 0, 0, relations, bound)
     org.relations = relations
     org.robots = [state.robots[r] for r in sorted(bound)]
 
@@ -424,25 +429,21 @@ def _renumber_subtree(
     pos: int,
     relations: set[Relation],
     bound: set[str],
-) -> tuple[int, frozenset[Rule], set[str]]:
+) -> tuple[frozenset[Rule], set[str]]:
     """`_renumber` of one subtree, in one post-order walk: number it, collect
-    its relations and bound robots, and return its depth, its rule
-    intersection and its goals. A team's rules and goals come from its
+    its relations and bound robots, and return its rule intersection and its
+    goals. A team's rules and goals come from its
     children's, as `rules_engine.whole_rules` and a subtree scan give them."""
     node.level_i = depth
     node.pos_j = pos
     if node.id_robot is not None:
         bound.add(node.id_robot)
     if not node.children:
-        return depth, node.rules.rules, set(node.goals)
-    deepest = depth
+        return node.rules.rules, set(node.goals)
     rules: frozenset[Rule] | None = None
     goals = set(node.goals)
     for i, child in enumerate(node.children):
-        child_depth, child_rules, child_goals = _renumber_subtree(
-            state, child, depth + 1, i, relations, bound
-        )
-        deepest = max(deepest, child_depth)
+        child_rules, child_goals = _renumber_subtree(state, child, depth + 1, i, relations, bound)
         rules = child_rules if rules is None else rules & child_rules
         goals |= child_goals
     node.rules = RuleSet(rules)
@@ -457,7 +458,7 @@ def _renumber_subtree(
                 if a != b:
                     lo, hi = sorted((a, b))
                     relations.add(Relation(lo, hi, RelationKind.COOPERATION))
-    return deepest, rules, goals
+    return rules, goals
 
 
 # --- announcements -----------------------------------------------------------------
@@ -549,8 +550,6 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
                 state.now,
             )
         )
-        if state.phase is Phase.EXECUTING:
-            _start_execution(state, [(winner, t)], result)
 
     result.notes.append(
         {
@@ -563,6 +562,9 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         }
     )
     _renumber(state)
+    if state.phase is Phase.EXECUTING:
+        # after `_renumber`: the dispatcher finds the new task in the index
+        _start_execution(state, [winner], result)
 
 
 def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
@@ -615,7 +617,6 @@ def _hang_team(
         else:
             team.children = [_new_leaf(state, leader)]
             parent.children.append(team)
-    state.pool.discard(leader)
     _lead(state, t, leader, price)
     for child in state.task_children[t]:
         if state.status[child] is TaskStatus.UNASSIGNED:
@@ -636,7 +637,6 @@ def _install_member(state: FormationState, robot: str, t: str, parent_node: str 
                 raise ProtocolViolationError(f"award under unknown node {parent_node}")
             parent.children.append(leaf)
     leaf.goals.append(t)
-    state.pool.discard(robot)
 
 
 def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) -> None:
@@ -769,7 +769,6 @@ def _dissolve_team(
     """Reset a leaderless team: unfinished subtree tasks return to the parent's
     queue, members go back to the pool, accumulated margin is forfeited."""
     t = node.goals[0] if node.goals else None
-    freed = sorted({n.id_robot for n in node.walk() if n.id_robot is not None})
     if t is not None:
         for sub in _descendants(state, t):
             if state.status[sub] is not TaskStatus.COMPLETED:
@@ -778,9 +777,6 @@ def _dissolve_team(
         if state.status[t] is not TaskStatus.COMPLETED:
             state.status[t] = TaskStatus.UNASSIGNED
             state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
-    for rid in freed:
-        if state.alive(rid):
-            state.pool.add(rid)
     if parent is None:
         state.org.root = None
     else:
@@ -986,12 +982,7 @@ def _replan(state: FormationState, result: StepResult) -> bool:
         if first_root is not None:
             state.organizer = first_root.assignee
     if state.phase is Phase.EXECUTING:
-        fresh = [
-            (assignee, t)
-            for t, assignee in best
-            if not state.is_composite(t) and t not in state.exec_started
-        ]
-        _start_execution(state, fresh, result)
+        _start_execution(state, sorted({assignee for _, assignee in best}), result)
     return True
 
 
@@ -1061,35 +1052,29 @@ def _rebuild_tree(state: FormationState) -> None:
             root.goals = atomic_goals(a.assignee)
     state.org.root = root
     _renumber(state)
-    bound = {r.id_cr for r in state.org.robots}
-    for r in sorted(state.robots):
-        if state.alive(r) and r not in bound:
-            state.pool.add(r)
-        else:
-            state.pool.discard(r)
 
 
 # --- execution ---------------------------------------------------------------------
 
 
-def _start_execution(
-    state: FormationState, assignments: list[tuple[str, str]], result: StepResult
-) -> None:
-    """Schedule completion timers (and start_work messages) for generic
-    missions. Pursuit missions complete through world dynamics instead."""
+def _start_execution(state: FormationState, robots: list[str], result: StepResult) -> None:
+    """Start each robot's assigned atomic tasks that have not started, in
+    `_ordered_exec` order: a completion timer and a start_work message each.
+    Pursuit missions complete through world dynamics instead."""
     if state.world is not None:
         return
-    for robot, t in sorted(assignments):
-        if t in state.exec_started:
-            continue
-        start = max(state.busy_until.get(robot, state.now), state.now) + 1
-        done = start + max(state.tasks[t].duration, 1) - 1
-        state.busy_until[robot] = done
-        state.exec_started[t] = done
-        result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
-        result.messages.append(
-            wire.Message(ENV, robot, wire.KIND_START_WORK, {"task": t, "done_at": done}, state.now)
-        )
+    for robot in robots:
+        for t in _ordered_exec(state, robot):
+            if t in state.exec_started:
+                continue
+            start = max(state.busy_until.get(robot, state.now), state.now) + 1
+            done = start + max(state.tasks[t].duration, 1) - 1
+            state.busy_until[robot] = done
+            state.exec_started[t] = done
+            result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
+            result.messages.append(
+                wire.Message(ENV, robot, wire.KIND_START_WORK, {"task": t, "done_at": done}, state.now)
+            )
 
 
 def _ordered_exec(state: FormationState, robot: str) -> list[str]:
@@ -1116,6 +1101,11 @@ def _ordered_exec(state: FormationState, robot: str) -> list[str]:
     return out
 
 
+def _level(state: FormationState) -> int:
+    """The depth of the org tree's deepest node; 0 for no tree."""
+    return max(org_core.index(state.org).depth.values(), default=0)
+
+
 def _check_formed(state: FormationState, result: StepResult) -> None:
     if state.phase is not Phase.FORMING:
         return
@@ -1124,12 +1114,8 @@ def _check_formed(state: FormationState, result: StepResult) -> None:
     statuses = {state.status[t] for t in state.effective_tasks()}
     if statuses and statuses <= {TaskStatus.ASSIGNED, TaskStatus.COMPLETED}:
         state.phase = Phase.EXECUTING
-        result.notes.append({"kind": "formed", "level": state.level})
-        todo: list[tuple[str, str]] = []
-        for robot in sorted(org_core.index(state.org).tasks_by_robot):
-            for t in _ordered_exec(state, robot):
-                todo.append((robot, t))
-        _start_execution(state, todo, result)
+        result.notes.append({"kind": "formed", "level": _level(state)})
+        _start_execution(state, sorted(org_core.index(state.org).tasks_by_robot), result)
 
 
 # --- completion -----------------------------------------------------------------------
@@ -1203,7 +1189,6 @@ def handle_join(
     if robot.id_cr in state.robots:
         raise DuplicateRobotIdError(robot.id_cr)
     state.robots[robot.id_cr] = robot
-    state.pool.add(robot.id_cr)
     if state.world is not None and pose is not None:
         speed = int(robot.capability(CapabilityKind.MOVING, "speed"))
         radius = int(robot.capability(CapabilityKind.SENSING, "vision"))
@@ -1233,12 +1218,10 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
     if state.organizer == robot:
         state.organizer = None
 
-    was_pooled = robot in state.pool
-    state.pool.discard(robot)
     ix = org_core.index(state.org)
     led = ix.led_by.get(robot, [])
     leaf = ix.leaf_of_robot.get(robot)
-    if was_pooled and not led and leaf is None:
+    if not led and leaf is None:
         result.notes.append({"kind": "withdrew_idle", "robot": robot, "reason": reason.value})
         return result
 
@@ -1389,9 +1372,9 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
     if state.organizer is None:
         return
     detected = {ev for (_, ev) in state.first_detection}
-    for evader in sorted(detected - state.planned_evaders):
-        if evader in world.captured:
-            continue
+    for evader in sorted(detected):
+        if evader in world.captured or f"capture:{evader}" in state.tasks:
+            continue  # an evader is planned once its capture task is registered
         plan = pursuit.plan_pursuit(
             world,
             state.organizer,
@@ -1400,7 +1383,6 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
             base_reward=params.base_reward,
             required_speed=params.required_speed,
         )
-        state.planned_evaders.add(evader)
         root = TaskNode(
             id_task=f"capture:{evader}",
             reward=params.mission_reward,
@@ -1580,7 +1562,7 @@ def state_snapshot(state: FormationState) -> dict:
     return {
         "now": state.now,
         "phase": state.phase.value,
-        "level": state.level,
+        "level": _level(state),
         "pool": sorted(state.pool),
         "dead": sorted(state.dead),
         "departed": sorted(state.departed),
@@ -1602,7 +1584,11 @@ def state_snapshot(state: FormationState) -> dict:
         "busy": dict(sorted(state.busy_until.items())),
         "exec_started": sorted(state.exec_started),
         "organizer": state.organizer,
-        "planned": sorted(state.planned_evaders),
+        "planned": sorted(
+            t.removeprefix("capture:")
+            for t in (state.tasks if state.world is not None else ())
+            if t.startswith("capture:")
+        ),
         "detections": sorted([r, e, t] for (r, e), t in state.first_detection.items()),
         "world": pursuit.world_snapshot(state.world) if state.world is not None else None,
     }

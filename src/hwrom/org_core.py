@@ -258,8 +258,7 @@ class OrgIndex:
     #: (the unit itself when it is the root)
     leaf_of_robot: dict[str, OrgNode] = field(default_factory=dict)
     team_of_robot: dict[str, str] = field(default_factory=dict)
-    leaders: set[str] = field(default_factory=set)
-    #: the team nodes each robot leads, in preorder
+    #: the team nodes each robot leads, in preorder; its keys are the leaders
     led_by: dict[str, list[OrgNode]] = field(default_factory=dict)
     #: every task `org.assignments` gives each robot
     tasks_by_robot: dict[str, set[str]] = field(default_factory=dict)
@@ -339,7 +338,6 @@ def index(org: Organization) -> OrgIndex:
             if robot is None:
                 continue
             if node.children:
-                ix.leaders.add(robot)
                 ix.led_by.setdefault(robot, []).append(node)
             elif robot not in ix.leaf_of_robot:
                 ix.leaf_of_robot[robot] = node
@@ -474,7 +472,7 @@ def communication_allowed(org: Organization, a: str, b: str) -> bool:
     team_b = ix.team_of_robot.get(b)
     if team_a is None or team_b is None or team_a == team_b:
         return True
-    return a in ix.leaders and b in ix.leaders
+    return a in ix.led_by and b in ix.led_by
 
 
 def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -555,26 +553,21 @@ def robot_dict(robot: CooperativeRobot) -> dict:
     }
 
 
-def assignment_dict(assignment: TaskAssignment) -> dict:
-    return {
-        "assignee": assignment.assignee,
-        "price": str(assignment.price),
-        "mode": assignment.mode.value,
-        "subtasks": list(assignment.subtask_ids),
-    }
-
-
-def relations_list(relations: Iterable[Relation]) -> list[list[str]]:
-    return sorted([r.a, r.b, r.kind.value] for r in relations)
-
-
 def snapshot_dict(org: Organization) -> dict:
     """Plain-data snapshot with deterministic ordering everywhere."""
     return {
         "robots": [robot_dict(r) for r in sorted(org.robots, key=lambda r: r.id_cr)],
         "root": node_dict(org.root) if org.root is not None else None,
-        "relations": relations_list(org.relations),
-        "assignments": {t: assignment_dict(a) for t, a in sorted(org.assignments.items())},
+        "relations": sorted([r.a, r.b, r.kind.value] for r in org.relations),
+        "assignments": {
+            t: {
+                "assignee": a.assignee,
+                "price": str(a.price),
+                "mode": a.mode.value,
+                "subtasks": list(a.subtask_ids),
+            }
+            for t, a in sorted(org.assignments.items())
+        },
         "known_tasks": sorted(org.known_tasks),
     }
 

@@ -238,15 +238,15 @@ def reference_renumber(state: fm.FormationState) -> None:
     if org.root is None:
         org.relations = set()
         org.robots = []
-        state.level = 0
         return
 
-    def visit(node: OrgNode, depth: int, pos: int) -> int:
+    def visit(node: OrgNode, depth: int, pos: int) -> None:
         node.level_i = depth
         node.pos_j = pos
-        return max((visit(c, depth + 1, i) for i, c in enumerate(node.children)), default=depth)
+        for i, c in enumerate(node.children):
+            visit(c, depth + 1, i)
 
-    state.level = visit(org.root, 0, 0)
+    visit(org.root, 0, 0)
     relations: set[Relation] = set()
     bound: set[str] = set()
     for node in org.root.walk():
@@ -312,7 +312,7 @@ def test_one_walk_renumber_matches_whole_rules_and_the_per_team_scan():
         assert org_core.node_dict(state.org.root) == org_core.node_dict(want.org.root)
         assert state.org.relations == want.org.relations
         assert state.org.robots == want.org.robots
-        assert state.level == want.level
+        assert fm._level(state) == max(depth for _, _, depth, _ in org_core.iter_nodes(want.org))
         for team in state.org.root.walk():
             if team.children:
                 assert team.rules == whole_rules(team)

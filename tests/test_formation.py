@@ -468,3 +468,19 @@ class TestAdjustmentPaths:
         assert (state.phase, state.now) == (Phase.DONE, 32)
         assert state.org.assignments["a"].assignee == state.org.assignments["b"].assignee == "R1"
         assert state.org.assignments["b"].mode is org_core.AssignmentMode.ALLOCATED
+
+
+def test_priority_orders_a_robots_execution():
+    # R1 holds both leaves; Priority puts t2 before t1, against id order
+    leaf = {"reward": 10, "requires": [["Action", "weld", 1]], "duration": 5}
+    scenario = config.from_dict({
+        "robots": [{"id": "R1", "capabilities": [
+            ["Organization", "plan", 1], ["Communication", "radio", 1], ["Action", "weld", 1]]}],
+        "task": {"id": "T", "reward": 60, "subtasks": [dict(leaf, id="t1"), dict(leaf, id="t2")]},
+        "constraints": [{"a": "t2", "b": "t1", "kind": "Priority"}],
+    })
+    records: list[dict] = []
+    state, _ = eventlog.simulate(scenario, records.append)
+    assert state.phase is Phase.DONE
+    done = [(tick, note["task"]) for tick, note in notes(records, "completed")]
+    assert done[:2] == [(35, "t2"), (40, "t1")]

@@ -46,7 +46,6 @@ def reference_index(org: org_core.Organization) -> dict:
             r: (parent if parent is not None else node).id_ros
             for r, (node, parent, _, _) in leaves.items()
         },
-        "leaders": {n.id_robot for n, _, _, _ in walk if n.children and n.id_robot is not None},
         "led_by": {r: [id(n) for n in nodes] for r, nodes in led.items() if nodes},
         "tasks_by_robot": {
             r: {t for t, a in org.assignments.items() if a.assignee == r} for r in assignees
@@ -61,7 +60,6 @@ def as_reference(ix: org_core.OrgIndex) -> dict:
         "depth": dict(ix.depth),
         "leaf_of_robot": {r: id(node) for r, node in ix.leaf_of_robot.items()},
         "team_of_robot": dict(ix.team_of_robot),
-        "leaders": set(ix.leaders),
         "led_by": {r: [id(n) for n in nodes] for r, nodes in ix.led_by.items()},
         "tasks_by_robot": {r: set(ts) for r, ts in ix.tasks_by_robot.items()},
     }
