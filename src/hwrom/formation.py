@@ -231,7 +231,6 @@ class FormationState:
     alternatives_used: dict[str, int] = field(default_factory=dict)
     phase: Phase = Phase.FORMING
     now: int = 0
-    busy_until: dict[str, int] = field(default_factory=dict)
     exec_started: dict[str, int] = field(default_factory=dict)  # atomic task -> due tick
     # the pricing context of tick `pricing.now`, derived and rebuilt by `_context`
     pricing: ScenarioContext | None = field(default=None, init=False, repr=False, compare=False)
@@ -1067,14 +1066,20 @@ def _start_execution(state: FormationState, robots: list[str], result: StepResul
         for t in _ordered_exec(state, robot):
             if t in state.exec_started:
                 continue
-            start = max(state.busy_until.get(robot, state.now), state.now) + 1
+            start = max(_busy_until(state, robot), state.now) + 1
             done = start + max(state.tasks[t].duration, 1) - 1
-            state.busy_until[robot] = done
             state.exec_started[t] = done
             result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
             result.messages.append(
                 wire.Message(ENV, robot, wire.KIND_START_WORK, {"task": t, "done_at": done}, state.now)
             )
+
+
+def _busy_until(state: FormationState, robot: str) -> int:
+    """The latest due tick among the started tasks the robot still holds, 0
+    when it holds none: a revoked award no longer keeps the robot busy."""
+    held = org_core.index(state.org).tasks_by_robot.get(robot, ())
+    return max((state.exec_started.get(t, 0) for t in held), default=0)
 
 
 def _ordered_exec(state: FormationState, robot: str) -> list[str]:
@@ -1581,7 +1586,11 @@ def state_snapshot(state: FormationState) -> dict:
             for t in sorted(state.tasks)
         },
         "org": org_core.snapshot_dict(state.org),
-        "busy": dict(sorted(state.busy_until.items())),
+        "busy": {
+            r: busy
+            for r in sorted(org_core.index(state.org).tasks_by_robot)
+            if (busy := _busy_until(state, r))
+        },
         "exec_started": sorted(state.exec_started),
         "organizer": state.organizer,
         "planned": sorted(

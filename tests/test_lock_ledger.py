@@ -127,7 +127,8 @@ def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
     """R2 leads c1 and R3 holds c1.1 when R2 fails; nobody left in c1 can
     lead, so the team dissolves and revokes c1.1. The revocation releases
     R3's lock, so R3 wins c1.1 again under R1. The timer of the first award
-    (tick 35) is ignored: c1.1 takes its full 20 ticks from the second."""
+    (tick 35) is ignored: c1.1 takes its full 20 ticks from the second, which
+    the revoked first award no longer delays."""
     organizer = [["Organization", "plan", 1], ["Communication", "radio", 1]]
     config = {
         "max_ticks": 120,
@@ -162,7 +163,7 @@ def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
     assert awards == [("T", "R1"), ("c1", "R2"), ("c1.1", "R3"), ("c1", "R1"), ("c1.1", "R3")]
     assert [c for c in completions if c[1] == "c1.1"] == [
         ("completion_ignored", "c1.1", 35),
-        ("completed", "c1.1", 55),
+        ("completed", "c1.1", 52),
     ]
     assert checked_calls
 
