@@ -122,9 +122,10 @@ def config_hash(data: dict) -> str:
 class ScenarioConfig:
     """A validated scenario. build_state() yields a fresh simulation each call.
 
-    `robots`, the `task` tree and the `script` events (joins with their
-    robots) are built once and every simulation shares them: a run keeps its
-    own state, task statuses included, in its `FormationState`."""
+    `robots`, the `task` tree, the `script` events (joins with their robots)
+    and the pursuit start `world` are built once. Every simulation shares the
+    first three and copies the world: a run keeps its own state, task
+    statuses included, in its `FormationState`."""
 
     raw: dict
     seed: int
@@ -134,35 +135,20 @@ class ScenarioConfig:
     robots: list[CooperativeRobot]
     task: TaskNode | None = None
     script: list[fm.FormationEvent] = field(default_factory=list)
-
-    @property
-    def is_pursuit(self) -> bool:
-        return "pursuit" in self.raw
+    world: pursuit.WorldState | None = None
 
     def hash(self) -> str:
         return config_hash(self.raw)
 
     def build_world(self) -> pursuit.WorldState | None:
-        if not self.is_pursuit:
+        start = self.world
+        if start is None:
             return None
-        block = self.raw["pursuit"]
-        w, h = block["grid"]
-        world = pursuit.WorldState(w, h)
-        robot_caps = {r.id_cr: r for r in self.robots}
-        for entry in block["robots"]:
-            rid = str(entry["id"])
-            robot = robot_caps[rid]
-            world.robots[rid] = pursuit.RobotPose(
-                tuple(entry["pos"]),
-                int(robot.capability(CapabilityKind.MOVING, "speed")),
-                int(robot.capability(CapabilityKind.SENSING, "vision")),
-            )
-        for i, entry in enumerate(block["evaders"]):
-            world.evaders[entry["id"]] = pursuit.EvaderState(
-                tuple(entry["pos"]),
-                _int(entry.get("speed", 1), f"pursuit.evaders[{i}].speed"),
-                entry.get("policy", "flee"),
-            )
+        world = pursuit.WorldState(start.width, start.height)
+        for rid, p in start.robots.items():
+            world.robots[rid] = pursuit.RobotPose(p.pos, p.speed, p.radius)
+        for eid, e in start.evaders.items():
+            world.evaders[eid] = pursuit.EvaderState(e.pos, e.speed)
         return world
 
     def build_state(self) -> fm.FormationState:
@@ -369,24 +355,44 @@ def from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(f"robot_rules.{rid}", f"unknown robot {rid!r}")
 
     pursuit_params: fm.PursuitParams | None = None
+    world: pursuit.WorldState | None = None
     if "pursuit" in data:
         block = _as_dict(data["pursuit"], "pursuit")
         grid = _as_list(_require(block, "grid", "pursuit"), "pursuit.grid")
         if len(grid) != 2 or any(not isinstance(g, int) or g < 2 for g in grid):
             raise ConfigError("pursuit.grid", "grid must be [width, height] with sides >= 2")
         w, h = grid
+        world = pursuit.WorldState(w, h)
+        # the engine names its own tasks after the evaders
+        for tid in sorted(task_ids):
+            if tid.startswith(("capture:", "sg:")):
+                raise ConfigError("task", f"task id {tid!r} is reserved for pursuit goals")
+        robot_by_id = {r.id_cr: r for r in built_robots}
         for i, entry in enumerate(_as_list(_require(block, "robots", "pursuit"), "pursuit.robots")):
             where = f"pursuit.robots[{i}]"
             entry = _as_dict(entry, where)
             rid = str(_require(entry, "id", where))
             if rid not in robot_ids:
                 raise ConfigError(where, f"unknown robot {rid!r}")
-            _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
+            cell = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
+            world.robots[rid] = fm.robot_pose(robot_by_id[rid], cell)
+        string_ids: set[bool] = set()
         for i, entry in enumerate(_as_list(_require(block, "evaders", "pursuit"), "pursuit.evaders")):
             where = f"pursuit.evaders[{i}]"
             entry = _as_dict(entry, where)
-            _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
-            _int(entry.get("speed", 1), f"{where}.speed")
+            raw_id = _require(entry, "id", where)
+            string_ids.add(isinstance(raw_id, str))
+            if len(string_ids) > 1:
+                raise ConfigError(f"{where}.id", "evader ids mix strings and numbers")
+            eid = str(raw_id)
+            if eid in world.evaders:
+                raise ConfigError(f"{where}.id", f"duplicate evader id {eid!r}")
+            if entry.get("policy", "flee") != "flee":
+                raise ConfigError(f"{where}.policy", f"unknown evader policy {entry['policy']!r}")
+            world.evaders[eid] = pursuit.EvaderState(
+                _cell(_require(entry, "pos", where), f"{where}.pos", w, h),
+                _int(entry.get("speed", 1), f"{where}.speed"),
+            )
         pursuit_params = fm.PursuitParams(
             k=_int(block.get("k", 4), "pursuit.k"),
             base_reward=_money(block.get("base_reward", 5), "pursuit.base_reward"),
@@ -466,6 +472,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         robots=built_robots,
         task=root,
         script=[event for _, event in sorted(script, key=lambda keyed: keyed[0])],
+        world=world,
     )
 
 

@@ -248,11 +248,8 @@ class FormationState:
     def pool(self) -> set[str]:
         """The live robots the org tree binds nowhere."""
         ix = org_core.index(self.org)
-        return {
-            r
-            for r in self.robots
-            if self.alive(r) and r not in ix.leaf_of_robot and r not in ix.led_by
-        }
+        bound = ix.leaf_of_robot.keys() | ix.led_by.keys()
+        return {r for r in self.robots if self.alive(r) and r not in bound}
 
     def effective_tasks(self) -> Iterator[str]:
         stack = list(self.root_tasks)
@@ -1187,6 +1184,15 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
 # --- membership dynamics -----------------------------------------------------------------
 
 
+def robot_pose(robot: CooperativeRobot, cell: pursuit.Cell) -> pursuit.RobotPose:
+    """A pursuer at cell, with the speed and vision range of its capabilities."""
+    return pursuit.RobotPose(
+        cell,
+        int(robot.capability(CapabilityKind.MOVING, "speed")),
+        int(robot.capability(CapabilityKind.SENSING, "vision")),
+    )
+
+
 def handle_join(
     state: FormationState, robot: CooperativeRobot, *, pose: tuple[int, int] | None = None
 ) -> StepResult:
@@ -1195,9 +1201,7 @@ def handle_join(
         raise DuplicateRobotIdError(robot.id_cr)
     state.robots[robot.id_cr] = robot
     if state.world is not None and pose is not None:
-        speed = int(robot.capability(CapabilityKind.MOVING, "speed"))
-        radius = int(robot.capability(CapabilityKind.SENSING, "vision"))
-        state.world.robots[robot.id_cr] = pursuit.RobotPose(pose, speed, radius)
+        state.world.robots[robot.id_cr] = robot_pose(robot, pose)
     result.notes.append({"kind": "joined", "robot": robot.id_cr})
     for t in sorted(state.active_auctions):
         auction = state.active_auctions[t]
@@ -1587,16 +1591,12 @@ def state_snapshot(state: FormationState) -> dict:
         },
         "org": org_core.snapshot_dict(state.org),
         "busy": {
-            r: busy
-            for r in sorted(org_core.index(state.org).tasks_by_robot)
-            if (busy := _busy_until(state, r))
+            r: b for r in sorted(org_core.index(state.org).tasks_by_robot) if (b := _busy_until(state, r))
         },
         "exec_started": sorted(state.exec_started),
         "organizer": state.organizer,
         "planned": sorted(
-            t.removeprefix("capture:")
-            for t in (state.tasks if state.world is not None else ())
-            if t.startswith("capture:")
+            t.removeprefix("capture:") for t in state.tasks if state.world and t.startswith("capture:")
         ),
         "detections": sorted([r, e, t] for (r, e), t in state.first_detection.items()),
         "world": pursuit.world_snapshot(state.world) if state.world is not None else None,

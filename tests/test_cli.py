@@ -252,6 +252,31 @@ class TestRunCommand:
         assert f"config error: {where}: " in result.output
 
     @pytest.mark.parametrize(
+        "evaders, where, problem",
+        [([{"pos": [5, 5]}], "pursuit.evaders[0]", "missing required field 'id'"),
+         ([{"id": 1, "pos": [5, 5]}, {"id": "e2", "pos": [2, 2]}], "pursuit.evaders[1].id",
+          "evader ids mix strings and numbers"),
+         ([{"id": "e1", "pos": [5, 5]}, {"id": "e1", "pos": [2, 2]}], "pursuit.evaders[1].id",
+          "duplicate evader id 'e1'"),
+         ([{"id": "e1", "pos": [5, 5], "policy": "stay"}], "pursuit.evaders[0].policy",
+          "unknown evader policy 'stay'")],
+    )
+    def test_bad_evader_exits_two(self, runner, tmp_path, evaders, where, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(canonical_with("pursuit.evaders", evaders)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: {problem}" in result.output
+
+    @pytest.mark.parametrize("task_id", ["capture:e1", "sg:e1:0"])
+    def test_pursuit_goal_task_id_exits_two(self, runner, tmp_path, task_id):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(canonical_with("task", {"id": task_id, "reward": 5})))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: task: task id '{task_id}' is reserved" in result.output
+
+    @pytest.mark.parametrize(
         "where",
         ["task.reward", "task.subtasks[1].reward", "task.subtasks[0].alternatives[0][0].reward",
          "auction.margin", "auction.default_cost", "costs.R2.t1"],
