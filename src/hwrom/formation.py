@@ -428,8 +428,8 @@ def _renumber_subtree(
 ) -> tuple[frozenset[Rule], set[str]]:
     """`_renumber` of one subtree, in one post-order walk: number it, collect
     its relations and bound robots, and return its rule intersection and its
-    goals. A team's rules and goals come from its
-    children's, as `rules_engine.whole_rules` and a subtree scan give them."""
+    goals. A team's rules and goals come from its children's, as
+    `rules_engine.whole_rules` and a subtree scan give them."""
     node.level_i = depth
     node.pos_j = pos
     if node.id_robot is not None:
