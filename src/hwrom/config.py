@@ -391,12 +391,12 @@ def from_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError(f"{where}.policy", f"unknown evader policy {entry['policy']!r}")
             world.evaders[eid] = pursuit.EvaderState(
                 _cell(_require(entry, "pos", where), f"{where}.pos", w, h),
-                _int(entry.get("speed", 1), f"{where}.speed"),
+                _int(entry.get("speed", 1), f"{where}.speed", 0),
             )
         pursuit_params = fm.PursuitParams(
-            k=_int(block.get("k", 4), "pursuit.k"),
+            k=_int(block.get("k", 4), "pursuit.k", 1),
             base_reward=_money(block.get("base_reward", 5), "pursuit.base_reward"),
-            capture_quorum=_int(block.get("capture_quorum", 2), "pursuit.capture_quorum"),
+            capture_quorum=_int(block.get("capture_quorum", 2), "pursuit.capture_quorum", 1),
             mission_reward=_money(block.get("mission_reward", 20), "pursuit.mission_reward"),
             required_speed=
             _frac(block["required_speed"], "pursuit.required_speed")

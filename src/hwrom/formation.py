@@ -1341,6 +1341,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
     params = state.params.pursuit or PursuitParams()
 
     targets: dict[str, tuple[int, int]] = {}
+    centers: dict[str, tuple[int, int]] = {}
     for t, (evader, sg) in sorted(state.flank.items()):
         # a captured evader's goals are done or superseded
         if evader in world.captured:
@@ -1350,8 +1351,11 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
             continue
         if not state.alive(assignment.assignee):
             continue
-        center = pursuit.predicted_position(world, evader)
-        targets[assignment.assignee] = world.clamp((center[0] + sg.offset[0], center[1] + sg.offset[1]))
+        center = centers.get(evader)
+        if center is None:
+            center = centers[evader] = pursuit.predicted_position(world, evader)
+        # tick_world clamps the target
+        targets[assignment.assignee] = (center[0] + sg.offset[0], center[1] + sg.offset[1])
 
     before = set(world.captured)
     pursuit.tick_world(world, targets, capture_quorum=params.capture_quorum)
@@ -1359,8 +1363,16 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         result.notes.append({"kind": "captured", "evader": evader, "tick": world.tick})
         _finish_evader_tree(state, evader, result)
 
+    # sensing is pure and the first tick is kept, so a robot that has already
+    # seen every uncaptured evader has nothing left to record
+    open_evaders = [ev for ev in sorted(world.evaders) if ev not in world.captured]
     for rid in sorted(world.robots):
         if not state.alive(rid):
+            continue
+        for ev in open_evaders:
+            if (rid, ev) not in state.first_detection:
+                break
+        else:
             continue
         for ev_id, _, tick in pursuit.sense(world, rid):
             state.first_detection.setdefault((rid, ev_id), tick)

@@ -164,30 +164,33 @@ def robot_cost(world: WorldState, robot: str, cell: Cell) -> Fraction:
     return Fraction(chebyshev(pose.pos, cell), pose.speed)
 
 
-def _step_toward(pos: Cell, target: Cell) -> Cell:
-    dx = (target[0] > pos[0]) - (target[0] < pos[0])
-    dy = (target[1] > pos[1]) - (target[1] < pos[1])
-    return (pos[0] + dx, pos[1] + dy)
-
-
-def _flee_step(world: WorldState, pos: Cell) -> Cell:
+def _flee_step(world: WorldState, pos: Cell, hunters: list[Cell]) -> Cell:
     """One evader step: the in-bounds neighbor (staying put included) that
-    maximizes the minimum distance to any live robot; ties break to the
-    lowest coordinate."""
-    hunters = [p.pos for p in world.robots.values() if p.alive]
-    candidates = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            cell = (pos[0] + dx, pos[1] + dy)
-            if world.in_bounds(cell):
-                candidates.append(cell)
+    maximizes the minimum distance to the hunters' cells. Cells are scanned in
+    (x, y) order and the first best one wins, so ties go to the lowest
+    coordinate."""
+    x0, y0 = pos
+    xs = range(max(x0 - 1, 0), min(x0 + 2, world.width))
+    ys = range(max(y0 - 1, 0), min(y0 + 2, world.height))
     if not hunters:
-        return min(candidates)
-
-    def score(cell: Cell) -> int:
-        return min(chebyshev(cell, h) for h in hunters)
-
-    return min(candidates, key=lambda c: (-score(c), c))
+        return (xs[0], ys[0])
+    # every cell is in bounds, so no distance reaches width + height
+    far = world.width + world.height
+    best, best_score = pos, -1
+    for x in xs:
+        for y in ys:
+            score = far
+            for hx, hy in hunters:
+                dx = hx - x if hx > x else x - hx
+                dy = hy - y if hy > y else y - hy
+                d = dx if dx > dy else dy
+                if d <= best_score:
+                    break  # this cell cannot beat the best one
+                if d < score:
+                    score = d
+            else:
+                best, best_score = (x, y), score
+    return best
 
 
 def tick_world(
@@ -200,30 +203,38 @@ def tick_world(
     captures are resolved. Mutates and returns the world."""
     for rid in sorted(assignments):
         pose = world.robots.get(rid)
-        if pose is None or not pose.alive:
+        if pose is None or not pose.alive or pose.speed <= 0:
             continue
-        target = world.clamp(assignments[rid])
-        for _ in range(pose.speed):
-            if pose.pos == target:
-                break
-            pose.pos = world.clamp(_step_toward(pose.pos, target))
+        tx, ty = world.clamp(assignments[rid])
+        x, y = pose.pos
+        s = pose.speed
+        # each step closes each coordinate by one until it is reached, and a
+        # step toward an in-bounds target never leaves the grid
+        pose.pos = (x + max(-s, min(tx - x, s)), y + max(-s, min(ty - y, s)))
 
-    for ev_id in sorted(world.evaders):
+    # the hunters stand still while the evaders move
+    hunters = [p.pos for p in world.robots.values() if p.alive]
+    order = sorted(world.evaders)
+    for ev_id in order:
         if ev_id in world.captured:
             continue
         ev = world.evaders[ev_id]
         for _ in range(ev.speed):
-            nxt = _flee_step(world, ev.pos)
+            nxt = _flee_step(world, ev.pos, hunters)
             ev.intention = (nxt[0] - ev.pos[0], nxt[1] - ev.pos[1])
+            if nxt == ev.pos:
+                break  # with the hunters fixed, every later step stays too
             ev.pos = nxt
 
-    for ev_id in sorted(world.evaders):
+    for ev_id in order:
         if ev_id in world.captured:
             continue
         ev = world.evaders[ev_id]
-        near = sum(
-            1 for p in world.robots.values() if p.alive and chebyshev(p.pos, ev.pos) <= 1
-        )
+        ex, ey = ev.pos
+        near = 0
+        for hx, hy in hunters:
+            if -1 <= hx - ex <= 1 and -1 <= hy - ey <= 1:
+                near += 1
         if near >= capture_quorum:
             world.captured.add(ev_id)
             ev.intention = (0, 0)

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from hwrom import metrics as metrics_mod
+from hwrom import pursuit
 from hwrom.cli import main
 from hwrom.org_core import canonical_json
 
@@ -226,7 +227,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "where, value",
         [("seed", None), ("net.latency", None), ("net.latency", -1), ("pursuit.k", "x"),
-         ("pursuit.capture_quorum", "x"), ("pursuit.evaders[0].speed", "x")],
+         ("pursuit.capture_quorum", "x"), ("pursuit.evaders[0].speed", "x"), ("pursuit.k", 0),
+         ("pursuit.capture_quorum", 0), ("pursuit.evaders[0].speed", -3)],
     )
     def test_bad_integer_field_exits_two(self, runner, tmp_path, where, value):
         bad = tmp_path / "bad.json"
@@ -404,6 +406,24 @@ class TestReplayCommand:
 
     def test_pursuit_log_replays_clean(self, runner, pursuit_config, tmp_path):
         log = self._run(runner, pursuit_config, tmp_path)
+        assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
+
+    def test_fast_evader_run_ends_and_replays_clean(self, runner, tmp_path, monkeypatch):
+        flee_step, calls = pursuit._flee_step, [0]
+
+        def capped(*args):
+            calls[0] += 1
+            assert calls[0] <= 10_000, "the evader kept stepping after it stayed"
+            return flee_step(*args)
+
+        monkeypatch.setattr(pursuit, "_flee_step", capped)
+        config, log = tmp_path / "fast.json", tmp_path / "fast.jsonl"
+        config.write_text(json.dumps(canonical_with("pursuit.evaders[0].speed", 10**6)))
+        result = runner.invoke(main, ["run", str(config), "--log", str(log)])
+        # no robot is as fast as the evader, so its goals find no bidder
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert json.loads(result.output)["phase"] == "Failed"
+        assert result.exit_code == 1
         assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
     def _records(self, log: Path) -> list[dict]:

@@ -1,7 +1,9 @@
 """Each per-run fast path against the code it replaced: the robot's magnitude
 table against the capability scan, the integer drop decision against the
-rational draw, the Parallel-norm gate against `check_assignment`, and the
-one-walk `_renumber` against `whole_rules` and a per-team subtree scan."""
+rational draw, the Parallel-norm gate against `check_assignment`, the
+one-walk `_renumber` against `whole_rules` and a per-team subtree scan, and
+the integer pursuit tick and its skipped sensing against the per-pair tick
+and sensing every live robot every tick."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import pytest
 from hwrom import config as cfg
 from hwrom import eventlog
 from hwrom import formation as fm
-from hwrom import org_core
+from hwrom import org_core, pursuit
 from hwrom.org_core import (
     Capability,
     CapabilityKind,
@@ -26,6 +28,7 @@ from hwrom.org_core import (
     Relation,
     RelationKind,
 )
+from hwrom.pursuit import EvaderState, RobotPose, WorldState, chebyshev
 from hwrom.rules_engine import (
     STANDARD_RULES,
     ConstraintKind,
@@ -320,3 +323,208 @@ def test_one_walk_renumber_matches_whole_rules_and_the_per_team_scan():
                 assert team.constraints == [
                     c for c in state.params.constraints if c.a in goals and c.b in goals
                 ]
+
+
+# --- the pursuit tick ----------------------------------------------------------------------
+
+
+def reference_step_toward(pos: pursuit.Cell, target: pursuit.Cell) -> pursuit.Cell:
+    dx = (target[0] > pos[0]) - (target[0] < pos[0])
+    dy = (target[1] > pos[1]) - (target[1] < pos[1])
+    return (pos[0] + dx, pos[1] + dy)
+
+
+def reference_flee_step(world: WorldState, pos: pursuit.Cell) -> pursuit.Cell:
+    """`_flee_step` before the integer rewrite: a `chebyshev` call per
+    (cell, hunter) pair and a keyed `min` over the candidates."""
+    hunters = [p.pos for p in world.robots.values() if p.alive]
+    candidates = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            cell = (pos[0] + dx, pos[1] + dy)
+            if world.in_bounds(cell):
+                candidates.append(cell)
+    if not hunters:
+        return min(candidates)
+
+    def score(cell: pursuit.Cell) -> int:
+        return min(chebyshev(cell, h) for h in hunters)
+
+    return min(candidates, key=lambda c: (-score(c), c))
+
+
+def reference_tick_world(
+    world: WorldState, assignments: dict[str, pursuit.Cell], *, capture_quorum: int = 2
+) -> WorldState:
+    """`tick_world` before the integer rewrite: a clamp per move step, every
+    flee step taken, and a `chebyshev` call per capture pair."""
+    for rid in sorted(assignments):
+        pose = world.robots.get(rid)
+        if pose is None or not pose.alive:
+            continue
+        target = world.clamp(assignments[rid])
+        for _ in range(pose.speed):
+            if pose.pos == target:
+                break
+            pose.pos = world.clamp(reference_step_toward(pose.pos, target))
+
+    for ev_id in sorted(world.evaders):
+        if ev_id in world.captured:
+            continue
+        ev = world.evaders[ev_id]
+        for _ in range(ev.speed):
+            nxt = reference_flee_step(world, ev.pos)
+            ev.intention = (nxt[0] - ev.pos[0], nxt[1] - ev.pos[1])
+            ev.pos = nxt
+
+    for ev_id in sorted(world.evaders):
+        if ev_id in world.captured:
+            continue
+        ev = world.evaders[ev_id]
+        near = sum(
+            1 for p in world.robots.values() if p.alive and chebyshev(p.pos, ev.pos) <= 1
+        )
+        if near >= capture_quorum:
+            world.captured.add(ev_id)
+            ev.intention = (0, 0)
+
+    world.tick += 1
+    return world
+
+
+def random_world(rng: random.Random) -> WorldState:
+    """Sides 2-12, 0-8 robots (some dead) and 1-3 evaders, speeds 0-3."""
+    world = WorldState(rng.randint(2, 12), rng.randint(2, 12))
+
+    def cell() -> pursuit.Cell:
+        return (rng.randrange(world.width), rng.randrange(world.height))
+
+    for i in range(rng.randint(0, 8)):
+        world.robots[f"R{i}"] = RobotPose(cell(), rng.randint(0, 3), 1, alive=rng.random() > 0.2)
+    for i in range(rng.randint(1, 3)):
+        world.evaders[f"e{i}"] = EvaderState(cell(), rng.randint(0, 3))
+    return world
+
+
+def random_assignments(rng: random.Random, world: WorldState) -> dict[str, pursuit.Cell]:
+    """Targets for a random subset of the robots and sometimes an unknown one,
+    a few of them off the grid."""
+    ids = [rid for rid in world.robots if rng.random() < 0.7] + (["X"] if rng.random() < 0.1 else [])
+    return {
+        rid: (rng.randint(-3, world.width + 2), rng.randint(-3, world.height + 2)) for rid in ids
+    }
+
+
+def flee_scores(world: WorldState, pos: pursuit.Cell, hunters: list[pursuit.Cell]) -> list[int]:
+    return [
+        min(chebyshev((pos[0] + dx, pos[1] + dy), h) for h in hunters)
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        if world.in_bounds((pos[0] + dx, pos[1] + dy))
+    ]
+
+
+def test_integer_pursuit_tick_matches_the_per_pair_tick(monkeypatch):
+    flee_step = pursuit._flee_step
+    steps = [0]
+
+    def counted_flee_step(world, pos, hunters):
+        steps[0] += 1
+        return flee_step(world, pos, hunters)
+
+    monkeypatch.setattr(pursuit, "_flee_step", counted_flee_step)
+    rng = random.Random(11)
+    seen = {"no_hunters": 0, "dead_hunter": 0, "tie": 0, "early_stay": 0, "off_grid": 0, "capture": 0}
+    for _ in range(400):
+        fast = random_world(rng)
+        slow = copy.deepcopy(fast)
+        quorum = rng.randint(1, 3)
+        seen["dead_hunter"] += any(not p.alive for p in fast.robots.values())
+        for _ in range(rng.randint(1, 6)):
+            hunters = [p.pos for p in fast.robots.values() if p.alive]
+            seen["no_hunters"] += not hunters
+            for pos in [ev.pos for ev in fast.evaders.values()] + [(0, 0), (fast.width - 1, 1)]:
+                assert pursuit._flee_step(fast, pos, hunters) == reference_flee_step(slow, pos)
+                if hunters:
+                    scores = flee_scores(fast, pos, hunters)
+                    seen["tie"] += scores.count(max(scores)) > 1
+            assignments = random_assignments(rng, fast)
+            seen["off_grid"] += any(not fast.in_bounds(c) for c in assignments.values())
+            speeds = sum(ev.speed for e, ev in fast.evaders.items() if e not in fast.captured)
+            steps[0] = 0
+            pursuit.tick_world(fast, assignments, capture_quorum=quorum)
+            reference_tick_world(slow, assignments, capture_quorum=quorum)
+            assert pursuit.world_snapshot(fast) == pursuit.world_snapshot(slow)
+            seen["capture"] += bool(fast.captured)
+            # some evader stayed before its last step, and its later steps
+            # were skipped
+            seen["early_stay"] += steps[0] < speeds
+    assert all(seen.values()), seen
+
+
+def random_pursuit_config(seed: int) -> dict:
+    """A small pursuit with short sensing radii, so robots detect evaders at
+    different ticks, and up to two robots failing mid-run."""
+    rng = random.Random(seed)
+    w, h = rng.randint(5, 12), rng.randint(5, 12)
+    n = rng.randint(3, 6)
+    cells = rng.sample([[x, y] for x in range(w) for y in range(h)], n + 3)
+    robots = [
+        {"id": f"R{i}", "capabilities": [
+            ["Organization", "plan", 1], ["Communication", "radio", 1],
+            ["Moving", "speed", rng.randint(1, 2)], ["Sensing", "vision", rng.randint(1, 6)]]}
+        for i in range(1, n + 1)
+    ]
+    return {
+        "seed": seed,
+        "max_ticks": 80,
+        "robots": robots,
+        "pursuit": {
+            "grid": [w, h],
+            "robots": [{"id": r["id"], "pos": cells[i]} for i, r in enumerate(robots)],
+            "evaders": [
+                {"id": f"e{i}", "pos": cells[n + i], "speed": rng.randint(0, 2)}
+                for i in range(rng.randint(1, 3))
+            ],
+            "k": rng.randint(2, 4),
+            "capture_quorum": rng.randint(1, 2),
+        },
+        "events": [
+            {"at": rng.randint(2, 30), "type": "fail", "robot": r["id"]}
+            for r in rng.sample(robots, rng.randint(0, 2))
+        ],
+    }
+
+
+def test_skipped_sensing_matches_sensing_every_live_robot_every_tick(monkeypatch):
+    fast_tick, real_sense = fm._pursuit_tick, pursuit.sense
+    want: dict[tuple[str, str], int] = {}
+    calls = {"fast": 0, "every": 0}
+    counter = ["fast"]
+
+    def counted_sense(world, robot):
+        calls[counter[0]] += 1
+        return real_sense(world, robot)
+
+    def both(state, result):
+        counter[0] = "fast"
+        fast_tick(state, result)
+        counter[0] = "every"
+        for rid in sorted(state.world.robots):
+            if state.alive(rid):
+                for ev_id, _, tick in pursuit.sense(state.world, rid):
+                    want.setdefault((rid, ev_id), tick)
+
+    monkeypatch.setattr(pursuit, "sense", counted_sense)
+    monkeypatch.setattr(fm, "_pursuit_tick", both)
+    late = captured = 0
+    for seed in range(150):
+        want.clear()
+        state, _ = eventlog.simulate(cfg.from_dict(random_pursuit_config(seed)), None)
+        assert list(state.first_detection.items()) == list(want.items()), seed
+        late += any(tick > 1 for tick in want.values())
+        captured += bool(state.world.captured)
+    # detections come at different ticks, evaders get caught, and some
+    # sensing is skipped
+    assert late and captured
+    assert calls["fast"] < calls["every"], calls

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hwrom import pursuit
 from hwrom.pursuit import (
     EvaderState,
     EvaderUnknownError,
@@ -206,3 +207,22 @@ class TestTickWorld:
         wd.evaders["e1"] = EvaderState((5, 5), 1)
         tick_world(wd, {})
         assert chebyshev(wd.evaders["e1"].pos, wd.robots["R1"].pos) >= 2
+
+    def test_fast_evader_stops_stepping_once_it_stays(self, monkeypatch):
+        flee_step, calls = pursuit._flee_step, [0]
+
+        def capped(*args):
+            calls[0] += 1
+            assert calls[0] <= 100, "the evader kept stepping after it stayed"
+            return flee_step(*args)
+
+        monkeypatch.setattr(pursuit, "_flee_step", capped)
+        wd = world()
+        wd.robots["R1"] = RobotPose((0, 0), 1, 5)
+        wd.evaders["e1"] = EvaderState((5, 5), 10**6)
+        tick_world(wd, {})
+        # four steps away to the far edge, one along it to the first cell of
+        # best score in (x, y) order, then one stay
+        assert wd.evaders["e1"].pos == (0, 9)
+        assert wd.evaders["e1"].intention == (0, 0)
+        assert calls[0] == 6
