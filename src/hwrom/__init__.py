@@ -37,7 +37,6 @@ from .rules_engine import (
     Rule,
     RuleSet,
     check_assignment,
-    whole_rules,
     winner_locked,
 )
 from .simnet import NetConfig, Scheduler, route

@@ -407,13 +407,14 @@ def from_dict(data: dict) -> ScenarioConfig:
     max_ticks = _int(data.get("max_ticks", 500), "max_ticks", 0)
     seed = _int(data.get("seed", 0), "seed")
     net_block = _as_dict(data.get("net", {}), "net")
+    drop_rate = _frac(net_block.get("drop_rate", 0), "net.drop_rate")
+    if not 0 <= drop_rate <= 1:
+        raise ConfigError("net.drop_rate", "must be within [0, 1]")
     net = simnet.NetConfig(
         latency=_int(net_block.get("latency", 1), "net.latency", 0),
-        drop_rate=_frac(net_block.get("drop_rate", 0), "net.drop_rate"),
+        drop_rate=drop_rate,
         seed=seed,
     )
-    if not 0 <= net.drop_rate <= 1:
-        raise ConfigError("net.drop_rate", "must be within [0, 1]")
 
     # (order key, event): events run by tick, type, then robot id, so their
     # order does not depend on the key order of the entries

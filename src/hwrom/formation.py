@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Iterator
+from typing import Collection, Iterator
 
 from . import org_core, pursuit, wire
 from .market import (
@@ -167,9 +167,9 @@ class PursuitParams:
 class EngineParams:
     """Engine knobs: auction economics, norms, constraints, scenario costs.
 
-    `parallel_norm` is derived once, at construction: whether the Parallel
-    norm can ever refuse an assignment, that is, whether some constraint is
-    `Parallel` and the rules pool holds `no_parallel_coassignment`."""
+    `parallel_pairs` is derived once, at construction: the Parallel pairs
+    {a, b} (a != b) the Parallel norm binds, empty unless the rules pool holds
+    `no_parallel_coassignment`."""
 
     margin: Fraction = Fraction(1, 10)
     policy: AdjustPolicy = AdjustPolicy()
@@ -180,14 +180,18 @@ class EngineParams:
     rules_pool: frozenset[Rule] = STANDARD_RULES
     robot_rules: dict[str, frozenset[Rule]] = field(default_factory=dict)
     pursuit: PursuitParams | None = None
-    parallel_norm: bool = field(init=False, repr=False, compare=False)
+    parallel_pairs: frozenset[frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        binds = RuleSet(self.rules_pool).has_predicate("no_parallel_coassignment")
         object.__setattr__(
             self,
-            "parallel_norm",
-            any(c.kind is ConstraintKind.PARALLEL for c in self.constraints)
-            and RuleSet(self.rules_pool).has_predicate("no_parallel_coassignment"),
+            "parallel_pairs",
+            frozenset(
+                frozenset((c.a, c.b))
+                for c in self.constraints
+                if binds and c.kind is ConstraintKind.PARALLEL and c.a != c.b
+            ),
         )
 
 
@@ -311,21 +315,26 @@ def _task_depth(state: FormationState, t: str) -> int:
     return d
 
 
-def _chain_with(state: FormationState, robot: str, extra: str) -> bool:
-    """Leadership legality: a robot's composite tasks must form one contiguous
-    parent-child chain, otherwise its own element would have to sit under two
-    unrelated teams at once."""
-    mine = {
-        x
-        for x in org_core.index(state.org).tasks_by_robot.get(robot, ())
-        if state.is_composite(x)
-        and state.status[x] in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
-    }
-    mine.add(extra)
-    if len(mine) <= 1:
-        return True
-    xs = sorted(mine, key=lambda x: (_task_depth(state, x), x))
-    return all(state.task_parent.get(xs[i + 1]) == xs[i] for i in range(len(xs) - 1))
+def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str | None:
+    """The norm a robot holding `held` would break by also taking task t, as
+    a decline reason, or None when it may take it. The auction (after the
+    winner lock) and the allocation fallback both ask this.
+
+    Leadership chain: the robot's composites, t among them and completed ones
+    too, must form one parent-child chain, otherwise its own element would
+    have to sit under two unrelated teams at once. Parallel: t must form no
+    binding Parallel pair with a held task."""
+    if state.is_composite(t):
+        mine = {x for x in held if state.is_composite(x)}
+        mine.add(t)
+        if len(mine) > 1:
+            xs = sorted(mine, key=lambda x: (_task_depth(state, x), x))
+            if any(state.task_parent.get(b) != a for a, b in zip(xs, xs[1:])):
+                return "leadership_chain"
+    pairs = state.params.parallel_pairs
+    if pairs and any(frozenset((t, h)) in pairs for h in held):
+        return "parallel_conflict"
+    return None
 
 
 def _cost_of(state: FormationState, robot: CooperativeRobot, ann: Announcement) -> Fraction:
@@ -359,17 +368,9 @@ def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> 
     decline reason, or None when it may take it."""
     if winner_locked(state.locks, robot_id, state.now):
         return "winner_locked"
-    # a sitting leader may only extend its own chain downward
-    if ann.leadership and ann.auctioneer != ENV and not _chain_with(state, robot_id, ann.id_task):
-        return "leadership_chain"
-    if not state.params.parallel_norm:
-        return None
-    # every task ever assigned to the robot is its Parallel legality footprint
-    held = org_core.index(state.org).tasks_by_robot.get(robot_id, set()) | {ann.id_task}
-    check = check_assignment(
-        RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
+    return norm_violation(
+        state, ann.id_task, org_core.index(state.org).tasks_by_robot.get(robot_id, ())
     )
-    return None if check.ok else "parallel_conflict"
 
 
 def consider_announcement(state: FormationState, robot_id: str, ann: Announcement) -> Bid | Decline:
@@ -428,8 +429,8 @@ def _renumber_subtree(
 ) -> tuple[frozenset[Rule], set[str]]:
     """`_renumber` of one subtree, in one post-order walk: number it, collect
     its relations and bound robots, and return its rule intersection and its
-    goals. A team's rules and goals come from its children's, as
-    `rules_engine.whole_rules` and a subtree scan give them."""
+    goals. A team's rules and goals come from its children's: it abides only
+    what every child abides, and holds every goal below it."""
     node.level_i = depth
     node.pos_j = pos
     if node.id_robot is not None:
@@ -611,7 +612,12 @@ def _hang_team(
             team.children = [existing_leaf]
             parent.children[idx] = team
         else:
-            team.children = [_new_leaf(state, leader)]
+            if existing_leaf is not None:
+                # one unit per robot: it moves into the new team from wherever it sits
+                ix.parent[existing_leaf.id_ros].children.remove(existing_leaf)
+            else:
+                existing_leaf = _new_leaf(state, leader)
+            team.children = [existing_leaf]
             parent.children.append(team)
     _lead(state, t, leader, price)
     for child in state.task_children[t]:
@@ -836,29 +842,6 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
     if not all(eligible.values()):
         return None
 
-    # the Parallel norm binds the fallback exactly when it binds the auction
-    parallel_pairs = (
-        {frozenset((c.a, c.b)) for c in state.params.constraints if c.kind is ConstraintKind.PARALLEL}
-        if state.params.parallel_norm
-        else set()
-    )
-
-    def parallel_ok(robot: str, t: str) -> bool:
-        return all(
-            frozenset((t, h)) not in parallel_pairs for h in (*fixed_held[robot], *taken[robot])
-        )
-
-    def chain_ok(robot: str, t: str) -> bool:
-        # composites arrive parents-first, so contiguity means each new one
-        # hangs off the robot's current deepest composite
-        if not state.is_composite(t):
-            return True
-        mine = [x for x in taken[robot] if state.is_composite(x)]
-        if not mine:
-            return True
-        deepest = max(mine, key=lambda x: (_task_depth(state, x), x))
-        return state.task_parent.get(t) == deepest
-
     nodes = 0
 
     def visit() -> None:
@@ -896,7 +879,7 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
                 if used >= cap or kind[r] in fresh_tried:
                     continue
                 fresh_tried.add(kind[r])
-            if (not parallel_pairs or parallel_ok(r, t)) and chain_ok(r, t):
+            if norm_violation(state, t, [*fixed_held[r], *mine]) is None:
                 chosen[t] = r
                 mine.append(t)
                 used += len(mine) == 1
@@ -923,8 +906,9 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
         upper = used
         forget()
 
-        # each robot's composites form one parent-child path (chain_ok), and a
-        # composite with no unfinished composite child can only end such a path
+        # each robot's composites form one parent-child path (the leadership
+        # chain of `norm_violation`), and a composite with no unfinished
+        # composite child can only end such a path
         open_composites = set(composites)
         size = max(1, sum(1 for t in composites if open_composites.isdisjoint(state.task_children[t])))
         # a search capped at `size` robots visits each partial assignment once,

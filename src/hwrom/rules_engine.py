@@ -1,9 +1,9 @@
-"""Behavior norms, cooperation constraints, and rule-set intersection.
+"""Behavior norms, cooperation constraints, and the forming preference.
 
 Rules are declarative tags from a closed vocabulary; the engine hard-codes
 their enforcement (assignment checks, winner locking, least-reward selection,
-fewest-members preference). Rule sets attach to organization nodes and the
-whole-organization rule set is the intersection of what every member abides.
+fewest-members preference). Rule sets attach to organization nodes; a team
+abides the intersection of what its members abide (`formation._renumber`).
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from .org_core import OrgNode
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class RuleCategory(Enum):
@@ -143,21 +140,6 @@ def check_assignment(
             elif c.kind is ConstraintKind.PRIORITY:
                 orderings.append((robot, c.a, c.b))
     return AssignmentCheck(tuple(violations), tuple(orderings))
-
-
-def whole_rules(node: "OrgNode") -> RuleSet:
-    """Effective rule set of a subtree: the intersection of all members' rules.
-
-    A leaf abides its own rules; an internal node abides only what every
-    child abides, so the set shrinks monotonically toward the root.
-    """
-    if not node.children:
-        return RuleSet(node.rules.rules)
-    acc: frozenset[Rule] | None = None
-    for child in node.children:
-        child_rules = whole_rules(child).rules
-        acc = child_rules if acc is None else acc & child_rules
-    return RuleSet(acc if acc is not None else frozenset())
 
 
 def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:

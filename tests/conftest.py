@@ -11,15 +11,28 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hwrom import formation as fm
 from hwrom.cli import main
 from hwrom.org_core import (
     Capability,
     CapabilityKind,
     CapabilityRequirement,
     CooperativeRobot,
+    OrgNode,
     TaskNode,
 )
 from hwrom.rules_engine import ConstraintKind, ConstraintRelation
+
+
+def renumbered(root: OrgNode) -> OrgNode:
+    """`root` after the engine's `_renumber`, in a state that knows every
+    robot the tree names: each team then holds the rules all its members
+    abide."""
+    ids = sorted({n.id_robot for n in root.walk() if n.id_robot is not None})
+    state = fm.new_state([CooperativeRobot(r, frozenset()) for r in ids], fm.EngineParams())
+    state.org.root = root
+    fm._renumber(state)
+    return root
 
 
 def cap(kind: str, subkind: str, magnitude=1) -> Capability:

@@ -26,7 +26,6 @@ from hwrom.rules_engine import (
     RULE_NO_PARALLEL,
     RULE_WINNER_LOCK,
     RuleSet,
-    whole_rules,
 )
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     build_robots,
     build_task,
     make_instance,
+    renumbered,
 )
 from test_golden_traces import GOLDEN, scenario_config
 from test_state_hash import random_scenario
@@ -262,7 +262,7 @@ def test_criterion_5_rule_intersection_oracle():
         acc = leaves[0].rules.rules
         for lf in leaves[1:]:
             acc &= lf.rules.rules
-        if whole_rules(t).rules != acc:
+        if renumbered(t).rules.rules != acc:
             mismatches += 1
     _report("5 rule intersection oracle", mismatches == 0, "500 random trees, depth <= 4")
 

@@ -237,6 +237,14 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert f"config error: {where}: " in result.output
 
+    @pytest.mark.parametrize("value", [2, -1, "3/2"])
+    def test_drop_rate_out_of_range_exits_two(self, runner, tmp_path, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(canonical_with("net.drop_rate", value)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert "config error: net.drop_rate: must be within [0, 1]" in result.output
+
     @pytest.mark.parametrize(
         "where, value",
         [("pursuit.robots[0].pos", ["a", 1]), ("pursuit.robots[0].pos", [None, 1]),

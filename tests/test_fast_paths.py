@@ -1,9 +1,10 @@
 """Each per-run fast path against the code it replaced: the robot's magnitude
 table against the capability scan, the integer drop decision against the
-rational draw, the Parallel-norm gate against `check_assignment`, the
-one-walk `_renumber` against `whole_rules` and a per-team subtree scan, and
-the integer pursuit tick and its skipped sensing against the per-pair tick
-and sensing every live robot every tick."""
+rational draw, the one norm predicate against the auction's own chain test
+and `check_assignment`, the one-walk `_renumber` against the recursive rule
+fold and a per-team subtree scan, and the integer pursuit tick and its
+skipped sensing against the per-pair tick and sensing every live robot
+every tick."""
 
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ from hwrom.rules_engine import (
     RuleCategory,
     RuleSet,
     check_assignment,
-    whole_rules,
     winner_locked,
 )
 from hwrom.simnet import Drop, NetConfig, _drop_draw, route
 from hwrom.wire import ENV, Message
 
+from test_formation import chain_config, one_unit_config
 from test_state_hash import random_scenario
 
 # --- the magnitude table ---------------------------------------------------------
@@ -135,16 +136,29 @@ def test_integer_drop_decision_is_exact_at_the_draw():
             assert (_drop_roll(seed, msg_seq) < rate) is dropped
 
 
-# --- the Parallel-norm gate --------------------------------------------------------------
+# --- the one norm predicate -------------------------------------------------------------
 
 
 def reference_norm_violation(state: fm.FormationState, robot_id: str, ann) -> str | None:
-    """`_norm_violation` before the gate: `check_assignment` on every call."""
+    """`_norm_violation` before the one norm predicate: the auction's own
+    leadership-chain test, which exempted auctions the environment runs and
+    counted only assigned or completed composites, and `check_assignment` on
+    every call."""
     if winner_locked(state.locks, robot_id, state.now):
         return "winner_locked"
-    if ann.leadership and ann.auctioneer != ENV and not fm._chain_with(state, robot_id, ann.id_task):
-        return "leadership_chain"
-    held = org_core.index(state.org).tasks_by_robot.get(robot_id, set()) | {ann.id_task}
+    tasks_by_robot = org_core.index(state.org).tasks_by_robot
+    if ann.leadership and ann.auctioneer != ENV:
+        mine = {
+            x
+            for x in tasks_by_robot.get(robot_id, ())
+            if state.is_composite(x)
+            and state.status[x] in (org_core.TaskStatus.ASSIGNED, org_core.TaskStatus.COMPLETED)
+        }
+        mine.add(ann.id_task)
+        xs = sorted(mine, key=lambda x: (fm._task_depth(state, x), x))
+        if any(state.task_parent.get(b) != a for a, b in zip(xs, xs[1:])):
+            return "leadership_chain"
+    held = tasks_by_robot.get(robot_id, set()) | {ann.id_task}
     check = check_assignment(
         RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
     )
@@ -168,20 +182,24 @@ def rule_entries(pool: frozenset[Rule]) -> list[dict]:
 
 
 def test_parallel_gate_is_closed_only_where_no_assignment_can_break_the_norm():
+    """`parallel_pairs` holds exactly the pairs `check_assignment` refuses:
+    empty where no assignment can break the norm."""
     rng = random.Random(3)
     tasks = ["a", "b", "c", "d"]
+    empty = 0
     for _ in range(400):
         constraints = tuple(
             ConstraintRelation(rng.choice(tasks), rng.choice(tasks), rng.choice(list(ConstraintKind)))
             for _ in range(rng.randint(0, 4))
         )
         pool = rng.choice(POOLS)
-        params = fm.EngineParams(constraints=constraints, rules_pool=pool)
-        if params.parallel_norm:
-            continue
+        pairs = fm.EngineParams(constraints=constraints, rules_pool=pool).parallel_pairs
+        empty += not pairs
         for _ in range(10):
             held = set(rng.sample(tasks, rng.randint(0, 4)))
-            assert check_assignment(RuleSet(pool), constraints, {"R1": held}).ok
+            ok = check_assignment(RuleSet(pool), constraints, {"R1": held}).ok
+            assert ok == (not any(p <= held for p in pairs)), (constraints, pool, held)
+    assert 0 < empty < 400
 
 
 def gate_scenario(seed: int) -> dict:
@@ -217,20 +235,36 @@ def test_parallel_gate_matches_check_assignment_on_random_runs(monkeypatch):
         want = reference_norm_violation(state, robot_id, ann)
         got = gated(state, robot_id, ann)
         assert got == want, (state.params.constraints, state.params.rules_pool, robot_id, ann)
-        key = (state.params.parallel_norm, got)
+        key = (bool(state.params.parallel_pairs), got)
         reasons[key] = reasons.get(key, 0) + 1
         return got
 
     monkeypatch.setattr(fm, "_norm_violation", both)
     for seed in range(160):
         eventlog.simulate(cfg.from_dict(gate_scenario(seed)), None)
-    # both sides of the gate are reached, and the open gate refuses some bids
+    # the random runs never refuse a leader its chain; the reproducers do
+    for data in (chain_config(), one_unit_config()):
+        eventlog.simulate(cfg.from_dict(data), None)
+    # both sides of the gate are reached, and each norm refuses some bids
     assert (True, "parallel_conflict") in reasons
     assert (False, None) in reasons and (True, None) in reasons
     assert any(not open_ and reason == "winner_locked" for open_, reason in reasons)
+    assert (False, "leadership_chain") in reasons
 
 
 # --- `_renumber` in one walk ---------------------------------------------------------------
+
+
+def whole_rules(node: OrgNode) -> RuleSet:
+    """The recursive rule fold `_renumber` replaced: a leaf abides its own
+    rules, a team only what every child abides."""
+    if not node.children:
+        return RuleSet(node.rules.rules)
+    acc: frozenset[Rule] | None = None
+    for child in node.children:
+        child_rules = whole_rules(child).rules
+        acc = child_rules if acc is None else acc & child_rules
+    return RuleSet(acc)
 
 
 def reference_renumber(state: fm.FormationState) -> None:

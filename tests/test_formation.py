@@ -1,5 +1,6 @@
 """Formation machine tests: the happy path, dynamics, recovery, determinism."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     cap,
     req,
     robot,
+    run_cli_logged,
     standard_instance,
 )
 
@@ -484,3 +486,76 @@ def test_priority_orders_a_robots_execution():
     assert state.phase is Phase.DONE
     done = [(tick, note["task"]) for tick, note in notes(records, "completed")]
     assert done[:2] == [(35, "t2"), (40, "t1")]
+
+
+# --- a robot's completed work in its norms, and one unit per robot --------------------
+
+LEAD = [["Organization", "plan", 1], ["Communication", "radio", 1]]
+WELD = [["Action", "weld", 1]]
+
+
+def two_team_config(robots: dict[str, list], costs: dict, fail: str) -> dict:
+    """T leads X (over leaf a, duration 1) and Y (over leaf b, duration 30);
+    `fail` fails at tick 25, while b is still running."""
+    leaf = {"reward": 10, "requires": WELD}
+    return {
+        "seed": 1,
+        "max_ticks": 200,
+        "robots": [{"id": r, "capabilities": caps} for r, caps in robots.items()],
+        "task": {"id": "T", "reward": 100, "subtasks": [
+            {"id": "X", "reward": 10, "subtasks": [dict(leaf, id="a", duration=1)]},
+            {"id": "Y", "reward": 10, "subtasks": [dict(leaf, id="b", duration=30)]},
+        ]},
+        "costs": costs,
+        "events": [{"at": 25, "type": "fail", "robot": fail}],
+    }
+
+
+def chain_config() -> dict:
+    """R1 leads X and completes it; once R2 fails, only R1 can lead Y."""
+    return two_team_config(
+        {"R1": LEAD + WELD, "R2": LEAD + WELD, "R3": WELD},
+        {"R1": {"X": 1, "Y": 25, "a": 5, "b": 9}, "R2": {"X": 25, "Y": 1, "a": 9, "b": 1},
+         "R3": {"a": 1, "b": 9}},
+        fail="R2",
+    )
+
+
+def one_unit_config() -> dict:
+    """R2 completes a in team:X, then wins Y once R4 fails."""
+    return two_team_config(
+        {"R1": LEAD + WELD, "R2": LEAD + WELD, "R3": WELD, "R4": LEAD},
+        {"R1": {"T": 1, "X": 1, "Y": 25, "a": 9, "b": 9},
+         "R2": {"T": 9, "X": 25, "Y": 20, "a": 1, "b": 9},
+         "R3": {"a": 9, "b": 1}, "R4": {"T": 9, "X": 25, "Y": 1}},
+        fail="R4",
+    )
+
+
+def test_a_completed_composite_keeps_its_leader_out_of_a_sibling_team(tmp_path):
+    # R1 led X, now completed, so it may not lead X's sibling Y: the auction
+    # refuses it, and so must the allocation fallback, which is left with no
+    # other leader for Y
+    exit_code, log_path = run_cli_logged(chain_config(), tmp_path)
+    assert exit_code == 1
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    declines = [
+        (r["robot"], r["task"]) for r in records
+        if r.get("type") == "decline" and r["reason"] == "leadership_chain"
+    ]
+    assert declines == [("R1", "Y")] * 6
+    assert not notes(records, "allocated")
+    ending = [(tick, note["kind"]) for tick, note in notes(records, "give_up", "formation_failed")]
+    assert ending == [(50, "give_up"), (50, "formation_failed")]
+    assert records[-1]["phase"] == "Failed"
+    assert eventlog.replay(log_path).ok
+
+
+def test_a_new_leader_keeps_its_one_unit():
+    # R2's unit moves from team:X into team:Y instead of being made a second time
+    state, _ = eventlog.simulate(config.from_dict(one_unit_config()))
+    assert (state.phase, state.now) == (Phase.DONE, 81)
+    assert state.org.assignments["Y"].assignee == state.org.assignments["a"].assignee == "R2"
+    assert validate(state.org).ok, validate(state.org)
+    units = [n.id_ros for n in state.org.root.walk() if n.id_ros.startswith("unit:")]
+    assert sorted(units) == ["unit:R1", "unit:R2", "unit:R3"]

@@ -11,16 +11,23 @@ from fractions import Fraction
 from hwrom import eventlog
 from hwrom.config import from_dict
 from hwrom import formation as fm
-from hwrom.formation import EngineParams, _leadership_capable, _task_depth
+from hwrom.formation import EngineParams, _leadership_capable
 from hwrom.org_core import AssignmentMode, TaskAssignment, TaskNode, TaskStatus
 from hwrom.rules_engine import RULE_NO_PARALLEL, STANDARD_RULES, ConstraintKind, ConstraintRelation
 
 from conftest import SKILLS, cap, log_notes, organizer_caps, req, robot, run_cli_logged
 
 
-def exhaustive_allocation(state: fm.FormationState, unfinished: list[str]):
+def exhaustive_allocation(
+    state: fm.FormationState, unfinished: list[str], *, completed_composites: bool = True
+):
     """Reference: enumerate every candidate^task assignment and keep the least
-    key (team size, sorted team, assignment vector in `order`)."""
+    key (team size, sorted team, assignment vector in `order`).
+
+    Tasks are taken in `order`, and each must keep its robot's norms with
+    what the robot already holds: its completed work and its earlier tasks
+    in `order`. `completed_composites=False` leaves a robot's completed
+    composites out of its leadership chain, as the fallback once did."""
     robots = sorted(r for r in state.robots if state.alive(r))
     fixed_held: dict[str, set[str]] = {
         r: {
@@ -61,13 +68,17 @@ def exhaustive_allocation(state: fm.FormationState, unfinished: list[str]):
         return all(frozenset((t, h)) not in parallel_pairs for h in held)
 
     def chain_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
+        # the robot's composites form one parent-child path: exactly one of
+        # them has no parent among them, and none has two children among them
         if not state.is_composite(t):
             return True
-        mine = [x for x in composites if chosen.get(x) == robot]
-        if not mine:
-            return True
-        deepest = max(mine, key=lambda x: (_task_depth(state, x), x))
-        return state.task_parent.get(t) == deepest
+        mine = {x for x in composites if chosen.get(x) == robot} | {t}
+        if completed_composites:
+            mine |= {x for x in fixed_held[robot] if state.is_composite(x)}
+        tops = [x for x in mine if state.task_parent.get(x) not in mine]
+        return len(tops) == 1 and all(
+            sum(state.task_parent.get(y) == x for y in mine) <= 1 for x in mine
+        )
 
     best: dict[str, str] | None = None
     best_key: tuple | None = None
@@ -94,9 +105,10 @@ def exhaustive_allocation(state: fm.FormationState, unfinished: list[str]):
 def random_instance(seed: int) -> fm.FormationState:
     """A state as the fallback finds it: up to 5 live robots, a random task
     tree with up to 5 unfinished nodes (so nested and sibling composites),
-    up to 2 leaves already completed by some robot, Parallel pairs that may
-    touch completed work, and sometimes a dead robot. Every fifth pool lacks
-    the no_parallel_coassignment norm."""
+    up to 2 leaves already completed by some robot, sometimes a completed
+    composite `dc` (with its leaf `dc1`) that some robot led, Parallel pairs
+    that may touch completed work, and sometimes a dead robot. Every fifth
+    pool lacks the no_parallel_coassignment norm."""
     rng = random.Random(seed)
     robots = []
     for i in range(1, rng.randint(1, 5) + 1):
@@ -116,6 +128,10 @@ def random_instance(seed: int) -> fm.FormationState:
         children[rng.choice([t for t in sorted(children) if children[t] or t == "T"])].append(tid)
         children[tid] = []
         done.append(tid)
+    if rng.random() < 0.4:
+        children[rng.choice([t for t in sorted(children) if children[t] or t == "T"])].append("dc")
+        children["dc"], children["dc1"] = ["dc1"], []
+        done += ["dc", "dc1"]
 
     def build(tid: str) -> TaskNode:
         kind, sub = rng.choice(SKILLS)
@@ -135,7 +151,10 @@ def random_instance(seed: int) -> fm.FormationState:
     for tid in done:
         state.status[tid] = TaskStatus.COMPLETED
         holder = rng.choice([r.id_cr for r in robots])
-        state.org.assignments[tid] = TaskAssignment(tid, holder, Fraction(10), AssignmentMode.WON)
+        mode = AssignmentMode.LED if children[tid] else AssignmentMode.WON
+        state.org.assignments[tid] = TaskAssignment(
+            tid, holder, Fraction(10), mode, tuple(children[tid])
+        )
     if dead is not None:
         state.dead.add(dead)
     return state
@@ -143,7 +162,7 @@ def random_instance(seed: int) -> fm.FormationState:
 
 def test_team_search_matches_exhaustive_search():
     seen = {"infeasible": 0, "parallel": 0, "parallel_unenforced": 0, "nested": 0, "siblings": 0,
-            "fixed_held": 0, "team>2": 0, "twins": 0}
+            "fixed_held": 0, "team>2": 0, "twins": 0, "completed_chain": 0}
     for seed in range(600):
         state = random_instance(seed)
         unfinished = fm._unfinished(state)
@@ -153,13 +172,17 @@ def test_team_search_matches_exhaustive_search():
         composites = [t for t in unfinished if state.is_composite(t)]
         seen["infeasible"] += want is None
         seen["parallel"] += bool(state.params.constraints)
-        seen["parallel_unenforced"] += bool(state.params.constraints) and not state.params.parallel_norm
+        seen["parallel_unenforced"] += bool(state.params.constraints) and not state.params.parallel_pairs
         seen["nested"] += any(state.task_parent[t] in composites for t in composites)
         seen["siblings"] += sum(state.task_parent[t] == "T" for t in composites) > 1
         seen["fixed_held"] += any(t.startswith("d") for t in state.org.assignments)
         seen["team>2"] += want is not None and len({r for _, r in want}) > 2
         caps = [rb.capabilities for rb in state.robots.values()]
         seen["twins"] += len(set(caps)) < len(caps)
+        # a completed composite in a robot's leadership chain changes the answer
+        seen["completed_chain"] += want != exhaustive_allocation(
+            state, unfinished, completed_composites=False
+        )
     assert all(seen.values()), seen
 
 

@@ -24,9 +24,10 @@ from hwrom.rules_engine import (
     check_assignment,
     forming_key,
     preferred_teams,
-    whole_rules,
     winner_locked,
 )
+
+from conftest import renumbered
 
 STD = RuleSet(STANDARD_RULES)
 
@@ -99,20 +100,22 @@ def team(children: list[OrgNode]) -> OrgNode:
 
 
 class TestWholeRules:
+    """A team's rule set after `_renumber`: what every member abides."""
+
     def test_leaf_identity(self):
         rules = frozenset({RULE_NO_PARALLEL, RULE_WINNER_LOCK})
-        assert whole_rules(leaf_node(rules, "R1")).rules == rules
+        assert renumbered(leaf_node(rules, "R1")).rules.rules == rules
 
     def test_intersection_of_children(self):
         a = frozenset({RULE_NO_PARALLEL, RULE_WINNER_LOCK})
         b = frozenset({RULE_WINNER_LOCK, RULE_LEAST_REWARD})
         node = team([leaf_node(a, "R1"), leaf_node(b, "R2")])
-        assert whole_rules(node).rules == frozenset({RULE_WINNER_LOCK})
+        assert renumbered(node).rules.rules == frozenset({RULE_WINNER_LOCK})
 
     def test_disjoint_children_give_empty_set(self):
         node = team([leaf_node(frozenset({RULE_NO_PARALLEL}), "R1"),
                      leaf_node(frozenset({RULE_LEAST_REWARD}), "R2")])
-        assert whole_rules(node).rules == frozenset()
+        assert renumbered(node).rules.rules == frozenset()
 
     def _random_tree(self, rng: random.Random, depth: int) -> OrgNode:
         if depth == 0 or rng.random() < 0.4:
@@ -132,16 +135,16 @@ class TestWholeRules:
         rng = random.Random(7)
         for _ in range(100):
             tree = self._random_tree(rng, rng.randint(0, 4))
-            assert whole_rules(tree).rules == self._fold_leaves(tree)
+            assert renumbered(tree).rules.rules == self._fold_leaves(tree)
 
     @given(st.lists(st.lists(st.sampled_from(RULE_POOL), max_size=3), min_size=1, max_size=5))
     def test_shrinks_upward(self, leaf_rule_lists):
         node = team(
             [leaf_node(frozenset(rules), f"R{i}") for i, rules in enumerate(leaf_rule_lists)]
         )
-        whole = whole_rules(node).rules
+        whole = renumbered(node).rules.rules
         for child in node.children:
-            assert whole <= whole_rules(child).rules
+            assert whole <= child.rules.rules
 
 
 class TestFormingPreference:
