@@ -169,14 +169,9 @@ class ScenarioConfig:
 
 
 def _build_capability(data: Any, where: str) -> Capability:
-    if isinstance(data, list) and len(data) == 3:
-        kind, subkind, magnitude = data
-    elif isinstance(data, dict):
-        kind = _require(data, "kind", where)
-        subkind = data.get("subkind", "")
-        magnitude = data.get("magnitude", 1)
-    else:
-        raise ConfigError(where, "capability must be [kind, subkind, magnitude] or an object")
+    if not (isinstance(data, list) and len(data) == 3):
+        raise ConfigError(where, "capability must be [kind, subkind, magnitude]")
+    kind, subkind, magnitude = data
     try:
         ck = CapabilityKind(kind)
     except ValueError:
@@ -188,15 +183,10 @@ def _build_capability(data: Any, where: str) -> Capability:
 
 
 def _build_requirement(data: Any, where: str) -> CapabilityRequirement:
-    if isinstance(data, list) and len(data) in (2, 3):
-        kind, subkind = data[0], data[1]
-        minimum = data[2] if len(data) == 3 else 0
-    elif isinstance(data, dict):
-        kind = _require(data, "kind", where)
-        subkind = data.get("subkind", "")
-        minimum = data.get("min", 0)
-    else:
-        raise ConfigError(where, "requirement must be [kind, subkind, min] or an object")
+    if not (isinstance(data, list) and len(data) in (2, 3)):
+        raise ConfigError(where, "requirement must be [kind, subkind, min]")
+    kind, subkind = data[0], data[1]
+    minimum = data[2] if len(data) == 3 else 0
     try:
         ck = CapabilityKind(kind)
     except ValueError:

@@ -473,36 +473,38 @@ def _requirements(state: FormationState, t: str) -> tuple[frozenset[CapabilityRe
     return own, False
 
 
+def _speaker(state: FormationState, parent_node: str | None) -> str | None:
+    """Who speaks for the auction of a task owned by parent_node: ENV for a
+    root task, otherwise the owning team's current leader, or None when that
+    team is gone. Every round, award and re-send of an auction comes from
+    here, so a re-elected leader takes over its team's open auctions."""
+    if parent_node is None:
+        return ENV
+    node = org_core.index(state.org).node.get(parent_node)
+    return node.id_robot if node is not None else None
+
+
 def _announce(state: FormationState, item: PendingTask, result: StepResult) -> None:
     t = item.id_task
     if state.status.get(t) is not TaskStatus.UNASSIGNED:
         return
-    if item.parent_node is None:
-        auctioneer = ENV
-    else:
-        node = org_core.index(state.org).node.get(item.parent_node)
-        if node is None:
-            return  # owning team vanished; the task was revoked with it
-        if node.id_robot is None:
-            state.pending.append(item)  # team mid re-election; retry next tick
-            return
-        auctioneer = node.id_robot
     reqs, leadership = _requirements(state, t)
     ann = Announcement(
         id_task=t,
         reward=state.current_reward[t],
         required_capabilities=reqs,
-        auctioneer=auctioneer,
         leadership=leadership,
     )
-    _open_auction(state, ann, item.parent_node, result)
+    ann = _open_auction(state, ann, item.parent_node, result)
+    if ann is None:
+        return  # owning team vanished; the task was revoked with it
     result.notes.append(
         {
             "kind": "announce",
             "task": t,
             "round": ann.round,
             "reward": str(ann.reward),
-            "auctioneer": auctioneer,
+            "auctioneer": ann.auctioneer,
             "leadership": leadership,
         }
     )
@@ -510,18 +512,24 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
 
 def _open_auction(
     state: FormationState, ann: Announcement, parent_node: str | None, result: StepResult
-) -> None:
-    """Open one round of a task's auction: its bid window starts now, every
-    live robot the auctioneer may talk to hears it, and its close is timed."""
-    ann = replace(ann, deadline=state.now + state.params.bid_window)
+) -> Announcement | None:
+    """Open one round of a task's auction and return it: its speaker is the
+    owning team's current leader, its bid window starts now, every live robot
+    that speaker may talk to hears it, and its close is timed. None, and no
+    round, when the owning team is gone."""
+    auctioneer = _speaker(state, parent_node)
+    if auctioneer is None:
+        return None
+    ann = replace(ann, auctioneer=auctioneer, deadline=state.now + state.params.bid_window)
     t = ann.id_task
     state.current_reward[t] = ann.reward
     state.status[t] = TaskStatus.ANNOUNCED
     state.active_auctions[t] = AuctionState(ann, parent_node)
     for rid in sorted(state.robots):
-        if state.alive(rid) and org_core.communication_allowed(state.org, ann.auctioneer, rid):
-            result.messages.append(wire.Message(ann.auctioneer, rid, wire.KIND_ANNOUNCE, ann, state.now))
+        if state.alive(rid) and org_core.communication_allowed(state.org, auctioneer, rid):
+            result.messages.append(wire.Message(auctioneer, rid, wire.KIND_ANNOUNCE, ann, state.now))
     result.timers.append(AuctionClosed(tick=ann.deadline + 1, id_task=t, round=ann.round))
+    return ann
 
 
 # --- awards --------------------------------------------------------------------------
@@ -534,13 +542,15 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
     if state.is_composite(t):
         _hang_team(state, t, winner, bid.price, auction.parent_node, result)
     else:
+        # before the edit below, while the index still matches the tree
+        speaker = _speaker(state, auction.parent_node)
         state.locks.lock(winner, t, state.now)
         _install_member(state, winner, t, auction.parent_node)
         state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
         state.status[t] = TaskStatus.ASSIGNED
         result.messages.append(
             wire.Message(
-                auction.announcement.auctioneer,
+                speaker,
                 winner,
                 wire.KIND_AWARD,
                 {"task": t, "price": str(bid.price)},
@@ -1189,10 +1199,12 @@ def handle_join(
     result.notes.append({"kind": "joined", "robot": robot.id_cr})
     for t in sorted(state.active_auctions):
         auction = state.active_auctions[t]
-        ann = auction.announcement
-        if org_core.communication_allowed(state.org, ann.auctioneer, robot.id_cr):
+        speaker = _speaker(state, auction.parent_node)
+        if org_core.communication_allowed(state.org, speaker, robot.id_cr):
             result.messages.append(
-                wire.Message(ann.auctioneer, robot.id_cr, wire.KIND_ANNOUNCE, ann, state.now)
+                wire.Message(
+                    speaker, robot.id_cr, wire.KIND_ANNOUNCE, auction.announcement, state.now
+                )
             )
     return result
 
@@ -1244,9 +1256,7 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
     return result
 
 
-def reelect_leader(
-    state: FormationState, node_id: str, result: StepResult | None = None
-) -> StepResult:
+def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> None:
     """Least-reward mini-auction among the team's remaining members holding
     the organization ability; the team dissolves if nobody qualifies.
 
@@ -1254,11 +1264,10 @@ def reelect_leader(
     so the winner lock on outstanding task work does not bar a member from
     taking over coordination.
     """
-    result = result if result is not None else StepResult()
     ix = org_core.index(state.org)
     node = ix.node.get(node_id)
     if node is None:
-        return result
+        return
     parent = ix.parent[node_id]
     t = node.goals[0] if node.goals else None
     node.id_robot = None
@@ -1276,7 +1285,7 @@ def reelect_leader(
     )
     if not candidates or t is None:
         _dissolve_team(state, node, parent, result)
-        return result
+        return
     election = Announcement(
         id_task=t,
         reward=state.current_reward[t],
@@ -1284,16 +1293,16 @@ def reelect_leader(
         deadline=state.now,
         leadership=True,
     )
-    offers: list[Bid] = []
+    offers: dict[str, Bid] = {}  # by bidder, one per candidate
     for rid in candidates:
         decision = compute_bid(state.robots[rid], election, _context(state))
         if isinstance(decision, Bid):
-            offers.append(decision)
+            offers[rid] = decision
     if not offers:
         _dissolve_team(state, node, parent, result)
-        return result
-    winner = select_winner(offers)
-    price = min(b.price for b in offers if b.bidder == winner)
+        return
+    winner = select_winner(list(offers.values()))
+    price = offers[winner].price
     node.id_robot = winner
     element = next((c for c in node.children if c.id_robot == winner), None)
     if element is not None:
@@ -1308,12 +1317,11 @@ def reelect_leader(
             "task": t,
             "robot": winner,
             "price": str(price),
-            "offers": {b.bidder: str(b.price) for b in offers},
+            "offers": {rid: str(b.price) for rid, b in offers.items()},
         }
     )
     _renumber(state)
     _maybe_complete_parent(state, t, result)
-    return result
 
 
 # --- pursuit glue ---------------------------------------------------------------------

@@ -28,10 +28,6 @@ class NetError(Exception):
     pass
 
 
-class DeadSenderError(NetError):
-    pass
-
-
 class UnknownRobotError(NetError):
     pass
 
@@ -77,13 +73,10 @@ def route(
     msg: Message,
     org: org_core.Organization,
     *,
-    alive: bool = True,
     msg_seq: int = 0,
     interfaces: dict[str, frozenset[str]] | None = None,
 ) -> Deliver | Reject | Drop:
     """Decide one message's fate: deliver after latency, reject, or drop."""
-    if not alive:
-        raise DeadSenderError(msg.sender)
     if interfaces is not None:
         for endpoint in (msg.sender, msg.to):
             if endpoint == ENV:
@@ -195,7 +188,6 @@ class Scheduler:
     def send(self, msg: Message) -> None:
         seq = self._msg_seq
         self._msg_seq += 1
-        alive = msg.sender == ENV or self.state.alive(msg.sender)
         robots = self.state.robots
         # robots are frozen and only ever added (join refuses a known id)
         if len(self._interfaces) != len(robots):
@@ -208,14 +200,7 @@ class Scheduler:
             "sender": msg.sender,
             "to": msg.to,
         }
-        try:
-            outcome = route(
-                self.net, msg, self.state.org, alive=alive, msg_seq=seq, interfaces=self._interfaces
-            )
-        except DeadSenderError:
-            rec["outcome"] = "dead_sender"
-            self._emit(rec)
-            return
+        outcome = route(self.net, msg, self.state.org, msg_seq=seq, interfaces=self._interfaces)
         if isinstance(outcome, Deliver):
             rec["outcome"] = "deliver"
             rec["at"] = outcome.at
@@ -238,7 +223,7 @@ class Scheduler:
         if msg.kind == wire.KIND_ANNOUNCE:
             decision = fm.consider_announcement(state, msg.to, msg.payload)
             if isinstance(decision, Bid):
-                reply = Message(msg.to, msg.payload.auctioneer, wire.KIND_BID, decision, at)
+                reply = Message(msg.to, msg.sender, wire.KIND_BID, decision, at)
                 self.send(reply)
             elif isinstance(decision, Decline):
                 self._emit(

@@ -317,6 +317,69 @@ class TestRunCommand:
         assert result.exit_code == 2, result.output
         assert f"config error: {where}: capability magnitude must be >= 0" in result.output
 
+    @pytest.mark.parametrize(
+        "where, entry",
+        [("robots[1].capabilities[0]", {"kind": "Action", "subkind": "weld", "magnitude": 2}),
+         ("events[0].robot.capabilities[0]", {"kind": "Action", "subkind": "weld"}),
+         ("task.subtasks[0].requires[0]", {"kind": "Action", "subkind": "weld", "min": 1})],
+    )
+    def test_object_capability_or_requirement_exits_two(
+        self, runner, generic_config, tmp_path, where, entry
+    ):
+        # only the list forms [kind, subkind, magnitude] and [kind, subkind, min] are read
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(with_joiner(generic_config), where, entry)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: " in result.output
+
+    def test_reward_forms_give_the_same_reward(self, runner, generic_config, tmp_path):
+        # with every cost 0, the leader of T keeps T's whole reward
+        summaries = []
+        for value in (0.1, "0.1", "1/10"):
+            data = json.loads(generic_config.read_text())
+            data["task"]["reward"] = value
+            data["auction"] = {"default_cost": 0}
+            path = tmp_path / "reward.json"
+            path.write_text(json.dumps(data))
+            result = runner.invoke(main, ["run", str(path)])
+            assert result.exit_code == 0, result.output
+            summaries.append(json.loads(result.output))
+        assert summaries[0]["metrics"]["utilities"]["R1"] == "1/10"
+        assert summaries[0] == summaries[1] == summaries[2]
+
+    def test_robot_rules_bind_the_unit_and_its_team(self, runner, generic_config, tmp_path):
+        data = json.loads(generic_config.read_text())
+        data["robot_rules"] = {
+            "R2": ["design.no-parallel-coassignment", "bidding.winner-lock"],
+            "R3": ["bidding.winner-lock", "selection.least-reward"],
+        }
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        snap = tmp_path / "org.json"
+        result = runner.invoke(main, ["run", str(path), "--snapshot", str(snap)])
+        assert result.exit_code == 0, result.output
+        root = json.loads(snap.read_text())["root"]
+        rules = {node["id_ros"]: node["rules"] for node in [root, *root["children"]]}
+        assert rules["unit:R2"] == ["bidding.winner-lock", "design.no-parallel-coassignment"]
+        assert rules["unit:R3"] == ["bidding.winner-lock", "selection.least-reward"]
+        assert len(rules["unit:R1"]) == 4  # the whole pool
+        # a team abides by the rules every member abides by
+        assert rules["team:T"] == ["bidding.winner-lock"]
+
+    @pytest.mark.parametrize(
+        "robot_rules, problem",
+        [({"R2": ["bidding.no-such-rule"]}, "unknown rule id 'bidding.no-such-rule'"),
+         ({"R9": ["bidding.winner-lock"]}, "unknown robot 'R9'")],
+    )
+    def test_bad_robot_rules_exits_two(self, runner, generic_config, tmp_path, robot_rules, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(generic_config.read_text()), robot_rules=robot_rules)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        (robot,) = robot_rules
+        assert f"config error: robot_rules.{robot}: {problem}" in result.output
+
     @pytest.mark.parametrize("robot", ["robots[0]", "events[0].robot"])
     @pytest.mark.parametrize(
         "value, where",

@@ -559,3 +559,80 @@ def test_a_new_leader_keeps_its_one_unit():
     assert validate(state.org).ok, validate(state.org)
     units = [n.id_ros for n in state.org.root.walk() if n.id_ros.startswith("unit:")]
     assert sorted(units) == ["unit:R1", "unit:R2", "unit:R3"]
+
+
+def takeover_config(**changes) -> dict:
+    """T leads a (reward 1, duration 5) and b (reward 10, duration 30). R1
+    wins T and R2 wins b; a gets no bid at its first rewards and escalates
+    while R1 fails at tick 12, so R2 is re-elected with a's auction open."""
+    config = {
+        "seed": 1,
+        "max_ticks": 200,
+        "robots": [
+            {"id": "R1", "capabilities": LEAD + WELD},
+            {"id": "R2", "capabilities": LEAD + WELD},
+            {"id": "R3", "capabilities": WELD},
+        ],
+        "task": {"id": "T", "reward": 100, "subtasks": [
+            {"id": "a", "reward": 1, "requires": WELD, "duration": 5},
+            {"id": "b", "reward": 10, "requires": WELD, "duration": 30},
+        ]},
+        "costs": {"R1": {"T": 1, "a": 3, "b": 9}, "R2": {"T": 5, "a": 3, "b": 1},
+                  "R3": {"T": 5, "a": 3, "b": 9}},
+        "events": [{"at": 12, "type": "fail", "robot": "R1"}],
+    }
+    config.update(changes)
+    return config
+
+
+def logged_records(config: dict, tmp_path) -> list[dict]:
+    exit_code, log_path = run_cli_logged(config, tmp_path)
+    assert exit_code == 0
+    assert eventlog.replay(log_path).ok
+    return [json.loads(line) for line in log_path.read_text().splitlines()]
+
+
+def awards(records) -> list[tuple[int, str, str]]:
+    return [(tick, n["task"], n["robot"]) for tick, n in notes(records, "award")]
+
+
+def test_a_reelected_leader_takes_over_its_teams_open_auction(tmp_path):
+    records = logged_records(takeover_config(), tmp_path)
+    assert [tick for tick, _ in notes(records, "reelected")] == [12]
+    late_rounds = [
+        (r["tick"], r["sender"], r["outcome"])
+        for r in records
+        if r["type"] == "net" and r["kind"] == "announce" and r["tick"] > 12
+    ]
+    # rounds 2-5 of a go to R2 and R3 from the new leader, not the dead one
+    assert late_rounds == [(t, "R2", "deliver") for t in (14, 14, 18, 18, 22, 22, 26, 26)]
+    assert awards(records) == [(5, "T", "R1"), (10, "b", "R2"), (30, "a", "R3")]
+    assert not notes(records, "give_up")
+    assert (records[-1]["phase"], records[-1]["metrics"]["done_tick"]) == ("Done", 60)
+
+
+def test_a_joiner_hears_an_open_round_from_the_new_leader(tmp_path):
+    config = takeover_config(
+        auction={"bid_window": 5},
+        events=[
+            {"at": 15, "type": "fail", "robot": "R1"},
+            {"at": 16, "type": "join", "robot": {"id": "R4", "capabilities": WELD}},
+        ],
+    )
+    records = logged_records(config, tmp_path)
+    joiner = [
+        (r["tick"], r["kind"], r["sender"], r["to"], r["outcome"])
+        for r in records
+        if r["type"] == "net" and "R4" in (r["sender"], r["to"])
+    ]
+    # R2 re-sends round 1, opened by R1 before it failed, and R4 answers R2
+    assert joiner == [
+        (16, "announce", "R2", "R4", "deliver"),
+        (17, "bid", "R4", "R2", "deliver"),
+        (20, "award", "R2", "R4", "deliver"),
+        (20, "start_work", "__env__", "R4", "deliver"),
+    ]
+    assert awards(records)[-1] == (20, "a", "R4")
+    end = records[-1]
+    assert (end["phase"], end["metrics"]["done_tick"]) == ("Done", 50)
+    assert end["metrics"]["utilities"] == {"R2": "989/10", "R4": "11/10"}

@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 
 from hwrom import config as cfg
+from hwrom import eventlog
 from hwrom import formation as fm
-from hwrom import simnet
 from hwrom.org_core import CooperativeRobot, Organization, OrgNode
 from hwrom.simnet import Deliver, Drop, NetConfig, Reject, Scheduler, UnknownRobotError, route
 from hwrom.wire import ENV, Message
 
 from conftest import build_robots, build_task, cap, robot
+from test_golden_traces import GOLDEN, scenario_config
+from test_state_hash import random_scenario, with_fail
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,10 +63,6 @@ class TestRoute:
 
     def test_env_bypasses_topology(self):
         assert isinstance(route(NetConfig(), msg(ENV, "R3"), society()), Deliver)
-
-    def test_dead_sender_raises(self):
-        with pytest.raises(simnet.DeadSenderError):
-            route(NetConfig(), msg("R3", "R2"), society(), alive=False)
 
     def test_interface_mismatch_rejected(self):
         interfaces = {"R2": frozenset({"bid"}), "R3": frozenset({"announce", "bid"})}
@@ -336,3 +334,37 @@ class TestLazyTicks:
         assert state.phase is fm.Phase.DONE
         assert captured == [expected["capture_tick"]]
         assert pending and max(pending) <= 1
+
+
+def test_no_message_from_a_dead_sender(monkeypatch):
+    """Every message comes from ENV or a live robot: each round, award and
+    re-send of an auction speaks for the owning team's current leader, and a
+    robot answers only an announcement it hears alive. Checked on every send
+    of the goldens, of each pursuit fixture with no failure, its member
+    failure and its leader failure, and of the random churn corpus."""
+    sent = 0
+    dead: list[tuple[int, str, str, str]] = []
+    send = Scheduler.send
+
+    def checked_send(self, msg):
+        nonlocal sent
+        sent += 1
+        if msg.sender != ENV and not self.state.alive(msg.sender):
+            dead.append((self.state.now, msg.kind, msg.sender, msg.to))
+        send(self, msg)
+
+    monkeypatch.setattr(Scheduler, "send", checked_send)
+    configs = [scenario_config(entry) for entry in GOLDEN.values()]
+    for path in sorted(FIXTURES.glob("pursuit_*.json")):
+        raw = json.loads(path.read_text())
+        meta = raw.pop("meta")
+        configs += [
+            raw,
+            with_fail(raw, (meta["victim"], meta["fail_tick"])),
+            with_fail(raw, (meta["leader"], meta["leader_fail_tick"])),
+        ]
+    configs += [random_scenario(seed) for seed in range(200)]
+    for config in configs:
+        eventlog.simulate(cfg.from_dict(config))
+    assert sent > 10_000
+    assert dead == []
