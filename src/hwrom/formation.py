@@ -315,10 +315,27 @@ def _task_depth(state: FormationState, t: str) -> int:
     return d
 
 
+def _chain_gaps(state: FormationState, composites: Collection[str]) -> int | None:
+    """How many tasks the root path through `composites` leaves out between
+    its top and its bottom: 0 when they form one parent-child chain, None
+    when they lie on no one root path."""
+    path = [max(composites, key=lambda x: _task_depth(state, x))]
+    while (up := state.task_parent.get(path[-1])) is not None:
+        path.append(up)
+    held = [i for i, x in enumerate(path) if x in composites]
+    return None if len(held) < len(composites) else held[-1] + 1 - len(held)
+
+
+def _parallel_conflict(state: FormationState, t: str, held: Collection[str]) -> bool:
+    """Whether task t forms a binding Parallel pair with a held task."""
+    pairs = state.params.parallel_pairs
+    return bool(pairs) and any(frozenset((t, h)) in pairs for h in held)
+
+
 def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str | None:
     """The norm a robot holding `held` would break by also taking task t, as
-    a decline reason, or None when it may take it. The auction (after the
-    winner lock) and the allocation fallback both ask this.
+    a decline reason, or None when it may take it. The auction asks this
+    after the winner lock; the allocation fallback asks its two parts.
 
     Leadership chain: the robot's composites, t among them and completed ones
     too, must form one parent-child chain, otherwise its own element would
@@ -327,12 +344,9 @@ def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str 
     if state.is_composite(t):
         mine = {x for x in held if state.is_composite(x)}
         mine.add(t)
-        if len(mine) > 1:
-            xs = sorted(mine, key=lambda x: (_task_depth(state, x), x))
-            if any(state.task_parent.get(b) != a for a, b in zip(xs, xs[1:])):
-                return "leadership_chain"
-    pairs = state.params.parallel_pairs
-    if pairs and any(frozenset((t, h)) in pairs for h in held):
+        if len(mine) > 1 and _chain_gaps(state, mine) != 0:
+            return "leadership_chain"
+    if _parallel_conflict(state, t, held):
         return "parallel_conflict"
     return None
 
@@ -584,10 +598,38 @@ def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
     state.status[t] = TaskStatus.ASSIGNED
 
 
-def _new_team(t: str, leader: str) -> OrgNode:
-    """The team node of task t, led by leader, before it gets its children;
-    `_renumber` fills in its place, rules and constraints."""
-    return OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
+def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | None) -> None:
+    """Put the team of task t, led by leader, under parent_node (the root
+    when None). The team takes over the leader's element, its unit with the
+    teams it leads above it, so a leader's teams form one chain and every
+    robot keeps one unit. Awards, designated roots and the allocation
+    fallback all seat teams here; the caller renumbers."""
+    ix = org_core.index(state.org)
+    team = OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
+    element = ix.leaf_of_robot.get(leader)
+    if parent_node is None:
+        team.children = [element if element is not None else _new_leaf(state, leader)]
+        state.org.root = team
+        return
+    parent = ix.node.get(parent_node)
+    if parent is None:
+        raise ProtocolViolationError(f"award under unknown node {parent_node}")
+    while element is not None and (up := ix.parent[element.id_ros]) is not None:
+        if up is parent or up.id_robot != leader:
+            break
+        element = up
+    if element is not None and element in parent.children:
+        # the element grows a level in place
+        team.children = [element]
+        parent.children[parent.children.index(element)] = team
+    else:
+        if element is not None:
+            # one unit per robot: the element moves here from wherever it sits
+            ix.parent[element.id_ros].children.remove(element)
+        else:
+            element = _new_leaf(state, leader)
+        team.children = [element]
+        parent.children.append(team)
 
 
 def _hang_team(
@@ -598,42 +640,21 @@ def _hang_team(
     parent_node: str | None,
     result: StepResult,
 ) -> None:
-    """Hang a new team for task t, led by leader, under parent_node (the root
-    when None), hand leader the lead, and queue the arrival of each subtask
-    still unassigned. The tree lookups come before the assignment is
-    written, while the index still matches; the caller renumbers."""
-    ix = org_core.index(state.org)
-    team = _new_team(t, leader)
-    existing_leaf = ix.leaf_of_robot.get(leader)
-    if parent_node is None:
-        team.children = [existing_leaf if existing_leaf is not None else _new_leaf(state, leader)]
-        state.org.root = team
-    else:
-        parent = ix.node.get(parent_node)
-        if parent is None:
-            raise ProtocolViolationError(f"award under unknown node {parent_node}")
-        if leader == parent.id_robot and parent.children:
-            # leadership chain: the leader's own element grows a level
-            element = parent.children[0]
-            team.children = [element]
-            parent.children[0] = team
-        elif existing_leaf is not None and existing_leaf in parent.children:
-            idx = parent.children.index(existing_leaf)
-            team.children = [existing_leaf]
-            parent.children[idx] = team
-        else:
-            if existing_leaf is not None:
-                # one unit per robot: it moves into the new team from wherever it sits
-                ix.parent[existing_leaf.id_ros].children.remove(existing_leaf)
-            else:
-                existing_leaf = _new_leaf(state, leader)
-            team.children = [existing_leaf]
-            parent.children.append(team)
+    """Seat a new team for task t, led by leader, under parent_node, hand
+    leader the lead, and queue the arrival of each subtask still unassigned.
+    The seat comes before the assignment is written, while the index still
+    matches the tree; the caller renumbers."""
+    _seat_team(state, t, leader, parent_node)
     _lead(state, t, leader, price)
     for child in state.task_children[t]:
         if state.status[child] is TaskStatus.UNASSIGNED:
             result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
     _maybe_complete_parent(state, t, result)
+
+
+def _root_owner(state: FormationState) -> str | None:
+    """Where a root task's holder goes: under the org root, if there is one."""
+    return state.org.root.id_ros if state.org.root is not None else None
 
 
 def _install_member(state: FormationState, robot: str, t: str, parent_node: str | None) -> None:
@@ -840,6 +861,7 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
         r: {t for t in tasks_by_robot.get(r, ()) if state.status[t] is TaskStatus.COMPLETED}
         for r in robots
     }
+    fixed_lead = {r: {t for t in held if state.is_composite(t)} for r, held in fixed_held.items()}
 
     composites = [t for t in unfinished if state.is_composite(t)]
     atomics = [t for t in unfinished if not state.is_composite(t)]
@@ -879,6 +901,10 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
         # (options hold members only), so this counts the members still idle
         if len(order) - i < len(team) - used:
             return False
+        if i == len(composites) and any(
+            mine and _chain_gaps(state, {*fixed_lead[r], *mine}) for r, mine in taken.items()
+        ):
+            return False  # every composite is placed: each robot's must form one chain
         if i == len(order):
             return True
         t = order[i]
@@ -889,7 +915,10 @@ def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str,
                 if used >= cap or kind[r] in fresh_tried:
                     continue
                 fresh_tried.add(kind[r])
-            if norm_violation(state, t, [*fixed_held[r], *mine]) is None:
+            # a robot's chain may still miss a link that a later composite
+            # fills: refuse only composites off one root path, judge chains above
+            on_path = i >= len(composites) or _chain_gaps(state, {*fixed_lead[r], *mine, t}) is not None
+            if on_path and not _parallel_conflict(state, t, [*fixed_held[r], *mine]):
                 chosen[t] = r
                 mine.append(t)
                 used += len(mine) == 1
@@ -977,71 +1006,40 @@ def _replan(state: FormationState, result: StepResult) -> bool:
 
 
 def _rebuild_tree(state: FormationState) -> None:
-    """Rebuild the whole tree from the assignment record (used after re-plans)."""
+    """Re-seat the tree from the assignment record after a re-plan, as awards
+    seat it: teams parents first, later roots under the org root as designated
+    roots go; then each robot's unit in the deepest team where it holds atomic
+    work, with all its atomic goals in id order. A task whose owning team is
+    gone is left out. Each edit is renumbered before the next lookup."""
     assignments = state.org.assignments
-    leaders = {
-        a.assignee
-        for t, a in assignments.items()
-        if state.is_composite(t) and state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED)
-    }
-    placed: set[str] = set()
-
-    def atomic_goals(robot: str) -> list[str]:
-        return sorted(
-            x
-            for x, xa in assignments.items()
-            if xa.assignee == robot and not state.is_composite(x)
-        )
-
-    def build(t: str) -> OrgNode | None:
+    state.org.root = None
+    _renumber(state)
+    teams: list[str] = []
+    for t in state.effective_tasks():
         a = assignments.get(t)
         if a is None or not state.is_composite(t):
-            return None
-        leader = a.assignee
-        team = _new_team(t, leader)
-        leader_element: OrgNode | None = None
-        rest: list[OrgNode] = []
-        for sub in state.task_children.get(t, []):
-            sub_team = build(sub)
-            if sub_team is None:
-                continue
-            if sub_team.id_robot == leader:
-                leader_element = sub_team
-            else:
-                rest.append(sub_team)
-        for sub in state.task_children.get(t, []):
-            sa = assignments.get(sub)
-            if sa is None or state.is_composite(sub):
-                continue
-            rid = sa.assignee
-            if rid in placed or rid in leaders or rid == leader:
-                continue
-            leaf = _new_leaf(state, rid)
-            leaf.goals = atomic_goals(rid)
-            placed.add(rid)
-            rest.append(leaf)
-        if leader_element is None:
-            leader_element = _new_leaf(state, leader)
-            leader_element.goals = atomic_goals(leader)
-            placed.add(leader)
-        team.children = [leader_element] + rest
-        return team
-
-    built = [b for b in (build(t) for t in state.root_tasks) if b is not None]
-    # `build` calls itself through its closure cell, a cycle that would keep
-    # the state alive until the cycle collector runs; empty the cell
-    del build
-    root: OrgNode | None = None
-    if built:
-        root = built[0]
-        root.children.extend(built[1:])
-    elif len(state.root_tasks) == 1:
-        a = assignments.get(state.root_tasks[0])
-        if a is not None:
-            root = _new_leaf(state, a.assignee)
-            root.goals = atomic_goals(a.assignee)
-    state.org.root = root
-    _renumber(state)
+            continue
+        parent = state.task_parent.get(t)
+        owner = _root_owner(state) if parent is None else f"team:{parent}"
+        if owner is not None and owner not in org_core.index(state.org).node:
+            continue  # its owning team is gone
+        _seat_team(state, t, a.assignee, owner)
+        _renumber(state)
+        teams.append(t)
+    teams.sort(key=lambda t: -_task_depth(state, t))
+    subtasks = [(f"team:{t}", sub) for t in teams for sub in state.task_children[t]]
+    # with no team, an atomic root's holder is the whole organization
+    for owner, sub in subtasks or [(None, t) for t in state.root_tasks]:
+        a = assignments.get(sub)
+        if a is None or state.is_composite(sub):
+            continue
+        ix = org_core.index(state.org)
+        leaf = ix.leaf_of_robot.get(a.assignee)
+        if leaf is not None and leaf.goals:
+            continue  # the robot's unit took its goals where it was first met
+        for g in sorted(x for x in ix.tasks_by_robot[a.assignee] if not state.is_composite(x)):
+            _install_member(state, a.assignee, g, owner)
+            _renumber(state)
 
 
 # --- execution ---------------------------------------------------------------------
@@ -1519,8 +1517,7 @@ def _install_designated_root(
     if not state.alive(leader):
         result.notes.append({"kind": "designation_void", "task": t, "robot": leader})
         return
-    parent = state.org.root.id_ros if state.org.root is not None else None
-    _hang_team(state, t, leader, Fraction(0), parent, result)
+    _hang_team(state, t, leader, Fraction(0), _root_owner(state), result)
     result.notes.append({"kind": "designated_leader", "task": t, "robot": leader})
     _renumber(state)
 

@@ -2,9 +2,9 @@
 table against the capability scan, the integer drop decision against the
 rational draw, the one norm predicate against the auction's own chain test
 and `check_assignment`, the one-walk `_renumber` against the recursive rule
-fold and a per-team subtree scan, and the integer pursuit tick and its
-skipped sensing against the per-pair tick and sensing every live robot
-every tick."""
+fold and a per-team subtree scan, the re-plan's re-seated tree against the
+recursive builder it replaced, and the integer pursuit tick and its skipped
+sensing against the per-pair tick and sensing every live robot every tick."""
 
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from hwrom.simnet import Drop, NetConfig, _drop_draw, route
 from hwrom.wire import ENV, Message
 
 from test_formation import chain_config, one_unit_config
+from test_golden_traces import GOLDEN, scenario_config
 from test_state_hash import random_scenario
 
 # --- the magnitude table ---------------------------------------------------------
@@ -357,6 +358,123 @@ def test_one_walk_renumber_matches_whole_rules_and_the_per_team_scan():
                 assert team.constraints == [
                     c for c in state.params.constraints if c.a in goals and c.b in goals
                 ]
+
+
+# --- re-seating the tree after a re-plan -----------------------------------------------
+
+
+def reference_rebuild_tree(state: fm.FormationState) -> None:
+    """`_rebuild_tree` before it seated teams through the award's placement
+    code: its own recursive builder, which gave a robot leading several
+    capture roots one unit under each."""
+    assignments = state.org.assignments
+    leaders = {
+        a.assignee
+        for t, a in assignments.items()
+        if state.is_composite(t)
+        and state.status[t] in (org_core.TaskStatus.ASSIGNED, org_core.TaskStatus.COMPLETED)
+    }
+    placed: set[str] = set()
+
+    def atomic_goals(robot: str) -> list[str]:
+        return sorted(
+            x
+            for x, xa in assignments.items()
+            if xa.assignee == robot and not state.is_composite(x)
+        )
+
+    def build(t: str) -> OrgNode | None:
+        a = assignments.get(t)
+        if a is None or not state.is_composite(t):
+            return None
+        leader = a.assignee
+        team = OrgNode(f"team:{t}", leader, 0, 0, goals=[t])
+        leader_element: OrgNode | None = None
+        rest: list[OrgNode] = []
+        for sub in state.task_children.get(t, []):
+            sub_team = build(sub)
+            if sub_team is None:
+                continue
+            if sub_team.id_robot == leader:
+                leader_element = sub_team
+            else:
+                rest.append(sub_team)
+        for sub in state.task_children.get(t, []):
+            sa = assignments.get(sub)
+            if sa is None or state.is_composite(sub):
+                continue
+            rid = sa.assignee
+            if rid in placed or rid in leaders or rid == leader:
+                continue
+            leaf = fm._new_leaf(state, rid)
+            leaf.goals = atomic_goals(rid)
+            placed.add(rid)
+            rest.append(leaf)
+        if leader_element is None:
+            leader_element = fm._new_leaf(state, leader)
+            leader_element.goals = atomic_goals(leader)
+            placed.add(leader)
+        team.children = [leader_element] + rest
+        return team
+
+    built = [b for b in (build(t) for t in state.root_tasks) if b is not None]
+    root: OrgNode | None = None
+    if built:
+        root = built[0]
+        root.children.extend(built[1:])
+    elif len(state.root_tasks) == 1:
+        a = assignments.get(state.root_tasks[0])
+        if a is not None:
+            root = fm._new_leaf(state, a.assignee)
+            root.goals = atomic_goals(a.assignee)
+    state.org.root = root
+    fm._renumber(state)
+
+
+def test_rebuild_matches_the_recursive_builder_on_single_root_replans(monkeypatch):
+    rebuild = fm._rebuild_tree
+    seen = {"replans": 0, "nested_team": 0, "chain": 0, "dead_member": 0}
+
+    def both(state):
+        if len(state.root_tasks) > 1:
+            return rebuild(state)  # the recursive builder gave a second unit here
+        reference_rebuild_tree(state)
+        want = org_core.snapshot_dict(state.org)
+        rebuild(state)
+        assert org_core.snapshot_dict(state.org) == want
+        ix = org_core.index(state.org)
+        seen["replans"] += 1
+        seen["nested_team"] += any(d > 1 and n.startswith("team:") for n, d in ix.depth.items())
+        seen["chain"] += any(len(teams) > 1 for teams in ix.led_by.values())
+        seen["dead_member"] += any(not state.alive(r) for r in ix.leaf_of_robot)
+
+    monkeypatch.setattr(fm, "_rebuild_tree", both)
+    for name in sorted(GOLDEN):
+        eventlog.simulate(cfg.from_dict(scenario_config(GOLDEN[name])), None)
+    for seed in range(400):
+        eventlog.simulate(cfg.from_dict(random_scenario(seed)), None)
+    assert all(seen.values()), seen
+
+
+def test_multi_root_replans_leave_one_unit_per_robot(monkeypatch):
+    """The pursuit organizer leads several capture roots; a re-plan seats
+    them as designated roots go, so no robot gets a second unit."""
+    rebuild = fm._rebuild_tree
+    multi_root = 0
+
+    def checked(state):
+        nonlocal multi_root
+        rebuild(state)
+        multi_root += len(state.root_tasks) > 1
+        codes = {v.code for v in org_core.validate(state.org).violations}
+        assert not codes & {"DuplicateNodeId", "DuplicateMembership", "LeaderMismatch"}, codes
+
+    monkeypatch.setattr(fm, "_rebuild_tree", checked)
+    # seeds 21 and 40 gave the organizer a second unit; in seed 188 a robot
+    # leads two sibling roots, which must form one chain
+    for seed in range(200):
+        eventlog.simulate(cfg.from_dict(random_pursuit_config(seed)), None)
+    assert multi_root
 
 
 # --- the pursuit tick ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Formation machine tests: the happy path, dynamics, recovery, determinism."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,11 +27,15 @@ from conftest import (
     build_robots,
     build_task,
     cap,
+    organizer_caps,
     req,
     robot,
     run_cli_logged,
     standard_instance,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def params_for(spec: dict, **kw) -> EngineParams:
@@ -160,6 +166,53 @@ class TestStepProtocol:
         state, _ = run_scenario(standard_instance, stop_at_formed=True)
         with pytest.raises(ProtocolViolationError):
             fm.step(state, fm.Tick(tick=state.now - 5))
+
+    def test_duplicate_and_late_bids_and_a_stale_close_are_noted_and_ignored(self):
+        """A repeated bid, a bid after the window and a close of an earlier
+        round change nothing. The scheduler never delivers a late bid (the
+        close, queued when the round opened, comes first), so the steps are
+        taken here by hand."""
+        state = fm.new_state(
+            [robot("R1", *organizer_caps(), cap("Action", "weld")), robot("R2", cap("Action", "weld"))],
+            EngineParams(),
+        )
+        fm.register_task_tree(state, TaskNode("T", Fraction(20), frozenset({req("Action", "weld", 1)})))
+        fm.step(state, fm.TaskArrived(tick=0, id_task="T"))
+        fm.step(state, fm.Tick(tick=0))
+        ann = state.active_auctions["T"].announcement
+        bid = fm.consider_announcement(state, "R1", ann)
+        late = replace(bid, bidder="R2")
+
+        def kinds(event):
+            return [n["kind"] for n in fm.step(state, event).notes]
+
+        assert kinds(fm.BidSubmitted(tick=1, bid=bid)) == ["bid"]
+        assert kinds(fm.BidSubmitted(tick=2, bid=bid)) == ["duplicate_bid"]
+        assert kinds(fm.BidSubmitted(tick=ann.deadline + 1, bid=late)) == ["late_bid"]
+        assert kinds(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round + 1)) == [
+            "close_stale"
+        ]
+        assert list(state.active_auctions["T"].bids) == ["R1"]
+        assert "award" in kinds(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round))
+        assert state.org.assignments["T"].assignee == "R1"
+
+    def test_a_designation_to_a_robot_that_just_failed_is_void(self):
+        # the organizer plans e1 at tick 1 and fails before e1's capture task
+        # arrives at that tick, designated to it
+        raw = json.loads((FIXTURES / "canonical_pursuit.json").read_text())
+        raw.pop("meta", None)
+        raw["events"] = [{"at": 1, "type": "fail", "robot": "R1"}]
+        records: list[dict] = []
+        state, _ = eventlog.simulate(config.from_dict(raw), records.append)
+        void = [
+            (rec["tick"], note)
+            for rec in records
+            if rec["type"] == "event"
+            for note in rec["detail"]["notes"]
+            if note["kind"] == "designation_void"
+        ]
+        assert void == [(1, {"kind": "designation_void", "task": "capture:e1", "robot": "R1"})]
+        assert "capture:e1" not in state.org.assignments
 
     def test_empty_auction_escalates(self):
         spec = {

@@ -141,6 +141,42 @@ class TestValidate:
         assert "ControlEdgeOffTree" in validate(org).codes()
 
 
+def _renumbered_root(org: Organization) -> None:
+    org.root.level_i = 1
+
+
+def _swapped_positions(org: Organization) -> None:
+    org_core.index(org).node["unit:R4"].pos_j = 0
+
+
+def _unbound_team(org: Organization) -> None:
+    org_core.index(org).node["team:c1"].id_robot = None
+
+
+def _stranger_bound(org: Organization) -> None:
+    org_core.index(org).node["unit:R4"].id_robot = "R9"
+
+
+def _relation_to_a_stranger(org: Organization) -> None:
+    org.relations.add(Relation("R1", "R9", RelationKind.CONTROL))
+
+
+@pytest.mark.parametrize(
+    "code, breakage",
+    [
+        ("RootLevelNotZero", _renumbered_root),
+        ("PositionMismatch", _swapped_positions),
+        ("UnboundNode", _unbound_team),
+        ("UnknownRobotBound", _stranger_bound),
+        ("RelationEndpointUnknown", _relation_to_a_stranger),
+    ],
+)
+def test_each_broken_invariant_is_reported(code, breakage):
+    org = two_level_society()
+    breakage(org)
+    assert code in validate(org).codes()
+
+
 class TestMembers:
     def test_leaf_singleton(self):
         assert members(two_level_society(), "unit:R4") == {"R4"}

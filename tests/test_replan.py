@@ -24,10 +24,12 @@ def exhaustive_allocation(
     """Reference: enumerate every candidate^task assignment and keep the least
     key (team size, sorted team, assignment vector in `order`).
 
-    Tasks are taken in `order`, and each must keep its robot's norms with
-    what the robot already holds: its completed work and its earlier tasks
-    in `order`. `completed_composites=False` leaves a robot's completed
-    composites out of its leadership chain, as the fallback once did."""
+    Each task must form no Parallel pair with what its robot holds: its
+    completed work and its other tasks. Each robot's composites, its
+    completed ones among them, must form one leadership chain on the
+    complete assignment. `completed_composites=False` leaves a robot's
+    completed composites out of its leadership chain, as the fallback once
+    did."""
     robots = sorted(r for r in state.robots if state.alive(r))
     fixed_held: dict[str, set[str]] = {
         r: {
@@ -67,18 +69,20 @@ def exhaustive_allocation(
         held = fixed_held[robot] | {x for x, r in chosen.items() if r == robot}
         return all(frozenset((t, h)) not in parallel_pairs for h in held)
 
-    def chain_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
-        # the robot's composites form one parent-child path: exactly one of
-        # them has no parent among them, and none has two children among them
-        if not state.is_composite(t):
-            return True
-        mine = {x for x in composites if chosen.get(x) == robot} | {t}
-        if completed_composites:
-            mine |= {x for x in fixed_held[robot] if state.is_composite(x)}
-        tops = [x for x in mine if state.task_parent.get(x) not in mine]
-        return len(tops) == 1 and all(
-            sum(state.task_parent.get(y) == x for y in mine) <= 1 for x in mine
-        )
+    def chains_ok(chosen: dict[str, str]) -> bool:
+        # on the complete assignment, each robot's composites form one
+        # parent-child path: exactly one of them has no parent among them,
+        # and none has two children among them
+        for robot in set(chosen.values()):
+            mine = {x for x in composites if chosen[x] == robot}
+            if not mine:
+                continue
+            if completed_composites:
+                mine |= {x for x in fixed_held[robot] if state.is_composite(x)}
+            tops = [x for x in mine if state.task_parent.get(x) not in mine]
+            if len(tops) != 1 or any(sum(state.task_parent.get(y) == x for y in mine) > 1 for x in mine):
+                return False
+        return True
 
     best: dict[str, str] | None = None
     best_key: tuple | None = None
@@ -86,6 +90,8 @@ def exhaustive_allocation(
     def search(i: int, chosen: dict[str, str]) -> None:
         nonlocal best, best_key
         if i == len(order):
+            if not chains_ok(chosen):
+                return
             team = tuple(sorted(set(chosen.values())))
             key = (len(team), team, tuple(chosen[t] for t in order))
             if best_key is None or key < best_key:
@@ -93,7 +99,7 @@ def exhaustive_allocation(
             return
         t = order[i]
         for r in candidates(t):
-            if parallel_ok(r, t, chosen) and chain_ok(r, t, chosen):
+            if parallel_ok(r, t, chosen):
                 chosen[t] = r
                 search(i + 1, chosen)
                 del chosen[t]
@@ -162,7 +168,7 @@ def random_instance(seed: int) -> fm.FormationState:
 
 def test_team_search_matches_exhaustive_search():
     seen = {"infeasible": 0, "parallel": 0, "parallel_unenforced": 0, "nested": 0, "siblings": 0,
-            "fixed_held": 0, "team>2": 0, "twins": 0, "completed_chain": 0}
+            "fixed_held": 0, "team>2": 0, "twins": 0, "completed_chain": 0, "chain_over_a_gap": 0}
     for seed in range(600):
         state = random_instance(seed)
         unfinished = fm._unfinished(state)
@@ -183,7 +189,35 @@ def test_team_search_matches_exhaustive_search():
         seen["completed_chain"] += want != exhaustive_allocation(
             state, unfinished, completed_composites=False
         )
+        # a robot leads a completed composite and two ancestors above it: the
+        # top one is placed first, while its chain still misses the middle one
+        lead = {t: r for t, r in want or () if t in composites}
+        seen["chain_over_a_gap"] += any(
+            (p := state.task_parent[t]) in lead and lead.get(state.task_parent[p]) == lead[p] == a.assignee
+            for t, a in state.org.assignments.items()
+            if state.is_composite(t)
+        )
     assert all(seen.values()), seen
+
+
+def test_a_chain_may_not_skip_a_completed_team():
+    """R2 led g and R1 led d below it, both completed. T and d lie on one
+    root path, but R1 leading T would skip g, so only R2 may lead T."""
+    robots = [robot(r, *organizer_caps(), cap("Action", "weld")) for r in ("R1", "R2")]
+    state = fm.new_state(robots, EngineParams())
+    welds = frozenset({req("Action", "weld", 1)})
+    d = TaskNode("d", Fraction(10), frozenset(), [TaskNode("d1", Fraction(10), welds)])
+    g = TaskNode("g", Fraction(20), frozenset(), [d])
+    fm.register_task_tree(state, TaskNode("T", Fraction(40), frozenset(), [g, TaskNode("t1", Fraction(10), welds)]))
+    for t, holder, mode, subtasks in (("g", "R2", AssignmentMode.LED, ("d",)),
+                                      ("d", "R1", AssignmentMode.LED, ("d1",)),
+                                      ("d1", "R1", AssignmentMode.WON, ())):
+        state.status[t] = TaskStatus.COMPLETED
+        state.org.assignments[t] = TaskAssignment(t, holder, Fraction(10), mode, subtasks)
+    unfinished = fm._unfinished(state)
+    assert fm._allocation(state, unfinished) == exhaustive_allocation(state, unfinished) == [
+        ("T", "R2"), ("t1", "R2")
+    ]
 
 
 def give_up_config(size: int, leaves: int | None = None, parallel: bool = False,
