@@ -406,10 +406,9 @@ def from_dict(data: dict) -> ScenarioConfig:
         seed=seed,
     )
 
-    # (order key, event): events run by tick, type, then robot id, so their
-    # order does not depend on the key order of the entries
-    script: list[tuple[tuple, fm.FormationEvent]] = []
-    known = set(robot_ids)
+    # (order key, entry, event): events run by tick, type, then robot id, so
+    # their order does not depend on the key order of the entries
+    script: list[tuple[tuple, str, fm.FormationEvent]] = []
     for i, entry in enumerate(_as_list(data.get("events", []), "events")):
         where = f"events[{i}]"
         entry = _as_dict(entry, where)
@@ -417,20 +416,15 @@ def from_dict(data: dict) -> ScenarioConfig:
         at = _int(_require(entry, "at", where), f"{where}.at", 0)
         if kind == "join":
             robot = _build_robot(_require(entry, "robot", where), f"{where}.robot")
-            if robot.id_cr in known:
-                raise ConfigError(f"{where}.robot", f"duplicate robot id {robot.id_cr!r}")
-            known.add(robot.id_cr)
             if "pursuit" in data:
                 pose = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
             else:  # a generic run has no grid: the pose is only logged
                 pos = entry.get("pos")
                 pose = tuple(_as_list(pos, f"{where}.pos")) if pos is not None else None
             event = fm.RobotJoined(tick=at, robot=robot, pose=pose)
-            script.append(((at, kind, robot.id_cr), event))
+            script.append(((at, kind, robot.id_cr), where, event))
         elif kind in ("fail", "withdraw"):
             rid = str(_require(entry, "robot", where))
-            if rid not in known:
-                raise ConfigError(f"{where}.robot", f"unknown robot {rid!r}")
             if kind == "fail":
                 event = fm.RobotFailed(tick=at, robot=rid)
             else:
@@ -439,9 +433,20 @@ def from_dict(data: dict) -> ScenarioConfig:
                     event = fm.RobotWithdrew(tick=at, robot=rid, reason=fm.WithdrawReason(reason))
                 except ValueError:
                     raise ConfigError(f"{where}.reason", f"unknown reason {reason!r}") from None
-            script.append(((at, kind, rid), event))
+            script.append(((at, kind, rid), where, event))
         else:
             raise ConfigError(where, f"unknown event type {kind!r}")
+    script.sort(key=lambda keyed: keyed[0])
+    # a join brings a new id; a fail or withdraw names a robot present at its
+    # place in run order: a starting robot or one joined before it (a
+    # same-tick fail runs first)
+    present = set(robot_ids)
+    for (at, kind, rid), where, _ in script:
+        if kind == "join" and rid in present:
+            raise ConfigError(f"{where}.robot", f"duplicate robot id {rid!r}")
+        if kind != "join" and rid not in present:
+            raise ConfigError(f"{where}.robot", f"unknown robot {rid!r} at tick {at}")
+        present.add(rid)
 
     params = fm.EngineParams(
         margin=_money(auction.get("margin", "1/10"), "auction.margin"),
@@ -462,7 +467,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         params=params,
         robots=built_robots,
         task=root,
-        script=[event for _, event in sorted(script, key=lambda keyed: keyed[0])],
+        script=[event for _, _, event in script],
         world=world,
     )
 

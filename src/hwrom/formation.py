@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Collection, Iterator
 
-from . import org_core, pursuit, wire
+from . import allocation, org_core, pursuit, wire
 from .market import (
     AdjustPolicy,
     Announcement,
@@ -59,7 +59,6 @@ from .rules_engine import (
     Rule,
     RuleSet,
     check_assignment,
-    preferred_teams,
     winner_locked,
 )
 from .wire import ENV
@@ -307,31 +306,6 @@ def new_state(
 # --- cost model ------------------------------------------------------------------
 
 
-def _task_depth(state: FormationState, t: str) -> int:
-    d = 0
-    while (p := state.task_parent.get(t)) is not None:
-        t = p
-        d += 1
-    return d
-
-
-def _chain_gaps(state: FormationState, composites: Collection[str]) -> int | None:
-    """How many tasks the root path through `composites` leaves out between
-    its top and its bottom: 0 when they form one parent-child chain, None
-    when they lie on no one root path."""
-    path = [max(composites, key=lambda x: _task_depth(state, x))]
-    while (up := state.task_parent.get(path[-1])) is not None:
-        path.append(up)
-    held = [i for i, x in enumerate(path) if x in composites]
-    return None if len(held) < len(composites) else held[-1] + 1 - len(held)
-
-
-def _parallel_conflict(state: FormationState, t: str, held: Collection[str]) -> bool:
-    """Whether task t forms a binding Parallel pair with a held task."""
-    pairs = state.params.parallel_pairs
-    return bool(pairs) and any(frozenset((t, h)) in pairs for h in held)
-
-
 def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str | None:
     """The norm a robot holding `held` would break by also taking task t, as
     a decline reason, or None when it may take it. The auction asks this
@@ -344,9 +318,9 @@ def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str 
     if state.is_composite(t):
         mine = {x for x in held if state.is_composite(x)}
         mine.add(t)
-        if len(mine) > 1 and _chain_gaps(state, mine) != 0:
+        if len(mine) > 1 and allocation.chain_gaps(state.task_parent, mine) != 0:
             return "leadership_chain"
-    if _parallel_conflict(state, t, held):
+    if allocation.parallel_conflict(state.params.parallel_pairs, t, held):
         return "parallel_conflict"
     return None
 
@@ -732,7 +706,7 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
     result.notes.append({"kind": "give_up", "task": t})
     try:
         planned = _replan(state, result)
-    except ReplanBudgetExhausted:
+    except allocation.BudgetExhausted:
         result.notes.append({"kind": "replan_budget_exhausted", "task": t})
         planned = False
     if not planned:
@@ -829,159 +803,46 @@ def _dissolve_team(
 REPLAN_NODE_BUDGET = 1_000_000
 
 
-class ReplanBudgetExhausted(Exception):
-    """The allocation search visited REPLAN_NODE_BUDGET nodes without an answer."""
-
-
-def _unfinished(state: FormationState) -> list[str]:
-    return [
+def _problem(state: FormationState) -> allocation.Problem:
+    """The re-plan as the solver poses it: every unfinished task in tree
+    order, and what the search may read of the state."""
+    robots = sorted(r for r in state.robots if state.alive(r))
+    tasks_by_robot = org_core.index(state.org).tasks_by_robot
+    tasks = tuple(
         t
         for t in state.effective_tasks()
         if state.status[t]
         in (TaskStatus.UNASSIGNED, TaskStatus.ANNOUNCED, TaskStatus.ASSIGNED)
-    ]
-
-
-def _allocation(state: FormationState, unfinished: list[str]) -> list[tuple[str, str]] | None:
-    """The preference-best feasible assignment of `unfinished` tasks as
-    (task, robot) pairs in `order` (composites first), or None if there is none.
-
-    Best means the least key (team size, sorted team, assignee of each task in
-    `order`): rules_engine.forming_key on the team, then the assignment vector.
-    Depth-first searches capped at k distinct robots find the least team size
-    k; teams of the candidate robots are then tried in forming_key order from
-    k. Within a team a depth-first search over `order` takes each task's
-    candidates in id order, so its first complete hit is the lexicographic
-    optimum. Raises ReplanBudgetExhausted
-    after REPLAN_NODE_BUDGET search nodes.
-    """
-    robots = sorted(r for r in state.robots if state.alive(r))
-    tasks_by_robot = org_core.index(state.org).tasks_by_robot
-    fixed_held: dict[str, set[str]] = {
-        r: {t for t in tasks_by_robot.get(r, ()) if state.status[t] is TaskStatus.COMPLETED}
-        for r in robots
-    }
-    fixed_lead = {r: {t for t in held if state.is_composite(t)} for r, held in fixed_held.items()}
-
-    composites = [t for t in unfinished if state.is_composite(t)]
-    atomics = [t for t in unfinished if not state.is_composite(t)]
-    order = composites + atomics
-
-    eligible: dict[str, list[str]] = {}
-    for t in order:
+    )
+    eligible: dict[str, tuple[str, ...]] = {}
+    for t in tasks:
         reqs, _ = _requirements(state, t)
-        eligible[t] = [r for r in robots if state.robots[r].dominates(reqs)]
-    if not all(eligible.values()):
-        return None
-
-    nodes = 0
-
-    def visit() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > REPLAN_NODE_BUDGET:
-            raise ReplanBudgetExhausted
-
-    # robots with the same candidacies and completed work are interchangeable
-    # until one of them is used: swapping two unused ones maps any completion
-    # onto another, so once one fails as t's assignee, the rest fail too
-    kind = {r: (tuple(r in eligible[t] for t in order), frozenset(fixed_held[r])) for r in robots}
-    chosen: dict[str, str] = {}
-    # the partial assignment by robot, and how many robots it uses, kept in
-    # step with `chosen`
-    taken: dict[str, list[str]] = {r: [] for r in robots}
-    used = 0
-
-    def search(i: int, options: dict[str, list[str]], team: set[str], cap: int) -> bool:
-        """Extend `chosen` over order[i:] with at most `cap` distinct robots,
-        so that every member of `team` ends up with a task."""
-        nonlocal used
-        visit()
-        # every robot in use is a member of `team` when `team` is not empty
-        # (options hold members only), so this counts the members still idle
-        if len(order) - i < len(team) - used:
-            return False
-        if i == len(composites) and any(
-            mine and _chain_gaps(state, {*fixed_lead[r], *mine}) for r, mine in taken.items()
-        ):
-            return False  # every composite is placed: each robot's must form one chain
-        if i == len(order):
-            return True
-        t = order[i]
-        fresh_tried = set()
-        for r in options[t]:
-            mine = taken[r]
-            if not mine:
-                if used >= cap or kind[r] in fresh_tried:
-                    continue
-                fresh_tried.add(kind[r])
-            # a robot's chain may still miss a link that a later composite
-            # fills: refuse only composites off one root path, judge chains above
-            on_path = i >= len(composites) or _chain_gaps(state, {*fixed_lead[r], *mine, t}) is not None
-            if on_path and not _parallel_conflict(state, t, [*fixed_held[r], *mine]):
-                chosen[t] = r
-                mine.append(t)
-                used += len(mine) == 1
-                if search(i + 1, options, team, cap):
-                    return True
-                used -= len(mine) == 1
-                mine.pop()
-                del chosen[t]
-        return False
-
-    def forget() -> None:
-        """Empty the assignment a successful search leaves behind."""
-        nonlocal used
-        chosen.clear()
-        for mine in taken.values():
-            mine.clear()
-        used = 0
-
-    try:
-        # one first-hit search proves feasibility, so an infeasible instance never
-        # pays for the team enumeration; its team bounds the least size from above
-        if not search(0, eligible, set(), len(order)):
-            return None
-        upper = used
-        forget()
-
-        # each robot's composites form one parent-child path (the leadership
-        # chain of `norm_violation`), and a composite with no unfinished
-        # composite child can only end such a path
-        open_composites = set(composites)
-        size = max(1, sum(1 for t in composites if open_composites.isdisjoint(state.task_children[t])))
-        # a search capped at `size` robots visits each partial assignment once,
-        # where trying every team of that size would revisit it in each superset
-        while size < upper and not search(0, eligible, set(), size):
-            size += 1
-        forget()
-
-        # a robot that is no task's candidate can hold nothing, so it is in no team
-        pool = set().union(*eligible.values())
-        for team in preferred_teams(pool, size):
-            visit()
-            members = set(team)
-            options = {t: [r for r in eligible[t] if r in members] for t in order}
-            if all(options.values()) and search(0, options, members, size):
-                return [(t, chosen[t]) for t in order]
-        return None  # unreachable: the capped search above found a team of `size`
-    finally:
-        # `search` calls itself through its closure cell, a cycle that would
-        # keep the state alive until the cycle collector runs; empty the cell
-        del search
+        eligible[t] = tuple(r for r in robots if state.robots[r].dominates(reqs))
+    return allocation.Problem(
+        tasks=tasks,
+        composites=frozenset(t for t, subtasks in state.task_children.items() if subtasks),
+        eligible=eligible,
+        held={
+            r: frozenset(t for t in tasks_by_robot.get(r, ()) if state.status[t] is TaskStatus.COMPLETED)
+            for r in robots
+        },
+        parent=state.task_parent,
+        pairs=state.params.parallel_pairs,
+        budget=REPLAN_NODE_BUDGET,
+    )
 
 
 def _replan(state: FormationState, result: StepResult) -> bool:
     """Leader allocation without negotiation: find the preference-best feasible
     assignment of every unfinished task and install it wholesale."""
-    unfinished = _unfinished(state)
-    if not unfinished:
+    problem = _problem(state)
+    if not problem.tasks:
         return True
-    best = _allocation(state, unfinished)
+    best = allocation.solve(problem)
     if best is None:
         return False
 
-    for t in unfinished:
+    for t in problem.tasks:
         _revoke_task(state, t, "reallocated", result)
     state.pending.clear()
     state.active_auctions.clear()
@@ -1026,7 +887,7 @@ def _rebuild_tree(state: FormationState) -> None:
         _seat_team(state, t, a.assignee, owner)
         _renumber(state)
         teams.append(t)
-    teams.sort(key=lambda t: -_task_depth(state, t))
+    teams.sort(key=lambda t: -allocation.depth(state.task_parent, t))
     subtasks = [(f"team:{t}", sub) for t in teams for sub in state.task_children[t]]
     # with no team, an atomic root's holder is the whole organization
     for owner, sub in subtasks or [(None, t) for t in state.root_tasks]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class RuleCategory(Enum):
@@ -151,17 +150,6 @@ def forming_key(members: Iterable[str]) -> tuple[int, tuple[str, ...]]:
     """
     team = tuple(sorted(members))
     return len(team), team
-
-
-def preferred_teams(robots: Iterable[str], min_size: int = 1) -> Iterator[tuple[str, ...]]:
-    """Every team of at least `min_size` of `robots`, best first under forming_key.
-
-    forming_key orders by size first, and combinations() of a sorted pool
-    yields each size in id-lexicographic order, so the sizes in turn are the
-    key order. Lazy: no team is built before it is asked for.
-    """
-    pool = sorted(robots)
-    return chain.from_iterable(combinations(pool, k) for k in range(min_size, len(pool) + 1))
 
 
 @dataclass

@@ -440,6 +440,39 @@ class TestRunCommand:
         assert failed == [(6, "J1")]
         assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
+    @pytest.mark.parametrize(
+        "events, error",
+        [
+            ([("fail", 6), ("join", 3)], None),
+            ([("join", 3), ("fail", 6)], None),
+            ([("join", 3), ("fail", 1)], "events[1].robot: unknown robot 'J1' at tick 1"),
+            # at one tick a fail runs before a join
+            ([("join", 3), ("fail", 3)], "events[1].robot: unknown robot 'J1' at tick 3"),
+            ([("join", 5), ("join", 3)], "events[0].robot: duplicate robot id 'J1'"),
+        ],
+        ids=["fail_listed_first", "join_listed_first", "fail_before_join", "fail_at_join_tick", "join_twice"],
+    )
+    def test_scripted_events_are_checked_in_run_order(
+        self, runner, generic_config, tmp_path, events, error
+    ):
+        joiner = {"id": "J1", "capabilities": [["Action", "weld", 3], ["Communication", "radio", 1]]}
+        data = json.loads(generic_config.read_text())
+        data["events"] = [
+            {"at": at, "type": kind, "robot": joiner if kind == "join" else "J1"} for kind, at in events
+        ]
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(data))
+        log = tmp_path / "events.jsonl"
+        result = runner.invoke(main, ["run", str(path), "--log", str(log)])
+        if error is not None:
+            assert result.exit_code == 2
+            assert f"config error: {error}" in result.output
+            return
+        assert result.exit_code == 0, result.output
+        records = [json.loads(x) for x in log.read_text().splitlines()]
+        script = [(r["tick"], r["event"]) for r in records if r.get("event") in ("RobotJoined", "RobotFailed")]
+        assert script == [(3, "RobotJoined"), (6, "RobotFailed")]
+
     def test_negative_ticks_flag_exits_two(self, runner, generic_config):
         result = runner.invoke(main, ["run", str(generic_config), "--ticks", "-1"])
         assert result.exit_code == 2

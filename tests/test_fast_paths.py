@@ -18,7 +18,7 @@ import pytest
 from hwrom import config as cfg
 from hwrom import eventlog
 from hwrom import formation as fm
-from hwrom import org_core, pursuit
+from hwrom import allocation, org_core, pursuit
 from hwrom.org_core import (
     Capability,
     CapabilityKind,
@@ -156,7 +156,7 @@ def reference_norm_violation(state: fm.FormationState, robot_id: str, ann) -> st
             and state.status[x] in (org_core.TaskStatus.ASSIGNED, org_core.TaskStatus.COMPLETED)
         }
         mine.add(ann.id_task)
-        xs = sorted(mine, key=lambda x: (fm._task_depth(state, x), x))
+        xs = sorted(mine, key=lambda x: (allocation.depth(state.task_parent, x), x))
         if any(state.task_parent.get(b) != a for a, b in zip(xs, xs[1:])):
             return "leadership_chain"
     held = tasks_by_robot.get(robot_id, set()) | {ann.id_task}

@@ -1,14 +1,22 @@
-"""The allocation fallback: the ordered team search against the exhaustive
-search it replaced, the node budget, and sizes the exhaustive search could
-not finish."""
+"""The allocation fallback: the solver against an exhaustive search of the
+same Problem, on Problems the engine poses and on Problems drawn with no
+state around them; the Problem the engine poses against an independent
+derivation; the node budget; and sizes the exhaustive search could not
+finish."""
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from hwrom import eventlog
+from hwrom.allocation import BudgetExhausted, Problem, solve
 from hwrom.config import from_dict
 from hwrom import formation as fm
 from hwrom.formation import EngineParams, _leadership_capable
@@ -18,56 +26,22 @@ from hwrom.rules_engine import RULE_NO_PARALLEL, STANDARD_RULES, ConstraintKind,
 from conftest import SKILLS, cap, log_notes, organizer_caps, req, robot, run_cli_logged
 
 
-def exhaustive_allocation(
-    state: fm.FormationState, unfinished: list[str], *, completed_composites: bool = True
-):
+def exhaustive_allocation(problem: Problem):
     """Reference: enumerate every candidate^task assignment and keep the least
-    key (team size, sorted team, assignment vector in `order`).
+    key (team size, sorted team, assignment vector in `order`), where `order`
+    takes the composites of `problem.tasks` first.
 
     Each task must form no Parallel pair with what its robot holds: its
     completed work and its other tasks. Each robot's composites, its
     completed ones among them, must form one leadership chain on the
-    complete assignment. `completed_composites=False` leaves a robot's
-    completed composites out of its leadership chain, as the fallback once
-    did."""
-    robots = sorted(r for r in state.robots if state.alive(r))
-    fixed_held: dict[str, set[str]] = {
-        r: {
-            t
-            for t, a in state.org.assignments.items()
-            if a.assignee == r and state.status[t] is TaskStatus.COMPLETED
-        }
-        for r in robots
-    }
-
-    composites = [t for t in unfinished if state.is_composite(t)]
-    atomics = [t for t in unfinished if not state.is_composite(t)]
-    order = composites + atomics
-
-    def candidates(t: str) -> list[str]:
-        task = state.tasks[t]
-        need_leadership = state.is_composite(t) or state.task_parent.get(t) is None
-        out = []
-        for r in robots:
-            rb = state.robots[r]
-            if need_leadership and not _leadership_capable(rb):
-                continue
-            if not state.is_composite(t) and not rb.dominates(task.required_capabilities):
-                continue
-            out.append(r)
-        return out
-
-    # a Parallel pair binds only under the pool's no_parallel_coassignment norm
-    enforced = any(r.predicate == "no_parallel_coassignment" for r in state.params.rules_pool)
-    parallel_pairs = {
-        frozenset((c.a, c.b))
-        for c in state.params.constraints
-        if c.kind is ConstraintKind.PARALLEL and enforced
-    }
+    complete assignment."""
+    composites = [t for t in problem.tasks if t in problem.composites]
+    order = composites + [t for t in problem.tasks if t not in problem.composites]
+    parent = problem.parent
 
     def parallel_ok(robot: str, t: str, chosen: dict[str, str]) -> bool:
-        held = fixed_held[robot] | {x for x, r in chosen.items() if r == robot}
-        return all(frozenset((t, h)) not in parallel_pairs for h in held)
+        held = problem.held[robot] | {x for x, r in chosen.items() if r == robot}
+        return all(frozenset((t, h)) not in problem.pairs for h in held)
 
     def chains_ok(chosen: dict[str, str]) -> bool:
         # on the complete assignment, each robot's composites form one
@@ -77,10 +51,9 @@ def exhaustive_allocation(
             mine = {x for x in composites if chosen[x] == robot}
             if not mine:
                 continue
-            if completed_composites:
-                mine |= {x for x in fixed_held[robot] if state.is_composite(x)}
-            tops = [x for x in mine if state.task_parent.get(x) not in mine]
-            if len(tops) != 1 or any(sum(state.task_parent.get(y) == x for y in mine) > 1 for x in mine):
+            mine |= problem.held[robot] & problem.composites
+            tops = [x for x in mine if parent.get(x) not in mine]
+            if len(tops) != 1 or any(sum(parent.get(y) == x for y in mine) > 1 for x in mine):
                 return False
         return True
 
@@ -98,7 +71,7 @@ def exhaustive_allocation(
                 best, best_key = dict(chosen), key
             return
         t = order[i]
-        for r in candidates(t):
+        for r in problem.eligible[t]:
             if parallel_ok(r, t, chosen):
                 chosen[t] = r
                 search(i + 1, chosen)
@@ -106,6 +79,66 @@ def exhaustive_allocation(
 
     search(0, {})
     return None if best is None else [(t, best[t]) for t in order]
+
+
+def reference_problem(state: fm.FormationState) -> Problem:
+    """The Problem a re-plan of `state` poses, derived apart from the engine:
+    the tree from the task nodes, its own candidate test, an assignment scan
+    for completed work, and the Parallel pairs from the rules pool."""
+    robots = sorted(r for r in state.robots if state.alive(r))
+    parent = {
+        sub.id_task: t for t, node in state.tasks.items() for sub in node.subtasks
+    } | {t: None for t in state.root_tasks}
+
+    def walk(node: TaskNode):
+        yield node
+        for sub in node.subtasks:
+            yield from walk(sub)
+
+    tasks = tuple(
+        node.id_task
+        for t in state.root_tasks
+        for node in walk(state.tasks[t])
+        if state.status[node.id_task] not in (TaskStatus.COMPLETED, TaskStatus.FAILED)
+    )
+
+    def candidates(t: str) -> tuple[str, ...]:
+        task = state.tasks[t]
+        need_leadership = bool(task.subtasks) or parent[t] is None
+        out = []
+        for r in robots:
+            rb = state.robots[r]
+            if need_leadership and not _leadership_capable(rb):
+                continue
+            if not task.subtasks and not rb.dominates(task.required_capabilities):
+                continue
+            out.append(r)
+        return tuple(out)
+
+    held = {
+        r: frozenset(
+            t
+            for t, a in state.org.assignments.items()
+            if a.assignee == r and state.status[t] is TaskStatus.COMPLETED
+        )
+        for r in robots
+    }
+    # a Parallel pair binds only under the pool's no_parallel_coassignment norm
+    enforced = any(r.predicate == "no_parallel_coassignment" for r in state.params.rules_pool)
+    pairs = frozenset(
+        frozenset((c.a, c.b))
+        for c in state.params.constraints
+        if c.kind is ConstraintKind.PARALLEL and c.a != c.b and enforced
+    )
+    return Problem(
+        tasks=tasks,
+        composites=frozenset(t for t, node in state.tasks.items() if node.subtasks),
+        eligible={t: candidates(t) for t in tasks},
+        held=held,
+        parent=parent,
+        pairs=pairs,
+        budget=fm.REPLAN_NODE_BUDGET,
+    )
 
 
 def random_instance(seed: int) -> fm.FormationState:
@@ -171,11 +204,12 @@ def test_team_search_matches_exhaustive_search():
             "fixed_held": 0, "team>2": 0, "twins": 0, "completed_chain": 0, "chain_over_a_gap": 0}
     for seed in range(600):
         state = random_instance(seed)
-        unfinished = fm._unfinished(state)
-        want = exhaustive_allocation(state, unfinished)
-        assert fm._allocation(state, unfinished) == want, f"seed {seed}"
+        problem = fm._problem(state)
+        assert problem == reference_problem(state), f"seed {seed}"
+        want = exhaustive_allocation(problem)
+        assert solve(problem) == want, f"seed {seed}"
 
-        composites = [t for t in unfinished if state.is_composite(t)]
+        composites = [t for t in problem.tasks if t in problem.composites]
         seen["infeasible"] += want is None
         seen["parallel"] += bool(state.params.constraints)
         seen["parallel_unenforced"] += bool(state.params.constraints) and not state.params.parallel_pairs
@@ -187,7 +221,7 @@ def test_team_search_matches_exhaustive_search():
         seen["twins"] += len(set(caps)) < len(caps)
         # a completed composite in a robot's leadership chain changes the answer
         seen["completed_chain"] += want != exhaustive_allocation(
-            state, unfinished, completed_composites=False
+            replace(problem, held={r: h - problem.composites for r, h in problem.held.items()})
         )
         # a robot leads a completed composite and two ancestors above it: the
         # top one is placed first, while its chain still misses the middle one
@@ -214,8 +248,8 @@ def test_a_chain_may_not_skip_a_completed_team():
                                       ("d1", "R1", AssignmentMode.WON, ())):
         state.status[t] = TaskStatus.COMPLETED
         state.org.assignments[t] = TaskAssignment(t, holder, Fraction(10), mode, subtasks)
-    unfinished = fm._unfinished(state)
-    assert fm._allocation(state, unfinished) == exhaustive_allocation(state, unfinished) == [
+    problem = fm._problem(state)
+    assert solve(problem) == exhaustive_allocation(problem) == [
         ("T", "R2"), ("t1", "R2")
     ]
 
@@ -278,9 +312,9 @@ def test_robots_that_are_no_candidate_join_no_team(tmp_path):
     # Parallel leaves; the fallback draws teams from task candidates only
     config = give_up_config(5, parallel=True, bystanders=45)
     state = from_dict(config).build_state()
-    unfinished = fm._unfinished(state)
-    want = exhaustive_allocation(state, unfinished)
-    assert fm._allocation(state, unfinished) == want
+    problem = fm._problem(state)
+    want = exhaustive_allocation(problem)
+    assert solve(problem) == want
     assert {r for _, r in want} == {"R1", "R2", "R3", "R4", "R5"}
 
     t0 = time.perf_counter()
@@ -293,13 +327,76 @@ def test_robots_that_are_no_candidate_join_no_team(tmp_path):
 
 def test_interchangeable_robots_are_tried_once():
     small = from_dict(give_up_config(8, leaves=4, parallel=True)).build_state()
-    unfinished = fm._unfinished(small)
-    assert fm._allocation(small, unfinished) == exhaustive_allocation(small, unfinished)
+    problem = fm._problem(small)
+    assert solve(problem) == exhaustive_allocation(problem)
 
     # 30 identical robots: every team of up to 4 fails on the 5 Parallel
     # leaves, which only the symmetry cut keeps within the budget
     state = from_dict(give_up_config(30, leaves=5, parallel=True)).build_state()
     t0 = time.perf_counter()
-    got = fm._allocation(state, fm._unfinished(state))
+    got = solve(fm._problem(state))
     assert time.perf_counter() - t0 < 1.0
     assert got == [("T", "R1"), ("g1", "R1"), ("g2", "R10"), ("g3", "R11"), ("g4", "R12"), ("g5", "R13")]
+
+
+@st.composite
+def problems(draw) -> Problem:
+    """A Problem with no state around it: 1-5 robots R1..; a root T with up to
+    4 open tasks below it; up to 2 completed leaves d0.. and maybe a completed
+    team dc with its leaf dc1, hung under open tasks, each held by one robot
+    or by none (its holder is gone); candidates drawn per task; and Parallel
+    pairs between any two tasks."""
+    robots = [f"R{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]
+    parent: dict[str, str | None] = {"T": None}
+    for i in range(1, draw(st.integers(1, 5))):
+        parent[f"n{i}"] = draw(st.sampled_from(sorted(parent)))
+    open_tasks = list(parent)
+    done = [f"d{i}" for i in range(draw(st.integers(0, 2)))]
+    for d in done:
+        parent[d] = draw(st.sampled_from(open_tasks))
+    if draw(st.booleans()):
+        parent["dc"], parent["dc1"] = draw(st.sampled_from(open_tasks)), "dc"
+        done += ["dc", "dc1"]
+
+    def walk(t: str):
+        yield t
+        for sub in parent:
+            if parent[sub] == t:
+                yield from walk(sub)
+
+    tasks = tuple(t for t in walk("T") if t in open_tasks)
+    holders = {d: draw(st.sampled_from([*robots, None])) for d in done}
+    pair = st.frozensets(st.sampled_from(sorted(parent)), min_size=2, max_size=2)
+    return Problem(
+        tasks=tasks,
+        composites=frozenset(p for p in parent.values() if p is not None),
+        eligible={t: tuple(sorted(draw(st.sets(st.sampled_from(robots), min_size=1)))) for t in tasks},
+        held={r: frozenset(d for d in done if holders[d] == r) for r in robots},
+        parent=parent,
+        pairs=draw(st.frozensets(pair, max_size=4)) if len(parent) > 1 else frozenset(),
+        budget=fm.REPLAN_NODE_BUDGET,
+    )
+
+
+@settings(settings.get_profile("allocation"))
+@given(problems())
+def test_solve_matches_exhaustive_search_on_drawn_problems(problem):
+    want = exhaustive_allocation(problem)
+    assert solve(problem) == want
+    # a feasible Problem of 3 or more tasks needs more than 3 nodes: the first
+    # search visits one per task and one for the complete assignment
+    if want is not None and len(problem.tasks) >= 3:
+        with pytest.raises(BudgetExhausted):
+            solve(replace(problem, budget=3))
+
+
+def test_solve_leaves_no_reference_cycle():
+    problem = fm._problem(from_dict(give_up_config(8, leaves=4, parallel=True)).build_state())
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            solve(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hwrom import config as cfg
 from hwrom import formation as fm
 from hwrom import simnet
+from hwrom.allocation import preferred_teams
 from hwrom.org_core import AssignmentMode, OrgNode
 from hwrom.rules_engine import (
     RULE_LEAST_REWARD,
@@ -23,7 +24,6 @@ from hwrom.rules_engine import (
     RuleSet,
     check_assignment,
     forming_key,
-    preferred_teams,
     winner_locked,
 )
 
