@@ -4,6 +4,14 @@ One self-describing JSON file declares the robot fleet, the task tree (or a
 pursuit block), behavior rules, constraints, auction and network parameters,
 and the scripted membership events. Every numeric money/cost value is parsed
 into an exact rational; "1/10", "0.1" and 0.1 all mean the same thing.
+
+A fleet is a few robot kinds, repeated, so `from_dict` builds each distinct
+capability list once: a dict local to the call maps the list's `repr` (which
+keeps 1, 1.0, true and "1" apart) to its built set, and every robot that
+repeats the list, in `robots[]` or in a join, shares that set. The memo dies
+with the call. `hwrom run` and `hwrom replay` parse once per process, so a
+memo kept across calls would only serve a program that re-parses the same
+config, and would keep every config it ever saw alive.
 """
 
 from __future__ import annotations
@@ -34,7 +42,10 @@ from .rules_engine import (
     Rule,
     RuleCategory,
 )
-from .wire import ALL_KINDS
+from .wire import ALL_KINDS, ENV
+
+# what CapabilityKind(kind) accepts, a value or a member, in one dict lookup
+_KINDS = {**{k.value: k for k in CapabilityKind}, **{k: k for k in CapabilityKind}}
 
 
 class ConfigError(Exception):
@@ -47,6 +58,8 @@ class ConfigError(Exception):
 
 
 def _frac(value: Any, where: str) -> Fraction:
+    if type(value) is int:  # the common case, and never a bool
+        return Fraction(value)
     try:
         if isinstance(value, bool):
             raise ValueError(value)
@@ -168,14 +181,18 @@ class ScenarioConfig:
 # --- builders ----------------------------------------------------------------
 
 
+def _capability_kind(kind: Any, where: str) -> CapabilityKind:
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or object
+        raise ConfigError(where, f"unknown capability kind {kind!r}") from None
+
+
 def _build_capability(data: Any, where: str) -> Capability:
     if not (isinstance(data, list) and len(data) == 3):
         raise ConfigError(where, "capability must be [kind, subkind, magnitude]")
     kind, subkind, magnitude = data
-    try:
-        ck = CapabilityKind(kind)
-    except ValueError:
-        raise ConfigError(where, f"unknown capability kind {kind!r}") from None
+    ck = _capability_kind(kind, where)
     amount = _frac(magnitude, where)
     if amount.numerator < 0:
         raise ConfigError(where, "capability magnitude must be >= 0")
@@ -187,20 +204,28 @@ def _build_requirement(data: Any, where: str) -> CapabilityRequirement:
         raise ConfigError(where, "requirement must be [kind, subkind, min]")
     kind, subkind = data[0], data[1]
     minimum = data[2] if len(data) == 3 else 0
-    try:
-        ck = CapabilityKind(kind)
-    except ValueError:
-        raise ConfigError(where, f"unknown capability kind {kind!r}") from None
+    ck = _capability_kind(kind, where)
     return CapabilityRequirement(ck, str(subkind), _frac(minimum, where))
 
 
-def _build_robot(data: dict, where: str) -> CooperativeRobot:
+def _build_robot(
+    data: dict, where: str, kinds: dict[str, frozenset[Capability]]
+) -> CooperativeRobot:
+    """One robot; `kinds` is the call's memo of built capability lists."""
     data = _as_dict(data, where)
     rid = _require(data, "id", where)
-    caps = frozenset(
-        _build_capability(c, f"{where}.capabilities[{i}]")
-        for i, c in enumerate(_as_list(data.get("capabilities", []), f"{where}.capabilities"))
-    )
+    if rid is None or isinstance(rid, (bool, list, dict)):
+        raise ConfigError(f"{where}.id", f"expected a string or number, got {rid!r}")
+    if rid == ENV:
+        raise ConfigError(f"{where}.id", f"robot id {ENV!r} is reserved for the environment")
+    raw_caps = data.get("capabilities", [])
+    key = repr(raw_caps)
+    caps = kinds.get(key)
+    if caps is None:  # a list that fails raises before it is stored
+        caps = kinds[key] = frozenset(
+            _build_capability(c, f"{where}.capabilities[{i}]")
+            for i, c in enumerate(_as_list(raw_caps, f"{where}.capabilities"))
+        )
     resources = tuple(
         sorted(
             (str(k), _int(v, f"{where}.resources.{k}"))
@@ -238,7 +263,7 @@ def _build_task(data: dict, where: str) -> TaskNode:
         [_build_task(s, f"{where}.alternatives[{i}][{j}]") for j, s in enumerate(_as_list(alt, f"{where}.alternatives[{i}]"))]
         for i, alt in enumerate(_as_list(data.get("alternatives", []), f"{where}.alternatives"))
     ]
-    duration = _int(data.get("duration", 1), f"{where}.duration")
+    duration = _int(data.get("duration", 1), f"{where}.duration", 1)
     return TaskNode(tid, reward, requires, subtasks, alternatives, duration)
 
 
@@ -278,7 +303,8 @@ def from_dict(data: dict) -> ScenarioConfig:
     robots = _as_list(_require(data, "robots", "config"), "robots")
     if not robots:
         raise ConfigError("robots", "at least one robot is required")
-    built_robots = [_build_robot(r, f"robots[{i}]") for i, r in enumerate(robots)]
+    kinds: dict[str, frozenset[Capability]] = {}
+    built_robots = [_build_robot(r, f"robots[{i}]", kinds) for i, r in enumerate(robots)]
     robot_ids: set[str] = set()
     for i, built in enumerate(built_robots):
         if built.id_cr in robot_ids:
@@ -358,6 +384,9 @@ def from_dict(data: dict) -> ScenarioConfig:
             if tid.startswith(("capture:", "sg:")):
                 raise ConfigError("task", f"task id {tid!r} is reserved for pursuit goals")
         robot_by_id = {r.id_cr: r for r in built_robots}
+        # robots of one kind share one capability set, so they can share the
+        # magnitude table robot_pose derives from it: one table per kind
+        tables: dict[int, dict] = {}
         for i, entry in enumerate(_as_list(_require(block, "robots", "pursuit"), "pursuit.robots")):
             where = f"pursuit.robots[{i}]"
             entry = _as_dict(entry, where)
@@ -365,7 +394,12 @@ def from_dict(data: dict) -> ScenarioConfig:
             if rid not in robot_ids:
                 raise ConfigError(where, f"unknown robot {rid!r}")
             cell = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
-            world.robots[rid] = fm.robot_pose(robot_by_id[rid], cell)
+            robot = robot_by_id[rid]
+            table = tables.get(id(robot.capabilities))
+            if table is not None:
+                object.__setattr__(robot, "magnitudes", table)
+            world.robots[rid] = fm.robot_pose(robot, cell)
+            tables[id(robot.capabilities)] = robot.magnitudes
         string_ids: set[bool] = set()
         for i, entry in enumerate(_as_list(_require(block, "evaders", "pursuit"), "pursuit.evaders")):
             where = f"pursuit.evaders[{i}]"
@@ -415,7 +449,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         kind = _require(entry, "type", where)
         at = _int(_require(entry, "at", where), f"{where}.at", 0)
         if kind == "join":
-            robot = _build_robot(_require(entry, "robot", where), f"{where}.robot")
+            robot = _build_robot(_require(entry, "robot", where), f"{where}.robot", kinds)
             if "pursuit" in data:
                 pose = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
             else:  # a generic run has no grid: the pose is only logged

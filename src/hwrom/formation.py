@@ -917,7 +917,7 @@ def _start_execution(state: FormationState, robots: list[str], result: StepResul
             if t in state.exec_started:
                 continue
             start = max(_busy_until(state, robot), state.now) + 1
-            done = start + max(state.tasks[t].duration, 1) - 1
+            done = start + state.tasks[t].duration - 1
             state.exec_started[t] = done
             result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
             result.messages.append(

@@ -87,7 +87,9 @@ class CooperativeRobot:
 
     `magnitudes` is derived from `capabilities` on first use and kept: the
     largest positive magnitude per (kind, subkind), and per (kind, "") over
-    every subkind of the kind. It is never compared, hashed or printed."""
+    every subkind of the kind. It is never compared, hashed or printed, and
+    never changed once built, so robots with one capability set may share one
+    table (the config parser does, for the pursuit start poses)."""
 
     id_cr: str
     capabilities: frozenset[Capability]
@@ -175,6 +177,8 @@ class TaskNode:
     def __post_init__(self) -> None:
         if self.reward < 0:
             raise ValueError("task reward must be >= 0")
+        if self.duration < 1:
+            raise ValueError("task duration must be >= 1")
 
     def walk(self) -> Iterator["TaskNode"]:
         yield self

@@ -422,7 +422,7 @@ def _early_completions(config: dict, trace: list[dict]) -> list[tuple[str, int]]
     while stack:
         node = stack.pop()
         if not node.get("subtasks"):
-            durations[node["id"]] = max(int(node.get("duration", 1)), 1)
+            durations[node["id"]] = int(node.get("duration", 1))
         stack.extend(node.get("subtasks", []))
         for alternative in node.get("alternatives", []):
             stack.extend(alternative)

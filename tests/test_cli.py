@@ -286,6 +286,42 @@ class TestRunCommand:
         assert result.exit_code == 2, result.output
         assert f"config error: task: task id '{task_id}' is reserved" in result.output
 
+    @pytest.mark.parametrize("robot", ["robots[1]", "events[0].robot"])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [(None, "expected a string or number, got None"),
+         (True, "expected a string or number, got True"),
+         (["R9"], "expected a string or number, got ['R9']"),
+         ({"id": "R9"}, "expected a string or number, got {'id': 'R9'}"),
+         # the environment's endpoint: deliveries to it never reach a robot
+         ("__env__", "robot id '__env__' is reserved for the environment")],
+    )
+    def test_robot_id_that_is_not_an_id_exits_two(
+        self, runner, generic_config, tmp_path, robot, value, problem
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(with_joiner(generic_config), f"{robot}.id", value)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {robot}.id: {problem}" in result.output
+
+    @pytest.mark.parametrize(
+        "where",
+        ["task.subtasks[0].subtasks[0].duration",
+         "task.subtasks[0].subtasks[0].alternatives[0][0].duration"],
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_duration_below_one_exits_two(self, runner, generic_config, tmp_path, where, value):
+        data = json.loads(generic_config.read_text())
+        data["task"]["subtasks"][0]["alternatives"] = [
+            [{"id": "t1a", "reward": 10, "requires": [["Action", "weld", 1]]}]]
+        data["task"] = {"id": "root", "reward": 40, "subtasks": [data["task"]]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(data, where, value)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: must be >= 1" in result.output
+
     @pytest.mark.parametrize(
         "where",
         ["task.reward", "task.subtasks[1].reward", "task.subtasks[0].alternatives[0][0].reward",

@@ -281,3 +281,9 @@ class TestSnapshot:
         a, b = two_level_society(), two_level_society()
         b.root.children[0].goals.append("extra")
         assert snapshot_hash(a) != snapshot_hash(b)
+
+
+@pytest.mark.parametrize("fields", [{"reward": Fraction(-1)}, {"duration": 0}, {"duration": -5}])
+def test_task_node_rejects_negative_reward_and_duration_below_one(fields):
+    with pytest.raises(ValueError):
+        org_core.TaskNode("t", **fields)
