@@ -75,12 +75,11 @@ def main() -> None:
     org.relations.discard(Relation("R3", "R4", RelationKind.COOPERATION))
 
     # settle a finished mission: the mission paid 20, sub-contracts cost 5+6+4
-    org.known_tasks = {"mission", "survey", "scan-east", "haul"}
+    org.subtasks = {"mission": ["survey", "haul"], "survey": ["scan-east"],
+                    "scan-east": [], "haul": []}
     org.assignments = {
-        "mission": TaskAssignment("mission", "R1", Fraction(20), AssignmentMode.LED,
-                                  ("survey", "haul")),
-        "survey": TaskAssignment("survey", "R2", Fraction(5), AssignmentMode.LED,
-                                 ("scan-east",)),
+        "mission": TaskAssignment("mission", "R1", Fraction(20), AssignmentMode.LED),
+        "survey": TaskAssignment("survey", "R2", Fraction(5), AssignmentMode.LED),
         "scan-east": TaskAssignment("scan-east", "R3", Fraction(6), AssignmentMode.WON),
         "haul": TaskAssignment("haul", "R4", Fraction(4), AssignmentMode.WON),
     }

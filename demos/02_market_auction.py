@@ -14,7 +14,6 @@ from hwrom.market import (
     Decline,
     GiveUp,
     Redecompose,
-    ScenarioContext,
     adjust_tactics,
     compute_bid,
     select_winner,
@@ -31,14 +30,14 @@ def main() -> None:
     announcement = Announcement("fix-hull", Fraction(8), need_welding, deadline=5)
 
     costs = {"R1": Fraction(4), "R2": Fraction(3), "R3": Fraction(9)}
-    ctx = ScenarioContext(cost_of=lambda r, a: costs[r.id_cr], margin=Fraction(1, 10))
+    markup = 1 + Fraction(1, 10)  # a 10% margin over cost
 
     welder = Capability(CapabilityKind.ACTION, "weld", Fraction(2))
     bids: list[Bid] = []
     print(f"announcement: {announcement.id_task} at reward {announcement.reward}")
     for rid in ("R1", "R2", "R3", "R4"):
         caps = (welder,) if rid != "R4" else ()
-        decision = compute_bid(robot(rid, *caps), announcement, ctx)
+        decision = compute_bid(robot(rid, *caps), announcement, lambda r, a: costs[r.id_cr], markup)
         if isinstance(decision, Decline):
             print(f"  {rid} declines: {decision.reason}")
         else:

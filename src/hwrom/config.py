@@ -236,14 +236,14 @@ def _build_robot(
     # means every kind too
     interface = ALL_KINDS
     if "interface" in data:
-        kinds = _as_list(data["interface"], f"{where}.interface")
-        for i, kind in enumerate(kinds):
+        listed = _as_list(data["interface"], f"{where}.interface")
+        for i, kind in enumerate(listed):
             if not isinstance(kind, str) or kind not in ALL_KINDS:
                 raise ConfigError(
                     f"{where}.interface[{i}]",
                     f"unknown message kind {kind!r}, expected one of {sorted(ALL_KINDS)}",
                 )
-        interface = frozenset(kinds)
+        interface = frozenset(listed)
     return CooperativeRobot(str(rid), caps, resources, interface)
 
 
@@ -396,7 +396,7 @@ def from_dict(data: dict) -> ScenarioConfig:
             cell = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
             robot = robot_by_id[rid]
             table = tables.get(id(robot.capabilities))
-            if table is not None:
+            if table is not None:  # filled in where `cached_property` looks first
                 object.__setattr__(robot, "magnitudes", table)
             world.robots[rid] = fm.robot_pose(robot, cell)
             tables[id(robot.capabilities)] = robot.magnitudes

@@ -15,12 +15,11 @@ complete whenever a feasible assignment exists at all.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from typing import Collection, Iterator
 
 from . import allocation, org_core, pursuit, wire
@@ -31,7 +30,6 @@ from .market import (
     Decline,
     GiveUp,
     Redecompose,
-    ScenarioContext,
     adjust_tactics,
     compute_bid,
     select_winner,
@@ -166,9 +164,7 @@ class PursuitParams:
 class EngineParams:
     """Engine knobs: auction economics, norms, constraints, scenario costs.
 
-    `parallel_pairs` is derived once, at construction: the Parallel pairs
-    {a, b} (a != b) the Parallel norm binds, empty unless the rules pool holds
-    `no_parallel_coassignment`."""
+    `markup`, 1 + margin, and `parallel_pairs` are derived once, on first use."""
 
     margin: Fraction = Fraction(1, 10)
     policy: AdjustPolicy = AdjustPolicy()
@@ -179,18 +175,20 @@ class EngineParams:
     rules_pool: frozenset[Rule] = STANDARD_RULES
     robot_rules: dict[str, frozenset[Rule]] = field(default_factory=dict)
     pursuit: PursuitParams | None = None
-    parallel_pairs: frozenset[frozenset[str]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def markup(self) -> Fraction:
+        return 1 + self.margin
+
+    @cached_property
+    def parallel_pairs(self) -> frozenset[frozenset[str]]:
+        """The Parallel pairs {a, b} (a != b) the Parallel norm binds, empty
+        unless the rules pool holds `no_parallel_coassignment`."""
         binds = RuleSet(self.rules_pool).has_predicate("no_parallel_coassignment")
-        object.__setattr__(
-            self,
-            "parallel_pairs",
-            frozenset(
-                frozenset((c.a, c.b))
-                for c in self.constraints
-                if binds and c.kind is ConstraintKind.PARALLEL and c.a != c.b
-            ),
+        return frozenset(
+            frozenset((c.a, c.b))
+            for c in self.constraints
+            if binds and c.kind is ConstraintKind.PARALLEL and c.a != c.b
         )
 
 
@@ -229,14 +227,11 @@ class FormationState:
     status: dict[str, TaskStatus] = field(default_factory=dict)
     root_tasks: list[str] = field(default_factory=list)
     task_parent: dict[str, str | None] = field(default_factory=dict)
-    task_children: dict[str, list[str]] = field(default_factory=dict)
     current_reward: dict[str, Fraction] = field(default_factory=dict)
     alternatives_used: dict[str, int] = field(default_factory=dict)
     phase: Phase = Phase.FORMING
     now: int = 0
     exec_started: dict[str, int] = field(default_factory=dict)  # atomic task -> due tick
-    # the pricing context of tick `pricing.now`, derived and rebuilt by `_context`
-    pricing: ScenarioContext | None = field(default=None, init=False, repr=False, compare=False)
     # pursuit bookkeeping
     world: pursuit.WorldState | None = None
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -259,10 +254,22 @@ class FormationState:
         while stack:
             t = stack.pop(0)
             yield t
-            stack = self.task_children.get(t, []) + stack
+            stack = self.org.subtasks.get(t, []) + stack
 
     def is_composite(self, id_task: str) -> bool:
-        return bool(self.task_children.get(id_task))
+        return bool(self.org.subtasks.get(id_task))
+
+    def cost_of(self, robot: CooperativeRobot, ann: Announcement) -> Fraction:
+        """The scenario's cost for robot to carry the announced task."""
+        if self.world is not None:
+            flank = self.flank.get(ann.id_task)
+            if flank is not None:
+                if robot.id_cr not in self.world.robots:
+                    raise pursuit.ZeroSpeedError(robot.id_cr)
+                return pursuit.robot_cost(self.world, robot.id_cr, flank[1].cell)
+            if ann.leadership:
+                return Fraction(0)
+        return self.params.cost_table.get((robot.id_cr, ann.id_task), self.params.default_cost)
 
 
 # --- state construction ---------------------------------------------------------
@@ -278,11 +285,10 @@ def register_task_tree(state: FormationState, task: TaskNode, *, as_root: bool =
             raise FormationError("DuplicateTaskId", node.id_task)
         state.tasks[node.id_task] = node
         state.status[node.id_task] = TaskStatus.UNASSIGNED
-        state.task_children[node.id_task] = [s.id_task for s in node.subtasks]
+        state.org.subtasks[node.id_task] = [s.id_task for s in node.subtasks]
         state.current_reward[node.id_task] = node.reward
         for sub in node.subtasks:
             state.task_parent[sub.id_task] = node.id_task
-        state.org.known_tasks.add(node.id_task)
     if as_root:
         state.task_parent.setdefault(task.id_task, None)
         state.root_tasks.append(task.id_task)
@@ -325,32 +331,6 @@ def norm_violation(state: FormationState, t: str, held: Collection[str]) -> str 
     return None
 
 
-def _cost_of(state: FormationState, robot: CooperativeRobot, ann: Announcement) -> Fraction:
-    if state.world is not None:
-        flank = state.flank.get(ann.id_task)
-        if flank is not None:
-            if robot.id_cr not in state.world.robots:
-                raise pursuit.ZeroSpeedError(robot.id_cr)
-            return pursuit.robot_cost(state.world, robot.id_cr, flank[1].cell)
-        if ann.leadership:
-            return Fraction(0)
-    return state.params.cost_table.get((robot.id_cr, ann.id_task), state.params.default_cost)
-
-
-def _context(state: FormationState) -> ScenarioContext:
-    """The pricing context of the current tick, built once per tick. It is
-    kept on the state, so it reaches the state through a weak proxy: a strong
-    reference would leave every finished state to the cycle collector."""
-    ctx = state.pricing
-    if ctx is None or ctx.now != state.now:
-        ctx = state.pricing = ScenarioContext(
-            cost_of=partial(_cost_of, weakref.proxy(state)),
-            margin=state.params.margin,
-            now=state.now,
-        )
-    return ctx
-
-
 def _norm_violation(state: FormationState, robot_id: str, ann: Announcement) -> str | None:
     """The norm the robot would break by taking the announced task, as a
     decline reason, or None when it may take it."""
@@ -367,7 +347,7 @@ def consider_announcement(state: FormationState, robot_id: str, ann: Announcemen
     reason = _norm_violation(state, robot_id, ann)
     if reason is not None:
         return Decline(robot_id, ann.id_task, reason)
-    return compute_bid(state.robots[robot_id], ann, _context(state))
+    return compute_bid(state.robots[robot_id], ann, state.cost_of, state.params.markup, state.now)
 
 
 # --- structural edits --------------------------------------------------------------
@@ -566,9 +546,7 @@ def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
     """Give task t to leader to lead: the LED assignment over t's current
     decomposition, and t's status. Awards, designations, re-elections and
     the allocation fallback all take leadership through here."""
-    state.org.assignments[t] = TaskAssignment(
-        t, leader, price, AssignmentMode.LED, tuple(state.task_children[t])
-    )
+    state.org.assignments[t] = TaskAssignment(t, leader, price, AssignmentMode.LED)
     state.status[t] = TaskStatus.ASSIGNED
 
 
@@ -620,7 +598,7 @@ def _hang_team(
     matches the tree; the caller renumbers."""
     _seat_team(state, t, leader, parent_node)
     _lead(state, t, leader, price)
-    for child in state.task_children[t]:
+    for child in state.org.subtasks[t]:
         if state.status[child] is TaskStatus.UNASSIGNED:
             result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
     _maybe_complete_parent(state, t, result)
@@ -650,7 +628,7 @@ def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) ->
     """Queue the completion of composite t once it has an assignee and all
     its subtasks are done: when its last subtask completes, or when it gets
     a leader after they all finished without one."""
-    children = state.task_children.get(t, [])
+    children = state.org.subtasks.get(t, [])
     a = state.org.assignments.get(t)
     if (
         a is not None
@@ -729,15 +707,10 @@ def _apply_redecompose(
     for piece in pieces:
         register_task_tree(state, piece, as_root=False)
         state.task_parent[piece.id_task] = parent_id
-    siblings = state.task_children[parent_id]
+    siblings = state.org.subtasks[parent_id]
     at = siblings.index(t)
-    state.task_children[parent_id] = siblings[:at] + [p.id_task for p in pieces] + siblings[at + 1 :]
+    siblings[at : at + 1] = [p.id_task for p in pieces]
     state.status[t] = TaskStatus.FAILED
-    parent_assignment = state.org.assignments.get(parent_id)
-    if parent_assignment is not None and parent_assignment.subtask_ids:
-        state.org.assignments[parent_id] = replace(
-            parent_assignment, subtask_ids=tuple(state.task_children[parent_id])
-        )
     owning = f"team:{parent_id}"
     for piece in pieces:
         state.pending.append(PendingTask(piece.id_task, owning))
@@ -749,11 +722,11 @@ def _apply_redecompose(
 
 def _descendants(state: FormationState, t: str) -> list[str]:
     out: list[str] = []
-    stack = list(state.task_children.get(t, []))
+    stack = list(state.org.subtasks.get(t, []))
     while stack:
         x = stack.pop(0)
         out.append(x)
-        stack.extend(state.task_children.get(x, []))
+        stack.extend(state.org.subtasks.get(x, []))
     return out
 
 
@@ -820,7 +793,7 @@ def _problem(state: FormationState) -> allocation.Problem:
         eligible[t] = tuple(r for r in robots if state.robots[r].dominates(reqs))
     return allocation.Problem(
         tasks=tasks,
-        composites=frozenset(t for t, subtasks in state.task_children.items() if subtasks),
+        composites=frozenset(t for t, subtasks in state.org.subtasks.items() if subtasks),
         eligible=eligible,
         held={
             r: frozenset(t for t in tasks_by_robot.get(r, ()) if state.status[t] is TaskStatus.COMPLETED)
@@ -888,7 +861,7 @@ def _rebuild_tree(state: FormationState) -> None:
         _renumber(state)
         teams.append(t)
     teams.sort(key=lambda t: -allocation.depth(state.task_parent, t))
-    subtasks = [(f"team:{t}", sub) for t in teams for sub in state.task_children[t]]
+    subtasks = [(f"team:{t}", sub) for t in teams for sub in state.org.subtasks[t]]
     # with no team, an atomic root's holder is the whole organization
     for owner, sub in subtasks or [(None, t) for t in state.root_tasks]:
         a = assignments.get(sub)
@@ -1154,7 +1127,7 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
     )
     offers: dict[str, Bid] = {}  # by bidder, one per candidate
     for rid in candidates:
-        decision = compute_bid(state.robots[rid], election, _context(state))
+        decision = compute_bid(state.robots[rid], election, state.cost_of, state.params.markup, state.now)
         if isinstance(decision, Bid):
             offers[rid] = decision
     if not offers:
@@ -1247,7 +1220,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
     for evader in sorted(detected):
         if evader in world.captured or f"capture:{evader}" in state.tasks:
             continue  # an evader is planned once its capture task is registered
-        plan = pursuit.plan_pursuit(
+        subgoals = pursuit.plan_pursuit(
             world,
             state.organizer,
             evader,
@@ -1266,11 +1239,11 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
                         {CapabilityRequirement(CapabilityKind.MOVING, "speed", sg.required_speed)}
                     ),
                 )
-                for i, sg in enumerate(plan.subgoals)
+                for i, sg in enumerate(subgoals)
             ],
         )
         register_task_tree(state, root)
-        for i, sg in enumerate(plan.subgoals):
+        for i, sg in enumerate(subgoals):
             state.flank[f"sg:{evader}:{i}"] = (evader, sg)
         result.timers.append(
             TaskArrived(
@@ -1285,7 +1258,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
                 "kind": "planned",
                 "evader": evader,
                 "organizer": state.organizer,
-                "subgoals": [list(sg.cell) for sg in plan.subgoals],
+                "subgoals": [list(sg.cell) for sg in subgoals],
             }
         )
 
@@ -1295,7 +1268,7 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
     if root_id not in state.tasks:
         return
     live: list[str] = []
-    for t in state.task_children.get(root_id, []):
+    for t in state.org.subtasks.get(root_id, []):
         status = state.status[t]
         if status in (TaskStatus.ASSIGNED, TaskStatus.COMPLETED):
             live.append(t)
@@ -1306,11 +1279,10 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
             state.status[t] = TaskStatus.FAILED
             state.active_auctions.pop(t, None)
             result.notes.append({"kind": "superseded_by_capture", "task": t})
-    state.task_children[root_id] = live
+    state.org.subtasks[root_id] = live
     state.pending = deque(p for p in state.pending if state.task_parent.get(p.id_task) != root_id)
     root_assignment = state.org.assignments.get(root_id)
     if root_assignment is not None:
-        state.org.assignments[root_id] = replace(root_assignment, subtask_ids=tuple(live))
         if not live and state.status[root_id] is TaskStatus.ASSIGNED:
             result.timers.append(
                 TaskCompleted(tick=state.now, id_task=root_id, robot=root_assignment.assignee)

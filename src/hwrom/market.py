@@ -3,7 +3,7 @@ and the adjustment tactics applied when an auction attracts no winner."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -15,7 +15,6 @@ __all__ = [
     "Announcement",
     "Bid",
     "Decline",
-    "ScenarioContext",
     "AdjustPolicy",
     "Redecompose",
     "GiveUp",
@@ -80,38 +79,27 @@ class Decline:
     reason: str
 
 
-@dataclass(frozen=True)
-class ScenarioContext:
-    """What a bidder consults to price a task: margin, scenario cost model
-    and the current tick. `markup`, 1 + margin, is derived at construction."""
+def compute_bid(
+    robot: CooperativeRobot, ann: Announcement,
+    cost_of: Callable[[CooperativeRobot, Announcement], Fraction], markup: Fraction, now: int = 0
+) -> Bid | Decline:
+    """Price a task for a robot at tick `now`, or decline it.
 
-    cost_of: Callable[[CooperativeRobot, Announcement], Fraction]
-    margin: Fraction = Fraction(1, 10)
-    now: int = 0
-    markup: Fraction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "markup", 1 + self.margin)
-
-
-def compute_bid(robot: CooperativeRobot, ann: Announcement, ctx: ScenarioContext) -> Bid | Decline:
-    """Price a task for a robot, or decline it.
-
-    Declines when a required capability is missing, the cost cannot be
-    computed, or the cost exceeds the offered reward. Otherwise bids
-    cost * (1 + margin), capped at the reward. The caller checks the norms
-    (winner lock included) before asking for a price.
+    Declines when a required capability is missing, the scenario's `cost_of`
+    cannot price the task, or the cost exceeds the offered reward. Otherwise
+    bids cost * markup (1 + margin), capped at the reward. The caller checks
+    the norms (winner lock included) before asking for a price.
     """
     if not robot.dominates(ann.required_capabilities):
         return Decline(robot.id_cr, ann.id_task, "missing_capability")
     try:
-        cost = ctx.cost_of(robot, ann)
+        cost = cost_of(robot, ann)
     except CostUnavailableError:
         return Decline(robot.id_cr, ann.id_task, "cost_unavailable")
     if cost > ann.reward:
         return Decline(robot.id_cr, ann.id_task, "cost_exceeds_reward")
-    price = min(cost * ctx.markup, ann.reward)
-    return Bid(robot.id_cr, ann.id_task, price, cost, ann.round, ctx.now)
+    price = min(cost * markup, ann.reward)
+    return Bid(robot.id_cr, ann.id_task, price, cost, ann.round, now)
 
 
 def select_winner(bids: list[Bid]) -> str | None:

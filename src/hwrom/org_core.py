@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .rules_engine import ConstraintRelation, RuleSet
@@ -95,11 +96,9 @@ class CooperativeRobot:
     capabilities: frozenset[Capability]
     resources: tuple[tuple[str, int], ...] = ()
     interface: frozenset[str] = frozenset()
-    magnitudes: dict[tuple[CapabilityKind, str], Fraction] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def _build_magnitudes(self) -> dict[tuple[CapabilityKind, str], Fraction]:
+    @cached_property
+    def magnitudes(self) -> dict[tuple[CapabilityKind, str], Fraction]:
         table: dict[tuple[CapabilityKind, str], Fraction] = {}
         for cap in self.capabilities:
             magnitude = cap.magnitude
@@ -113,24 +112,17 @@ class CooperativeRobot:
             best = table.setdefault(key, magnitude)
             if best is not magnitude and magnitude > best:
                 table[key] = magnitude
-        # derived from frozen fields, so filling it in once keeps the robot frozen
-        object.__setattr__(self, "magnitudes", table)
         return table
 
     def capability(self, kind: CapabilityKind, subkind: str = "") -> Fraction:
         """Largest magnitude held for kind (and subkind, when given); 0 if absent."""
-        table = self.magnitudes
-        if table is None:
-            table = self._build_magnitudes()
-        return table.get((kind, subkind), _ZERO)
+        return self.magnitudes.get((kind, subkind), _ZERO)
 
     def satisfies(self, req: CapabilityRequirement) -> bool:
         return self.dominates((req,))
 
     def dominates(self, requirements: Iterable[CapabilityRequirement]) -> bool:
         table = self.magnitudes
-        if table is None:
-            table = self._build_magnitudes()
         for req in requirements:
             # the table holds positive magnitudes only, so a present entry
             # meets any minimum <= 0, and an absent one meets none
@@ -238,15 +230,14 @@ class AssignmentMode(Enum):
 class TaskAssignment:
     """Who carries a task, at what agreed price, and how it was obtained.
 
-    ``subtask_ids`` is the effective decomposition run by the assignee when
-    the task was led rather than executed directly.
+    The decomposition the assignee runs when it leads the task is the task's
+    entry in `Organization.subtasks`.
     """
 
     id_task: str
     assignee: str
     price: Fraction
     mode: AssignmentMode
-    subtask_ids: tuple[str, ...] = ()
 
 
 @dataclass
@@ -272,15 +263,16 @@ class OrgIndex:
 class Organization:
     """A hierarchical-web structure: robots, the recursive tree, the relation web.
 
-    `index_cache` holds the `OrgIndex` of the tree and assignments; it is
-    derived, never hashed or compared, and whoever edits the tree or the
-    assignments drops it (in the engine, `formation._renumber`)."""
+    `subtasks` maps every known task to its current decomposition ([] when
+    atomic). `index_cache` holds the `OrgIndex` of the tree and assignments;
+    it is derived, never hashed or compared, and whoever edits the tree or
+    the assignments drops it (in the engine, `formation._renumber`)."""
 
     robots: list[CooperativeRobot] = field(default_factory=list)
     root: OrgNode | None = None
     relations: set[Relation] = field(default_factory=set)
     assignments: dict[str, TaskAssignment] = field(default_factory=dict)
-    known_tasks: set[str] = field(default_factory=set)
+    subtasks: dict[str, list[str]] = field(default_factory=dict)
     index_cache: OrgIndex | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -497,14 +489,15 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
 
     for id_task in sorted(completed):
         payout = completed[id_task]
-        if id_task not in org.known_tasks:
+        subtasks = org.subtasks.get(id_task)
+        if subtasks is None:
             raise UnknownTaskError(id_task)
         assignment = org.assignments.get(id_task)
         if assignment is None:
             raise TaskNotAssignedError(id_task)
-        if assignment.subtask_ids:
+        if subtasks:
             paid_out = Fraction(0)
-            for sub in assignment.subtask_ids:
+            for sub in subtasks:
                 sub_assignment = org.assignments.get(sub)
                 if sub_assignment is not None:
                     paid_out += sub_assignment.price
@@ -568,11 +561,11 @@ def snapshot_dict(org: Organization) -> dict:
                 "assignee": a.assignee,
                 "price": str(a.price),
                 "mode": a.mode.value,
-                "subtasks": list(a.subtask_ids),
+                "subtasks": list(org.subtasks.get(t, ())),
             }
             for t, a in sorted(org.assignments.items())
         },
-        "known_tasks": sorted(org.known_tasks),
+        "known_tasks": sorted(org.subtasks),
     }
 
 

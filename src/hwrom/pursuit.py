@@ -75,13 +75,6 @@ class Subgoal:
     offset: Cell  # surround offset relative to the predicted cell; used to track
 
 
-@dataclass(frozen=True)
-class PursuitPlan:
-    organizer: str
-    evader: str
-    subgoals: tuple[Subgoal, ...]
-
-
 #: Surround offsets in announcement order; the first k are used.
 SURROUND_OFFSETS: tuple[Cell, ...] = (
     (-1, 0),
@@ -133,7 +126,7 @@ def plan_pursuit(
     k: int = 4,
     base_reward: Fraction = Fraction(5),
     required_speed: Fraction | None = None,
-) -> PursuitPlan:
+) -> tuple[Subgoal, ...]:
     """Ring the evader's predicted cell with k surround sub-goals.
 
     Cells falling off the grid are clipped away, so a cornered evader yields
@@ -151,7 +144,7 @@ def plan_pursuit(
         cell = (center[0] + off[0], center[1] + off[1])
         if world.in_bounds(cell):
             subgoals.append(Subgoal(cell, need, base_reward, off))
-    return PursuitPlan(organizer, evader, tuple(subgoals))
+    return tuple(subgoals)
 
 
 def robot_cost(world: WorldState, robot: str, cell: Cell) -> Fraction:

@@ -16,7 +16,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import formation as fm
 from . import org_core, wire
@@ -74,15 +74,14 @@ def route(
     org: org_core.Organization,
     *,
     msg_seq: int = 0,
-    interfaces: dict[str, frozenset[str]] | None = None,
+    robots: Mapping[str, org_core.CooperativeRobot] | None = None,
 ) -> Deliver | Reject | Drop:
-    """Decide one message's fate: deliver after latency, reject, or drop."""
-    if interfaces is not None:
+    """Decide one message's fate: deliver after latency, reject, or drop. An
+    endpoint in `robots` must list the kind in its interface, if not empty."""
+    if robots is not None:
         for endpoint in (msg.sender, msg.to):
-            if endpoint == ENV:
-                continue
-            allowed = interfaces.get(endpoint)
-            if allowed is not None and allowed and msg.kind not in allowed:
+            robot = robots.get(endpoint)
+            if robot is not None and robot.interface and msg.kind not in robot.interface:
                 return Reject("InterfaceMismatch")
     if not org_core.communication_allowed(org, msg.sender, msg.to):
         return Reject("CrossTeamViolation")
@@ -125,7 +124,6 @@ class Scheduler:
         # seq of next tick] blocks. Only the first block's next Tick is in the
         # heap.
         self._tick_blocks: deque[list[int]] = deque()
-        self._interfaces: dict[str, frozenset[str]] = {}
 
     # -- queue management ------------------------------------------------
     # Heap key is (tick, lane, seq): the Tick transition runs first within a
@@ -188,10 +186,6 @@ class Scheduler:
     def send(self, msg: Message) -> None:
         seq = self._msg_seq
         self._msg_seq += 1
-        robots = self.state.robots
-        # robots are frozen and only ever added (join refuses a known id)
-        if len(self._interfaces) != len(robots):
-            self._interfaces = {r.id_cr: r.interface for r in robots.values()}
         rec = {
             "type": "net",
             "tick": self.state.now,
@@ -200,7 +194,7 @@ class Scheduler:
             "sender": msg.sender,
             "to": msg.to,
         }
-        outcome = route(self.net, msg, self.state.org, msg_seq=seq, interfaces=self._interfaces)
+        outcome = route(self.net, msg, self.state.org, msg_seq=seq, robots=self.state.robots)
         if isinstance(outcome, Deliver):
             rec["outcome"] = "deliver"
             rec["at"] = outcome.at

@@ -509,6 +509,58 @@ class TestRunCommand:
         script = [(r["tick"], r["event"]) for r in records if r.get("event") in ("RobotJoined", "RobotFailed")]
         assert script == [(3, "RobotJoined"), (6, "RobotFailed")]
 
+    def test_fail_flag_with_a_tick_that_is_not_an_integer_exits_two(self, runner, generic_config):
+        result = runner.invoke(main, ["run", str(generic_config), "--fail", "R1@x"])
+        assert result.exit_code == 2
+        assert "--fail tick must be an integer, got 'x'" in result.output
+
+    @pytest.mark.parametrize(
+        "edit, where, problem",
+        [
+            (lambda d: d.update(auction=5), "auction", "expected an object"),
+            (lambda d: d["robots"][0]["capabilities"].append(["Flying", "wings", 1]),
+             "robots[0].capabilities[2]", "unknown capability kind 'Flying'"),
+            (lambda d: d.update(rules=[{"id": "r", "category": "Bogus", "predicate": "winner_lock"}]),
+             "rules[0]", "unknown rule category 'Bogus'"),
+            (lambda d: d.update(rules=[{"id": "r", "predicate": "fly"}]),
+             "rules[0]", "unknown rule predicate 'fly'"),
+            (lambda d: d.update(rules=[{"id": "r", "predicate": "winner_lock"},
+                                       {"id": "r", "predicate": "least_reward"}]),
+             "rules[1]", "rule id 'r' redeclared with a different body"),
+            (lambda d: d.update(robots=[]), "robots", "at least one robot is required"),
+            (lambda d: d["robots"][1].update(id="R1"), "robots[1].id", "duplicate robot id 'R1'"),
+            (lambda d: d["task"]["subtasks"][1].update(id="t1"), "task", "duplicate task id 't1'"),
+            (lambda d: d.pop("task"), "config", "either a task tree or a pursuit block is required"),
+            (lambda d: d.update(constraints=[{"a": "t1", "b": "t2", "kind": "Sideways"}]),
+             "constraints[0]", "unknown constraint kind 'Sideways'"),
+            (lambda d: d.update(costs={"R9": {"t1": 1}}), "costs.R9", "unknown robot 'R9'"),
+            (lambda d: d.update(costs={"R1": {"t9": 1}}), "costs.R1.t9", "unknown task 't9'"),
+            (lambda d: d.update(pursuit={"grid": [1, 5], "robots": [], "evaders": []}),
+             "pursuit.grid", "grid must be [width, height] with sides >= 2"),
+            (lambda d: d.update(pursuit={"grid": [5, 5], "robots": [{"id": "R9", "pos": [0, 0]}],
+                                         "evaders": []}),
+             "pursuit.robots[0]", "unknown robot 'R9'"),
+            (lambda d: d.update(events=[{"at": 3, "type": "withdraw", "robot": "R2", "reason": "Bored"}]),
+             "events[0].reason", "unknown reason 'Bored'"),
+            (lambda d: d.update(events=[{"at": 3, "type": "explode", "robot": "R2"}]),
+             "events[0]", "unknown event type 'explode'"),
+        ],
+        ids=["block_not_object", "capability_kind", "rule_category", "rule_predicate",
+             "rule_redeclared", "no_robots", "duplicate_robot", "duplicate_task", "no_task_or_pursuit",
+             "constraint_kind", "cost_robot", "cost_task", "pursuit_grid", "pursuit_robot",
+             "withdraw_reason", "event_type"],
+    )
+    def test_config_error_exits_two_naming_where(
+        self, runner, generic_config, tmp_path, edit, where, problem
+    ):
+        data = json.loads(generic_config.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: {problem}" in result.output
+
     def test_negative_ticks_flag_exits_two(self, runner, generic_config):
         result = runner.invoke(main, ["run", str(generic_config), "--ticks", "-1"])
         assert result.exit_code == 2
@@ -636,3 +688,37 @@ class TestReplayCommand:
         result = runner.invoke(main, ["replay", str(log)])
         assert result.exit_code == 2
         assert "log version 1 " in result.output
+
+    def _malformed(self, runner, log: Path, text: str, exit_code: int, *what: str) -> None:
+        """Write `text` as the log; replay must exit `exit_code` and print
+        each of `what`."""
+        log.write_text(text)
+        result = runner.invoke(main, ["replay", str(log)])
+        assert result.exit_code == exit_code, result.output
+        assert all(w in result.output for w in what), result.output
+
+    def test_last_line_cut_mid_record_exits_two(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        text = log.read_text()
+        self._malformed(runner, log, text[: len(text) - 10], 2, "has no newline")
+
+    def test_first_line_not_a_header_exits_two(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        lines = log.read_text().splitlines(keepends=True)
+        self._malformed(runner, log, "".join(lines[1:]), 2, "missing header record")
+
+    def test_header_with_an_invalid_config_exits_two(self, runner, generic_config, tmp_path):
+        log = self._run(runner, generic_config, tmp_path)
+        records = self._records(log)
+        records[0]["config"]["robots"] = []
+        text = "".join(canonical_json(r) + "\n" for r in records)
+        self._malformed(runner, log, text, 2, "header config invalid", "robots: at least one robot")
+
+    @pytest.mark.parametrize(
+        "line, what", [("garbage", "a line that is not JSON"), ("[1]", "a line that is not a record")]
+    )
+    def test_body_line_that_is_not_a_record_diverges(self, runner, generic_config, tmp_path, line, what):
+        log = self._run(runner, generic_config, tmp_path)
+        lines = log.read_text().splitlines(keepends=True)
+        lines[3] = line + "\n"
+        self._malformed(runner, log, "".join(lines), 1, "line 4 differs from the re-run: " + what)

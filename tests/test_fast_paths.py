@@ -391,7 +391,7 @@ def reference_rebuild_tree(state: fm.FormationState) -> None:
         team = OrgNode(f"team:{t}", leader, 0, 0, goals=[t])
         leader_element: OrgNode | None = None
         rest: list[OrgNode] = []
-        for sub in state.task_children.get(t, []):
+        for sub in state.org.subtasks.get(t, []):
             sub_team = build(sub)
             if sub_team is None:
                 continue
@@ -399,7 +399,7 @@ def reference_rebuild_tree(state: fm.FormationState) -> None:
                 leader_element = sub_team
             else:
                 rest.append(sub_team)
-        for sub in state.task_children.get(t, []):
+        for sub in state.org.subtasks.get(t, []):
             sa = assignments.get(sub)
             if sa is None or state.is_composite(sub):
                 continue

@@ -20,6 +20,7 @@ from hwrom.formation import (
 from hwrom.market import AdjustPolicy, Bid
 from hwrom.org_core import TaskNode, TaskStatus, validate
 from hwrom.rules_engine import ConstraintKind, ConstraintRelation
+from hwrom.wire import ENV
 
 from conftest import (
     brute_force_feasible,
@@ -689,3 +690,94 @@ def test_a_joiner_hears_an_open_round_from_the_new_leader(tmp_path):
     end = records[-1]
     assert (end["phase"], end["metrics"]["done_tick"]) == ("Done", 50)
     assert end["metrics"]["utilities"] == {"R2": "989/10", "R4": "11/10"}
+
+
+# --- rarely taken branches: each run ends Done with a valid org ---------------------------
+
+
+def simulated(config_dict: dict) -> tuple[fm.FormationState, list[dict]]:
+    """Run `config_dict` and return its final state and its log records."""
+    records: list[dict] = []
+    state, _ = eventlog.simulate(config.from_dict(config_dict), records.append)
+    assert state.phase is Phase.DONE
+    assert validate(state.org).ok, validate(state.org)
+    return state, records
+
+
+def test_a_reelection_without_offers_dissolves_the_team(monkeypatch):
+    # R1 leads T and R2 leads c1; R3 may lead, but its cost for c1 is above
+    # the reward, so when R2 fails nobody offers to lead c1
+    decisions = []
+
+    def priced(robot, ann, *args):
+        decision = fm_compute_bid(robot, ann, *args)
+        decisions.append((robot.id_cr, ann.id_task, ann.auctioneer, decision))
+        return decision
+
+    fm_compute_bid = fm.compute_bid
+    monkeypatch.setattr(fm, "compute_bid", priced)
+    _, records = simulated({
+        "seed": 1,
+        "max_ticks": 120,
+        "robots": [
+            {"id": "R1", "capabilities": LEAD},
+            {"id": "R2", "capabilities": LEAD},
+            {"id": "R3", "capabilities": LEAD + WELD},
+        ],
+        "task": {"id": "T", "reward": 100, "subtasks": [
+            {"id": "c1", "reward": 40, "subtasks": [
+                {"id": "c1.1", "reward": 10, "requires": WELD, "duration": 30}]}]},
+        "costs": {"R1": {"c1": 2}, "R3": {"c1": 1000}},
+        "events": [{"at": 22, "type": "fail", "robot": "R2"}],
+    })
+    assert awards(records)[:3] == [(5, "T", "R1"), (10, "c1", "R2"), (15, "c1.1", "R3")]
+    # R3 declines c1 in both of R1's auctions and in the election, which no
+    # one announces, so it keeps the default auctioneer
+    by_r3 = [(speaker, d.reason) for rid, t, speaker, d in decisions if (rid, t) == ("R3", "c1")]
+    assert by_r3 == [("R1", "cost_exceeds_reward"), (ENV, "cost_exceeds_reward"), ("R1", "cost_exceeds_reward")]
+    assert not notes(records, "reelected")
+    assert [(tick, n["node"]) for tick, n in notes(records, "dissolved")] == [(22, "team:c1")]
+    # c1 goes back to R1's queue and is auctioned again
+    assert awards(records)[3:] == [(27, "c1", "R1"), (32, "c1.1", "R3")]
+
+
+def test_a_pursuit_joiner_with_a_pose_is_placed_on_the_grid():
+    canonical = json.loads((FIXTURES / "canonical_pursuit.json").read_text())
+    canonical.pop("meta", None)
+    joiner = {"id": "R9", "capabilities": canonical["robots"][0]["capabilities"]}
+    canonical["events"] = [{"at": 3, "type": "join", "pos": [1, 1], "robot": joiner}]
+    state, records = simulated(canonical)
+    assert [tick for tick, _ in notes(records, "joined")] == [3]
+    pose = state.world.robots["R9"]
+    assert (pose.speed, pose.radius) == (1, 14)
+    assert (6, "sg:e1:0", "R9") in awards(records)
+    # the joiner makes the capture earlier than the canonical tick 14
+    assert [n["tick"] for _, n in notes(records, "captured")] == [9]
+
+
+def test_the_failure_of_the_robot_whose_unit_is_the_root():
+    # R1 alone holds the atomic root T, so its unit is the whole org
+    state, records = simulated({
+        "seed": 1,
+        "max_ticks": 120,
+        "robots": [{"id": "R1", "capabilities": LEAD + WELD}, {"id": "R2", "capabilities": LEAD + WELD}],
+        "task": {"id": "T", "reward": 30, "requires": WELD, "duration": 20},
+        "events": [{"at": 8, "type": "fail", "robot": "R1"}],
+    })
+    assert [(tick, n["robot"]) for tick, n in notes(records, "revoked", "withdrew")] == [(8, "R1")] * 2
+    assert awards(records) == [(5, "T", "R1"), (13, "T", "R2")]
+    assert state.org.root.id_ros == "unit:R2" and not state.org.root.children
+
+
+def test_an_evader_captured_while_its_tree_is_leaderless():
+    # random_pursuit_config(14) with its organizer R1 failing at tick 2: every
+    # capture team dissolves, and the standing evaders e1 and e2 are caught at
+    # tick 15, before their trees have a leader again
+    from test_fast_paths import random_pursuit_config
+
+    scenario = dict(random_pursuit_config(14), events=[{"at": 2, "type": "fail", "robot": "R1"}])
+    state, records = simulated(scenario)
+    unled = [(tick, n["task"]) for tick, n in notes(records, "captured_unled")]
+    assert unled == [(15, "capture:e1"), (15, "capture:e2")]
+    for _, t in unled:
+        assert t not in state.org.assignments and state.status[t] is TaskStatus.COMPLETED

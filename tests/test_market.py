@@ -13,7 +13,6 @@ from hwrom.market import (
     GiveUp,
     MixedTaskBidsError,
     Redecompose,
-    ScenarioContext,
     adjust_tactics,
     compute_bid,
     select_winner,
@@ -27,14 +26,15 @@ def ann(task="t1", reward=5, reqs=(), round=0, deadline=10) -> Announcement:
     return Announcement(task, Fraction(reward), frozenset(reqs), round, deadline)
 
 
-def ctx(cost, margin=Fraction(1, 10)) -> ScenarioContext:
-    return ScenarioContext(cost_of=lambda r, a: Fraction(cost), margin=margin)
+def ctx(cost, margin=Fraction(1, 10)):
+    """A fixed cost model and its markup, as `compute_bid` takes them."""
+    return (lambda r, a: Fraction(cost)), 1 + margin
 
 
 class TestComputeBid:
     def test_missing_capability_declines(self):
         r = robot("R1", cap("Moving", "speed", 2))
-        out = compute_bid(r, ann(reqs=[req("Sensing", "vision", 1)]), ctx(1))
+        out = compute_bid(r, ann(reqs=[req("Sensing", "vision", 1)]), *ctx(1))
         assert isinstance(out, Decline) and out.reason == "missing_capability"
 
     def test_pursuit_cost_formula(self):
@@ -43,36 +43,35 @@ class TestComputeBid:
         world = pursuit.WorldState(10, 10)
         world.robots["R1"] = pursuit.RobotPose((0, 0), 2, 3)
         r = robot("R1", cap("Moving", "speed", 2))
-        pursuit_ctx = ScenarioContext(
-            cost_of=lambda rb, a: pursuit.robot_cost(world, rb.id_cr, (4, 0)),
-            margin=Fraction(1, 10),
+        out = compute_bid(
+            r, ann(reward=5), lambda rb, a: pursuit.robot_cost(world, rb.id_cr, (4, 0)), Fraction(11, 10)
         )
-        out = compute_bid(r, ann(reward=5), pursuit_ctx)
         assert isinstance(out, Bid)
         assert out.computed_cost == Fraction(2)
         assert out.price == Fraction(11, 5)
 
     def test_cost_above_reward_declines(self):
         r = robot("R1", cap("Moving", "speed", 2))
-        out = compute_bid(r, ann(reward=1), ctx(2))
+        out = compute_bid(r, ann(reward=1), *ctx(2))
         assert isinstance(out, Decline) and out.reason == "cost_exceeds_reward"
 
     def test_price_capped_at_reward(self):
         r = robot("R1")
-        out = compute_bid(r, ann(reward=5), ctx(5))
+        out = compute_bid(r, ann(reward=5), *ctx(5))
         assert isinstance(out, Bid) and out.price == Fraction(5)
 
     def test_price_never_below_cost(self):
         r = robot("R1")
         for cost in (0, 1, 3, 5):
-            out = compute_bid(r, ann(reward=5), ctx(cost))
+            out = compute_bid(r, ann(reward=5), *ctx(cost))
             assert isinstance(out, Bid) and out.price >= out.computed_cost
 
     def test_zero_speed_declines(self):
         world = pursuit.WorldState(5, 5)
         world.robots["R1"] = pursuit.RobotPose((0, 0), 0, 3)
-        c = ScenarioContext(cost_of=lambda rb, a: pursuit.robot_cost(world, rb.id_cr, (2, 2)))
-        out = compute_bid(robot("R1"), ann(), c)
+        out = compute_bid(
+            robot("R1"), ann(), lambda rb, a: pursuit.robot_cost(world, rb.id_cr, (2, 2)), Fraction(11, 10)
+        )
         assert isinstance(out, Decline) and out.reason == "cost_unavailable"
 
 

@@ -218,9 +218,9 @@ def settled_org() -> Organization:
     root.children[1].goals = ["t1"]
     root.children[2].goals = ["t2"]
     org = Organization(robots=[robot("R1"), robot("R2"), robot("R3")], root=root)
-    org.known_tasks = {"T", "t1", "t2"}
+    org.subtasks = {"T": ["t1", "t2"], "t1": [], "t2": []}
     org.assignments = {
-        "T": TaskAssignment("T", "R1", Fraction(10), AssignmentMode.LED, ("t1", "t2")),
+        "T": TaskAssignment("T", "R1", Fraction(10), AssignmentMode.LED),
         "t1": TaskAssignment("t1", "R2", Fraction(3), AssignmentMode.WON),
         "t2": TaskAssignment("t2", "R3", Fraction(4), AssignmentMode.WON),
     }
@@ -231,7 +231,7 @@ class TestSettlement:
     def test_atomic_passthrough(self):
         root = OrgNode(id_ros="unit:R1", id_robot="R1", level_i=0, pos_j=0, goals=["T"])
         org = Organization(robots=[robot("R1")], root=root)
-        org.known_tasks = {"T"}
+        org.subtasks = {"T": []}
         org.assignments = {"T": TaskAssignment("T", "R1", Fraction(10), AssignmentMode.WON)}
         deltas = settle_utilities(org, {"T": Fraction(10)})
         assert deltas == {"R1": Fraction(10)}
@@ -260,7 +260,7 @@ class TestSettlement:
 
     def test_unassigned_task(self):
         org = settled_org()
-        org.known_tasks.add("t3")
+        org.subtasks["t3"] = []
         with pytest.raises(TaskNotAssignedError):
             settle_utilities(org, {"t3": Fraction(1)})
 

@@ -86,28 +86,28 @@ class TestPlanPursuit:
     def test_stationary_center_rings_four_cells(self):
         wd = self.base_world()
         wd.evaders["e1"] = EvaderState((5, 5), 1)
-        plan = plan_pursuit(wd, "R1", "e1")
-        assert {sg.cell for sg in plan.subgoals} == {(4, 5), (6, 5), (5, 4), (5, 6)}
+        subgoals = plan_pursuit(wd, "R1", "e1")
+        assert {sg.cell for sg in subgoals} == {(4, 5), (6, 5), (5, 4), (5, 6)}
 
     def test_corner_clips_to_two(self):
         wd = self.base_world()
         wd.evaders["e1"] = EvaderState((0, 0), 1)
-        plan = plan_pursuit(wd, "R1", "e1")
-        assert {sg.cell for sg in plan.subgoals} == {(1, 0), (0, 1)}
+        subgoals = plan_pursuit(wd, "R1", "e1")
+        assert {sg.cell for sg in subgoals} == {(1, 0), (0, 1)}
 
     def test_moving_evader_ringed_at_prediction(self):
         wd = self.base_world()
         wd.evaders["e1"] = EvaderState((5, 5), 1, intention=(1, 0))
         assert predicted_position(wd, "e1") == (6, 5)
-        plan = plan_pursuit(wd, "R1", "e1")
-        assert {sg.cell for sg in plan.subgoals} == {(5, 5), (7, 5), (6, 4), (6, 6)}
+        subgoals = plan_pursuit(wd, "R1", "e1")
+        assert {sg.cell for sg in subgoals} == {(5, 5), (7, 5), (6, 4), (6, 6)}
 
     def test_rewards_and_required_speed(self):
         wd = self.base_world()
         wd.evaders["e1"] = EvaderState((5, 5), 2)
-        plan = plan_pursuit(wd, "R1", "e1", base_reward=Fraction(7))
-        assert all(sg.reward == Fraction(7) for sg in plan.subgoals)
-        assert all(sg.required_speed == Fraction(2) for sg in plan.subgoals)
+        subgoals = plan_pursuit(wd, "R1", "e1", base_reward=Fraction(7))
+        assert all(sg.reward == Fraction(7) for sg in subgoals)
+        assert all(sg.required_speed == Fraction(2) for sg in subgoals)
 
     def test_unknown_or_captured_evader(self):
         wd = self.base_world()

@@ -191,9 +191,7 @@ def random_instance(seed: int) -> fm.FormationState:
         state.status[tid] = TaskStatus.COMPLETED
         holder = rng.choice([r.id_cr for r in robots])
         mode = AssignmentMode.LED if children[tid] else AssignmentMode.WON
-        state.org.assignments[tid] = TaskAssignment(
-            tid, holder, Fraction(10), mode, tuple(children[tid])
-        )
+        state.org.assignments[tid] = TaskAssignment(tid, holder, Fraction(10), mode)
     if dead is not None:
         state.dead.add(dead)
     return state
@@ -243,11 +241,11 @@ def test_a_chain_may_not_skip_a_completed_team():
     d = TaskNode("d", Fraction(10), frozenset(), [TaskNode("d1", Fraction(10), welds)])
     g = TaskNode("g", Fraction(20), frozenset(), [d])
     fm.register_task_tree(state, TaskNode("T", Fraction(40), frozenset(), [g, TaskNode("t1", Fraction(10), welds)]))
-    for t, holder, mode, subtasks in (("g", "R2", AssignmentMode.LED, ("d",)),
-                                      ("d", "R1", AssignmentMode.LED, ("d1",)),
-                                      ("d1", "R1", AssignmentMode.WON, ())):
+    for t, holder, mode in (("g", "R2", AssignmentMode.LED),
+                            ("d", "R1", AssignmentMode.LED),
+                            ("d1", "R1", AssignmentMode.WON)):
         state.status[t] = TaskStatus.COMPLETED
-        state.org.assignments[t] = TaskAssignment(t, holder, Fraction(10), mode, subtasks)
+        state.org.assignments[t] = TaskAssignment(t, holder, Fraction(10), mode)
     problem = fm._problem(state)
     assert solve(problem) == exhaustive_allocation(problem) == [
         ("T", "R2"), ("t1", "R2")

@@ -65,9 +65,11 @@ class TestRoute:
         assert isinstance(route(NetConfig(), msg(ENV, "R3"), society()), Deliver)
 
     def test_interface_mismatch_rejected(self):
-        interfaces = {"R2": frozenset({"bid"}), "R3": frozenset({"announce", "bid"})}
-        out = route(NetConfig(), msg("R3", "R2", kind="announce"), society(),
-                    interfaces=interfaces)
+        robots = {
+            "R2": CooperativeRobot("R2", frozenset(), interface=frozenset({"bid"})),
+            "R3": CooperativeRobot("R3", frozenset(), interface=frozenset({"announce", "bid"})),
+        }
+        out = route(NetConfig(), msg("R3", "R2", kind="announce"), society(), robots=robots)
         assert out == Reject("InterfaceMismatch")
 
     def test_drop_rate_one_drops_everything(self):

@@ -11,14 +11,25 @@ drops, latency, membership churn, Parallel pairs and forced give-ups. The
 test names keep `cached_hash` from the log v1 fragment cache these runs
 used to check, so that the test ids stay stable. Last, one parsed config
 runs twice: the second run must emit the first run's records.
+
+The sha256 of each pursuit fixture's logs and of each random scenario's log
+is pinned in `fixtures/corpus_digests.json`, as the golden traces pin
+theirs. A change that alters behaviour on purpose regenerates it with
+
+    PYTHONPATH=src python tests/test_state_hash.py --write
+
+and says which entries moved and why.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import random
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -32,8 +43,10 @@ from test_golden_traces import GOLDEN, scenario_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PURSUIT_FIXTURES = sorted(FIXTURES.glob("pursuit_*.json")) + [FIXTURES / "canonical_pursuit.json"]
+CORPUS_PATH = FIXTURES / "corpus_digests.json"
 ORGANIZER = [["Organization", "plan", 1], ["Communication", "radio", 1]]
 SKILLS = (("Action", "weld"), ("Sensing", "vision"), ("Moving", "speed"))
+RANDOM_SEEDS = range(200)
 
 
 def reference_hash(state: fm.FormationState) -> str:
@@ -76,6 +89,22 @@ def check_log(config: dict, tmp_path: Path) -> list[str]:
     outcome = eventlog.replay(path)
     assert outcome.ok, outcome.message
     return log
+
+
+def log_digest(log: list[str]) -> str:
+    """sha256 of a log's lines as `hwrom run --log` writes them."""
+    return hashlib.sha256("".join(line + "\n" for line in log).encode()).hexdigest()
+
+
+def pursuit_runs(path: Path) -> list[tuple[str, dict]]:
+    """A pursuit fixture's corpus entries: the fixture as it is, and with
+    the leader failure of its `meta` block."""
+    raw = json.loads(path.read_text())
+    meta = raw.pop("meta", None)
+    runs = [(path.stem, raw)]
+    if meta is not None:
+        runs.append((f"{path.stem}/leader_failure", with_fail(raw, (meta["leader"], meta["leader_fail_tick"]))))
+    return runs
 
 
 def random_scenario(seed: int) -> dict:
@@ -135,23 +164,47 @@ def test_cached_hash_matches_on_golden_scenarios(name, tmp_path):
 
 @pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
 def test_cached_hash_matches_on_pursuit_fixtures(path, tmp_path):
-    raw = json.loads(path.read_text())
-    meta = raw.pop("meta", None)
-    check_log(raw, tmp_path)
-    if meta is not None:
-        check_log(with_fail(raw, (meta["leader"], meta["leader_fail_tick"])), tmp_path)
+    pinned = json.loads(CORPUS_PATH.read_text())
+    moved = [name for name, config in pursuit_runs(path) if log_digest(check_log(config, tmp_path)) != pinned[name]]
+    assert not moved, f"log digests moved: {moved}"
 
 
 def test_cached_hash_matches_on_random_churn(tmp_path):
+    pinned = json.loads(CORPUS_PATH.read_text())
     notes: set[str] = set()
-    for seed in range(200):
-        for line in check_log(random_scenario(seed), tmp_path):
+    moved = []
+    for seed in RANDOM_SEEDS:
+        log = check_log(random_scenario(seed), tmp_path)
+        if log_digest(log) != pinned[f"random_scenario/{seed}"]:
+            moved.append(seed)
+        for line in log:
             rec = json.loads(line)
             if rec["type"] == "event":
                 notes.update(note["kind"] for note in rec["detail"]["notes"])
     # the corpus reaches every path that edits the tree or settles utilities
     assert {"award", "give_up", "allocated", "withdrew", "joined", "reelected",
             "dissolved", "mission_done"} <= notes
+    assert not moved, f"log digests moved for random_scenario seeds {moved}"
+
+
+def test_a_finished_run_is_freed_by_reference_count():
+    """Nothing a run leaves behind is a reference cycle: with the collector
+    off, each finished state is freed as its last reference goes, and the
+    collector then finds nothing."""
+    configs = [json.loads((FIXTURES / "canonical_pursuit.json").read_text())]
+    configs += [random_scenario(seed) for seed in range(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        for config in configs:
+            log: list[dict] = []
+            state, _ = eventlog.simulate(cfg.from_dict(config), log.append)
+            freed = weakref.ref(state)
+            del state
+            assert freed() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_same_tick_joins_run_in_robot_id_order(tmp_path):
@@ -207,3 +260,16 @@ def test_one_parsed_config_serves_two_runs(config, kinds):
     assert kinds <= notes
     assert runs[0] == runs[1]
     assert scenario.task == parsed_task
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_state_hash.py --write")
+    runs = [run for path in PURSUIT_FIXTURES for run in pursuit_runs(path)]
+    runs += [(f"random_scenario/{seed}", random_scenario(seed)) for seed in RANDOM_SEEDS]
+    digests = {}
+    for name, config in runs:
+        log: list[str] = []
+        run_logged(config, log=log)
+        digests[name] = log_digest(log)
+    CORPUS_PATH.write_text(json.dumps(digests, indent=1) + "\n")
