@@ -49,20 +49,22 @@ def main() -> None:
     for rec in scheduler.trace:
         if rec["type"] != "event":
             continue
+        data = rec["data"]
         for note in rec["detail"]["notes"]:
             kind = note["kind"]
             if kind == "announce":
                 who = "the environment" if note["auctioneer"].startswith("__") else note["auctioneer"]
                 print(f"t={rec['tick']:>2}  {who} announces {note['task']} at reward {note['reward']}")
             elif kind == "bid":
-                print(f"t={rec['tick']:>2}    {note['robot']} asks {note['price']} for {note['task']}")
+                bid = data["bid"]
+                print(f"t={rec['tick']:>2}    {bid['bidder']} asks {bid['price']} for {bid['id_task']}")
             elif kind == "award":
                 role = "leads" if note["leadership"] else "takes"
-                print(f"t={rec['tick']:>2}  {note['robot']} {role} {note['task']} at {note['price']}")
+                print(f"t={rec['tick']:>2}  {note['robot']} {role} {data['id_task']} at {note['price']}")
             elif kind == "formed":
                 print(f"t={rec['tick']:>2}  organization formed (depth {note['level']})")
             elif kind == "completed":
-                print(f"t={rec['tick']:>2}    {note['robot']} finished {note['task']}")
+                print(f"t={rec['tick']:>2}    {data['robot']} finished {data['id_task']}")
             elif kind == "mission_done":
                 print(f"t={rec['tick']:>2}  mission complete; settled utilities:")
                 for rid, delta in note["utilities"].items():

@@ -39,13 +39,13 @@ def narrate(trace, since=0):
         for note in rec["detail"]["notes"]:
             k = note["kind"]
             if k == "withdrew":
-                print(f"t={rec['tick']:>2}  {note['robot']} left the organization ({note['reason']})")
+                print(f"t={rec['tick']:>2}  {rec['data']['robot']} left the organization ({note['reason']})")
             elif k == "revoked":
                 print(f"t={rec['tick']:>2}    {note['task']} taken back from {note['robot']}")
             elif k == "announce":
                 print(f"t={rec['tick']:>2}  {note['task']} re-announced at reward {note['reward']}")
             elif k == "award":
-                print(f"t={rec['tick']:>2}  {note['robot']} takes over {note['task']} at {note['price']}")
+                print(f"t={rec['tick']:>2}  {note['robot']} takes over {rec['data']['id_task']} at {note['price']}")
             elif k == "reelected":
                 print(f"t={rec['tick']:>2}  new leader {note['robot']} elected "
                       f"(offers {note['offers']})")

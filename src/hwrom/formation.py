@@ -527,14 +527,7 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         )
 
     result.notes.append(
-        {
-            "kind": "award",
-            "task": t,
-            "robot": winner,
-            "price": str(bid.price),
-            "round": bid.round,
-            "leadership": state.is_composite(t),
-        }
+        {"kind": "award", "robot": winner, "price": str(bid.price), "leadership": state.is_composite(t)}
     )
     _renumber(state)
     if state.phase is Phase.EXECUTING:
@@ -647,11 +640,11 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
     auction = state.active_auctions.get(t)
     if auction is None:
         if t in state.tasks:
-            result.notes.append({"kind": "close_ignored", "task": t})
+            result.notes.append({"kind": "close_ignored"})
             return
         raise ProtocolViolationError(f"close for unknown auction {t}")
     if auction.announcement.round != event.round:
-        result.notes.append({"kind": "close_stale", "task": t, "round": event.round})
+        result.notes.append({"kind": "close_stale"})
         return
 
     ann = auction.announcement
@@ -677,19 +670,17 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
         tactic = replace(ann, reward=ann.reward * (1 + state.params.policy.delta), round=tactic.round)
     if isinstance(tactic, Announcement):
         _open_auction(state, tactic, auction.parent_node, result)
-        result.notes.append(
-            {"kind": "escalate", "task": t, "round": tactic.round, "reward": str(tactic.reward)}
-        )
+        result.notes.append({"kind": "escalate", "round": tactic.round, "reward": str(tactic.reward)})
         return
-    result.notes.append({"kind": "give_up", "task": t})
+    result.notes.append({"kind": "give_up"})
     try:
         planned = _replan(state, result)
     except allocation.BudgetExhausted:
-        result.notes.append({"kind": "replan_budget_exhausted", "task": t})
+        result.notes.append({"kind": "replan_budget_exhausted"})
         planned = False
     if not planned:
         state.phase = Phase.FAILED
-        result.notes.append({"kind": "formation_failed", "task": t})
+        result.notes.append({"kind": "formation_failed"})
     _check_formed(state, result)
 
 
@@ -714,9 +705,7 @@ def _apply_redecompose(
     owning = f"team:{parent_id}"
     for piece in pieces:
         state.pending.append(PendingTask(piece.id_task, owning))
-    result.notes.append(
-        {"kind": "redecompose", "task": t, "pieces": [p.id_task for p in pieces], "round": tactic.round}
-    )
+    result.notes.append({"kind": "redecompose", "pieces": [p.id_task for p in pieces], "round": tactic.round})
     return True
 
 
@@ -963,11 +952,11 @@ def _complete_task(state: FormationState, event: TaskCompleted, result: StepResu
         # (a surround goal) completes when its evader is captured
         or state.exec_started.get(t, event.tick) != event.tick
     ):
-        result.notes.append({"kind": "completion_ignored", "task": t, "robot": event.robot})
+        result.notes.append({"kind": "completion_ignored"})
         return
     state.status[t] = TaskStatus.COMPLETED
     state.locks.release(event.robot, t, state.now)
-    result.notes.append({"kind": "completed", "task": t, "robot": event.robot})
+    result.notes.append({"kind": "completed"})
     parent = state.task_parent.get(t)
     if parent is not None:
         _maybe_complete_parent(state, parent, result)
@@ -982,7 +971,7 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
         if state.world is not None and state.world.captured:
             # everything was captured before any tree formed; goal met anyway
             state.phase = Phase.DONE
-            result.notes.append({"kind": "mission_done", "tick": state.now, "utilities": {}})
+            result.notes.append({"kind": "mission_done", "utilities": {}})
         return
     if not all(state.status[t] is TaskStatus.COMPLETED for t in state.root_tasks):
         return
@@ -999,11 +988,7 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
             payouts[t] = state.org.assignments[t].price
     deltas = org_core.settle_utilities(state.org, payouts)
     result.notes.append(
-        {
-            "kind": "mission_done",
-            "tick": state.now,
-            "utilities": {r: str(d) for r, d in sorted(deltas.items())},
-        }
+        {"kind": "mission_done", "utilities": {r: str(d) for r, d in sorted(deltas.items())}}
     )
 
 
@@ -1028,7 +1013,7 @@ def handle_join(
     state.robots[robot.id_cr] = robot
     if state.world is not None and pose is not None:
         state.world.robots[robot.id_cr] = robot_pose(robot, pose)
-    result.notes.append({"kind": "joined", "robot": robot.id_cr})
+    result.notes.append({"kind": "joined"})
     for t in sorted(state.active_auctions):
         auction = state.active_auctions[t]
         speaker = _speaker(state, auction.parent_node)
@@ -1044,7 +1029,7 @@ def handle_join(
 def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason) -> StepResult:
     result = StepResult()
     if robot not in state.robots or robot in state.dead or robot in state.departed:
-        result.notes.append({"kind": "withdraw_noop", "robot": robot})
+        result.notes.append({"kind": "withdraw_noop"})
         return result
     if reason is WithdrawReason.FAILURE:
         state.dead.add(robot)
@@ -1059,7 +1044,7 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
     led = ix.led_by.get(robot, [])
     leaf = ix.leaf_of_robot.get(robot)
     if not led and leaf is None:
-        result.notes.append({"kind": "withdrew_idle", "robot": robot, "reason": reason.value})
+        result.notes.append({"kind": "withdrew_idle", "reason": reason.value})
         return result
 
     # the robot's own unfinished work returns to the queue
@@ -1084,7 +1069,7 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
             reelect_leader(state, team.id_ros, result)
 
     _renumber(state)
-    result.notes.append({"kind": "withdrew", "robot": robot, "reason": reason.value})
+    result.notes.append({"kind": "withdrew", "reason": reason.value})
     return result
 
 
@@ -1322,7 +1307,7 @@ def step(state: FormationState, event: FormationEvent) -> StepResult:
             _install_designated_root(state, event, result)
         else:
             state.pending.append(PendingTask(event.id_task, event.parent_node))
-            result.notes.append({"kind": "queued", "task": event.id_task})
+            result.notes.append({"kind": "queued"})
     elif isinstance(event, BidSubmitted):
         _accept_bid(state, event, result)
     elif isinstance(event, AuctionClosed):
@@ -1348,10 +1333,10 @@ def _install_designated_root(
     leader = event.designated_leader
     assert leader is not None
     if not state.alive(leader):
-        result.notes.append({"kind": "designation_void", "task": t, "robot": leader})
+        result.notes.append({"kind": "designation_void"})
         return
     _hang_team(state, t, leader, Fraction(0), _root_owner(state), result)
-    result.notes.append({"kind": "designated_leader", "task": t, "robot": leader})
+    result.notes.append({"kind": "designated_leader"})
     _renumber(state)
 
 
@@ -1360,41 +1345,24 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
     auction = state.active_auctions.get(bid.id_task)
     if auction is None:
         if bid.id_task in state.tasks:
-            result.notes.append({"kind": "void_bid", "task": bid.id_task, "robot": bid.bidder})
+            result.notes.append({"kind": "void_bid"})
             return
         raise ProtocolViolationError(f"bid for unknown auction {bid.id_task}")
     ann = auction.announcement
     if bid.round != ann.round:
-        result.notes.append({"kind": "stale_bid", "task": bid.id_task, "robot": bid.bidder})
+        result.notes.append({"kind": "stale_bid"})
         return
     if event.tick > ann.deadline:
-        result.notes.append(
-            {"kind": "late_bid", "task": bid.id_task, "robot": bid.bidder, "deadline": ann.deadline}
-        )
+        result.notes.append({"kind": "late_bid", "deadline": ann.deadline})
         return
     if winner_locked(state.locks, bid.bidder, bid.sent_at):
-        result.notes.append(
-            {
-                "kind": "protocol_violation",
-                "why": "locked_bid",
-                "task": bid.id_task,
-                "robot": bid.bidder,
-            }
-        )
+        result.notes.append({"kind": "protocol_violation", "why": "locked_bid"})
         return
     if bid.bidder in auction.bids:
-        result.notes.append({"kind": "duplicate_bid", "task": bid.id_task, "robot": bid.bidder})
+        result.notes.append({"kind": "duplicate_bid"})
         return
     auction.bids[bid.bidder] = bid
-    result.notes.append(
-        {
-            "kind": "bid",
-            "task": bid.id_task,
-            "robot": bid.bidder,
-            "price": str(bid.price),
-            "round": bid.round,
-        }
-    )
+    result.notes.append({"kind": "bid"})
 
 
 # --- snapshots / hashing ---------------------------------------------------------------

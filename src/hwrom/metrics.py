@@ -43,7 +43,8 @@ def compute_metrics(trace: list[dict], *, final_org_hash: str | None = None) -> 
                 nk = note.get("kind")
                 if nk in ("announce", "escalate"):
                     m.formation_rounds += 1
-                    task = note.get("task")
+                    # an escalation re-opens the auction its record closed
+                    task = note["task"] if nk == "announce" else rec["data"]["id_task"]
                     if nk == "escalate" or task in announced_tasks:
                         m.re_auctions += 1
                     announced_tasks.add(task)
@@ -53,6 +54,6 @@ def compute_metrics(trace: list[dict], *, final_org_hash: str | None = None) -> 
                     m.capture_ticks[note["evader"]] = note["tick"]
                 elif nk == "mission_done":
                     m.mission_done = True
-                    m.done_tick = note.get("tick", rec.get("tick"))
+                    m.done_tick = rec["tick"]
                     m.utilities = dict(note.get("utilities", {}))
     return m

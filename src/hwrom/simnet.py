@@ -254,16 +254,16 @@ class Scheduler:
                 self._tick_popped()
             event = item  # type: ignore[assignment]
             result = fm.step(self.state, event)
-            rec = {
-                "type": "event",
-                "tick": event.tick,
-                "seq": seq,
-                "event": type(event).__name__,
-                **_event_summary(event),
-                "detail": {"notes": result.notes},
-                "data": event_to_dict(event, seq),
-            }
-            self._emit(rec)
+            self._emit(
+                {
+                    "type": "event",
+                    "event": type(event).__name__,
+                    "seq": seq,
+                    "tick": event.tick,
+                    "data": event_data(event),
+                    "detail": {"notes": result.notes},
+                }
+            )
             for m in result.messages:
                 self.send(m)
             for timer in result.timers:
@@ -273,53 +273,40 @@ class Scheduler:
         return self.trace
 
 
-def _event_summary(event: fm.FormationEvent) -> dict:
-    task = getattr(event, "id_task", None)
-    robot = getattr(event, "robot", None)
-    if isinstance(robot, org_core.CooperativeRobot):
-        robot = robot.id_cr
-    if isinstance(event, fm.BidSubmitted):
-        task = event.bid.id_task
-        robot = event.bid.bidder
-        rnd = event.bid.round
-    else:
-        rnd = getattr(event, "round", None)
-    return {"task": task, "robot": robot, "round": rnd}
-
-
 # --- event data for logs ---------------------------------------------------------
 
 
-def event_to_dict(event: fm.FormationEvent, seq: int) -> dict:
-    base = {"tick": event.tick, "seq": seq, "type": type(event).__name__}
+def event_data(event: fm.FormationEvent) -> dict:
+    """An event's own fields, as its record's `data`; a Tick has none."""
     if isinstance(event, fm.TaskArrived):
-        base.update(
-            id_task=event.id_task,
-            parent_node=event.parent_node,
-            designated_leader=event.designated_leader,
-        )
-    elif isinstance(event, fm.BidSubmitted):
-        b = event.bid
-        base["bid"] = {
-            "bidder": b.bidder,
-            "id_task": b.id_task,
-            "price": str(b.price),
-            "computed_cost": str(b.computed_cost),
-            "round": b.round,
-            "sent_at": b.sent_at,
+        return {
+            "id_task": event.id_task,
+            "parent_node": event.parent_node,
+            "designated_leader": event.designated_leader,
         }
-    elif isinstance(event, fm.AuctionClosed):
-        base.update(id_task=event.id_task, round=event.round)
-    elif isinstance(event, fm.TaskCompleted):
-        base.update(id_task=event.id_task, robot=event.robot)
-    elif isinstance(event, fm.RobotWithdrew):
-        base.update(robot=event.robot, reason=event.reason.value)
-    elif isinstance(event, fm.RobotFailed):
-        base.update(robot=event.robot)
-    elif isinstance(event, fm.RobotJoined):
+    if isinstance(event, fm.BidSubmitted):
+        b = event.bid
+        return {
+            "bid": {
+                "bidder": b.bidder,
+                "id_task": b.id_task,
+                "price": str(b.price),
+                "computed_cost": str(b.computed_cost),
+                "round": b.round,
+                "sent_at": b.sent_at,
+            }
+        }
+    if isinstance(event, fm.AuctionClosed):
+        return {"id_task": event.id_task, "round": event.round}
+    if isinstance(event, fm.TaskCompleted):
+        return {"id_task": event.id_task, "robot": event.robot}
+    if isinstance(event, fm.RobotWithdrew):
+        return {"robot": event.robot, "reason": event.reason.value}
+    if isinstance(event, fm.RobotFailed):
+        return {"robot": event.robot}
+    if isinstance(event, fm.RobotJoined):
         # logs name the robot's id "id", as configs do
         robot = org_core.robot_dict(event.robot)
         robot["id"] = robot.pop("id_cr")
-        base["robot"] = robot
-        base["pose"] = list(event.pose) if event.pose is not None else None
-    return base
+        return {"robot": robot, "pose": list(event.pose) if event.pose is not None else None}
+    return {}

@@ -3,6 +3,7 @@ brute-force feasibility oracle used to cross-check the formation engine."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hwrom.org_core import (
     CooperativeRobot,
     OrgNode,
     TaskNode,
+    canonical_json,
 )
 from hwrom.rules_engine import ConstraintKind, ConstraintRelation
 
@@ -173,6 +175,80 @@ def log_notes(log_path: Path) -> list[dict]:
         if rec.get("type") == "event"
         for note in rec["detail"]["notes"]
     ]
+
+
+# --- the log v2 oracle -------------------------------------------------------------
+
+# A v3 note leaves out each field that always equals a fact of its own event
+# or its record's tick. These are the fields, by note kind.
+V3_DROPPED = {
+    "bid": ("task", "robot", "price", "round"),
+    **dict.fromkeys(
+        ("void_bid", "stale_bid", "duplicate_bid", "late_bid", "protocol_violation"), ("task", "robot")
+    ),
+    "queued": ("task",),
+    **dict.fromkeys(("designated_leader", "designation_void"), ("task", "robot")),
+    **dict.fromkeys(("award", "close_stale"), ("task", "round")),
+    **dict.fromkeys(
+        ("close_ignored", "escalate", "redecompose", "give_up", "replan_budget_exhausted", "formation_failed"),
+        ("task",),
+    ),
+    **dict.fromkeys(("completed", "completion_ignored"), ("task", "robot")),
+    **dict.fromkeys(("joined", "withdrew", "withdrew_idle", "withdraw_noop"), ("robot",)),
+    "mission_done": ("tick",),
+}
+V2_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "v2_digests.json").read_text())
+
+
+def v3_to_v2(record: dict) -> dict:
+    """The v2 record a v3 record stands for: the header's version 2, and an
+    event record's top-level task/robot/round summary, its `data`'s tick,
+    seq and type, and each field its notes leave out. Other records are
+    the same in both versions."""
+    if record["type"] == "header":
+        return {**record, "version": 2}
+    if record["type"] != "event":
+        return record
+    data = record["data"]
+    if "bid" in data:
+        bid = data["bid"]
+        summary = {"task": bid["id_task"], "robot": bid["bidder"], "round": bid["round"]}
+        facts = dict(summary, price=bid["price"])
+    else:
+        robot = data.get("robot")
+        robot = robot["id"] if isinstance(robot, dict) else robot
+        summary = {"task": data.get("id_task"), "robot": robot, "round": data.get("round")}
+        facts = dict(summary, robot=data.get("designated_leader", robot))
+    facts["tick"] = record["tick"]
+    notes = [
+        {**note, **{field: facts[field] for field in V3_DROPPED.get(note["kind"], ())}}
+        for note in record["detail"]["notes"]
+    ]
+    return {
+        **record,
+        **summary,
+        "data": {"tick": record["tick"], "seq": record["seq"], "type": record["event"], **data},
+        "detail": {**record["detail"], "notes": notes},
+    }
+
+
+def v2_moved(group: str, name: str, lines: list[str]) -> bool:
+    """Whether the v2 log that a v3 log's lines stand for no longer hashes to
+    its frozen digest in `V2_DIGESTS[group]`. A run with no frozen digest,
+    one deleted by a change that moved its log on purpose, never moves."""
+    if name not in V2_DIGESTS[group]:
+        return False
+    v2 = (canonical_json(v3_to_v2(json.loads(line))) + "\n" for line in lines)
+    return hashlib.sha256("".join(v2).encode()).hexdigest() != V2_DIGESTS[group][name]
+
+
+def report_moves(old: dict[str, str], new: dict[str, str]) -> None:
+    """Print each pinned digest that a regeneration moved, then the count of
+    those it left alone."""
+    for name in new:
+        if old.get(name) != new[name]:
+            print(f"{name}: {old.get(name)} -> {new[name]}")
+    print(f"{sum(old.get(name) == digest for name, digest in new.items())} unchanged")
 
 
 # --- independent feasibility oracle ---------------------------------------------

@@ -199,11 +199,13 @@ def _scan_locked_bids(trace) -> list[dict]:
     for rec in trace:
         if rec.get("type") != "event":
             continue
-        tick = rec["tick"]
+        tick, data = rec["tick"], rec["data"]
         for note in rec["detail"]["notes"]:
             if note["kind"] == "award" and not note["leadership"]:
-                wins.append((tick, note["robot"], note["task"]))
-            elif note["kind"] in ("completed", "revoked"):
+                wins.append((tick, note["robot"], data["id_task"]))
+            elif note["kind"] == "completed":
+                releases.append((tick, data["robot"], data["id_task"]))
+            elif note["kind"] == "revoked":
                 releases.append((tick, note["robot"], note["task"]))
 
     def locked(robot: str, at: int) -> bool:

@@ -472,7 +472,7 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(path), "--log", str(log)])
         assert result.exit_code == 0, result.output
         records = [json.loads(x) for x in log.read_text().splitlines()]
-        failed = [(r["tick"], r["robot"]) for r in records if r.get("event") == "RobotFailed"]
+        failed = [(r["tick"], r["data"]["robot"]) for r in records if r.get("event") == "RobotFailed"]
         assert failed == [(6, "J1")]
         assert runner.invoke(main, ["replay", str(log)]).exit_code == 0
 
@@ -680,14 +680,15 @@ class TestReplayCommand:
         assert result.exit_code == 2
         assert "truncated" in result.output
 
-    def test_version_1_log_exits_two(self, runner, generic_config, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_log_version_exits_two(self, runner, generic_config, tmp_path, version):
         log = self._run(runner, generic_config, tmp_path)
         records = self._records(log)
-        records[0]["version"] = 1
+        records[0]["version"] = version
         log.write_text("".join(canonical_json(r) + "\n" for r in records))
         result = runner.invoke(main, ["replay", str(log)])
         assert result.exit_code == 2
-        assert "log version 1 " in result.output
+        assert f"log version {version} cannot be replayed, only version 3" in result.output
 
     def _malformed(self, runner, log: Path, text: str, exit_code: int, *what: str) -> None:
         """Write `text` as the log; replay must exit `exit_code` and print

@@ -63,15 +63,19 @@ def run_scenario(spec: dict, script=(), until=200, stop_at_formed=False, net=Non
     return state, sched.trace
 
 
+def noted(trace, *kinds):
+    """(record, note) for each note of one of `kinds`, in trace order."""
+    return [
+        (rec, note)
+        for rec in trace
+        if rec.get("type") == "event"
+        for note in rec["detail"]["notes"]
+        if note["kind"] in kinds
+    ]
+
+
 def notes(trace, *kinds):
-    out = []
-    for rec in trace:
-        if rec.get("type") != "event":
-            continue
-        for note in rec["detail"]["notes"]:
-            if note["kind"] in kinds:
-                out.append((rec["tick"], note))
-    return out
+    return [(rec["tick"], note) for rec, note in noted(trace, *kinds)]
 
 
 class TestForm:
@@ -148,8 +152,7 @@ class TestStepProtocol:
         state.tasks["fake"] = TaskNode("fake", Fraction(5))
         forged = Bid("R2", "fake", Fraction(1), Fraction(0), 0, sent_at=state.now)
         result = fm.step(state, fm.BidSubmitted(tick=state.now, bid=forged))
-        kinds = [n["kind"] for n in result.notes]
-        assert "protocol_violation" in kinds
+        assert result.notes == [{"kind": "protocol_violation", "why": "locked_bid"}]
         assert not state.active_auctions["fake"].bids
 
     def test_bid_for_unknown_auction_raises(self, standard_instance):
@@ -184,17 +187,21 @@ class TestStepProtocol:
         bid = fm.consider_announcement(state, "R1", ann)
         late = replace(bid, bidder="R2")
 
-        def kinds(event):
-            return [n["kind"] for n in fm.step(state, event).notes]
+        def step_notes(event):
+            return fm.step(state, event).notes
 
-        assert kinds(fm.BidSubmitted(tick=1, bid=bid)) == ["bid"]
-        assert kinds(fm.BidSubmitted(tick=2, bid=bid)) == ["duplicate_bid"]
-        assert kinds(fm.BidSubmitted(tick=ann.deadline + 1, bid=late)) == ["late_bid"]
-        assert kinds(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round + 1)) == [
-            "close_stale"
+        assert step_notes(fm.BidSubmitted(tick=1, bid=bid)) == [{"kind": "bid"}]
+        assert step_notes(fm.BidSubmitted(tick=2, bid=bid)) == [{"kind": "duplicate_bid"}]
+        assert step_notes(fm.BidSubmitted(tick=ann.deadline + 1, bid=late)) == [
+            {"kind": "late_bid", "deadline": ann.deadline}
+        ]
+        assert step_notes(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round + 1)) == [
+            {"kind": "close_stale"}
         ]
         assert list(state.active_auctions["T"].bids) == ["R1"]
-        assert "award" in kinds(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round))
+        assert "award" in [
+            n["kind"] for n in step_notes(fm.AuctionClosed(tick=ann.deadline + 1, id_task="T", round=ann.round))
+        ]
         assert state.org.assignments["T"].assignee == "R1"
 
     def test_a_designation_to_a_robot_that_just_failed_is_void(self):
@@ -206,13 +213,10 @@ class TestStepProtocol:
         records: list[dict] = []
         state, _ = eventlog.simulate(config.from_dict(raw), records.append)
         void = [
-            (rec["tick"], note)
-            for rec in records
-            if rec["type"] == "event"
-            for note in rec["detail"]["notes"]
-            if note["kind"] == "designation_void"
+            (rec["tick"], rec["data"]["id_task"], rec["data"]["designated_leader"], note)
+            for rec, note in noted(records, "designation_void")
         ]
-        assert void == [(1, {"kind": "designation_void", "task": "capture:e1", "robot": "R1"})]
+        assert void == [(1, "capture:e1", "R1", {"kind": "designation_void"})]
         assert "capture:e1" not in state.org.assignments
 
     def test_empty_auction_escalates(self):
@@ -538,7 +542,7 @@ def test_priority_orders_a_robots_execution():
     records: list[dict] = []
     state, _ = eventlog.simulate(scenario, records.append)
     assert state.phase is Phase.DONE
-    done = [(tick, note["task"]) for tick, note in notes(records, "completed")]
+    done = [(rec["tick"], rec["data"]["id_task"]) for rec, _ in noted(records, "completed")]
     assert done[:2] == [(35, "t2"), (40, "t1")]
 
 
@@ -647,7 +651,7 @@ def logged_records(config: dict, tmp_path) -> list[dict]:
 
 
 def awards(records) -> list[tuple[int, str, str]]:
-    return [(tick, n["task"], n["robot"]) for tick, n in notes(records, "award")]
+    return [(rec["tick"], rec["data"]["id_task"], n["robot"]) for rec, n in noted(records, "award")]
 
 
 def test_a_reelected_leader_takes_over_its_teams_open_auction(tmp_path):
@@ -764,7 +768,9 @@ def test_the_failure_of_the_robot_whose_unit_is_the_root():
         "task": {"id": "T", "reward": 30, "requires": WELD, "duration": 20},
         "events": [{"at": 8, "type": "fail", "robot": "R1"}],
     })
-    assert [(tick, n["robot"]) for tick, n in notes(records, "revoked", "withdrew")] == [(8, "R1")] * 2
+    revoked = [(tick, n["robot"]) for tick, n in notes(records, "revoked")]
+    withdrew = [(rec["tick"], rec["data"]["robot"]) for rec, _ in noted(records, "withdrew")]
+    assert revoked == withdrew == [(8, "R1")]
     assert awards(records) == [(5, "T", "R1"), (13, "T", "R2")]
     assert state.org.root.id_ros == "unit:R2" and not state.org.root.children
 

@@ -7,8 +7,14 @@ purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden_traces.py --write
 
-and says why. Each entry is a config (inline, or a fixture file with inline
-fields laid over it), the note kinds its run must show, and the digest.
+which prints each digest it moved, and says why. Each entry is a config
+(inline, or a fixture file with inline fields laid over it), the note kinds
+its run must show, and the digest.
+
+Each log, mapped back to log version 2 by `conftest.v3_to_v2`, must also hash
+to its entry in the frozen `fixtures/v2_digests.json`: the v3 log states the
+same facts as the v2 log it replaced, each once. That file is never
+regenerated; a change that moves a golden on purpose deletes its entry there.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import pytest
 
 from hwrom import eventlog
 
-from conftest import log_notes, run_cli_logged
+from conftest import log_notes, report_moves, run_cli_logged, v2_moved
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_PATH = FIXTURES / "golden_traces.json"
@@ -45,6 +51,7 @@ def test_golden_trace_digest(name, tmp_path):
     missing = set(entry["notes"]) - {note["kind"] for note in log_notes(log_path)}
     assert not missing, f"{name} no longer exercises {sorted(missing)}"
     assert hashlib.sha256(log_path.read_bytes()).hexdigest() == entry["sha256"]
+    assert not v2_moved("golden_traces", name, log_path.read_text().splitlines())
     assert eventlog.replay(log_path).ok
 
 
@@ -53,10 +60,12 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_traces.py --write")
+    old = {name: entry["sha256"] for name, entry in GOLDEN.items()}
     with tempfile.TemporaryDirectory() as tmp:
         for entry in GOLDEN.values():
             _, log_path = run_cli_logged(scenario_config(entry), Path(tmp))
             entry["sha256"] = hashlib.sha256(log_path.read_bytes()).hexdigest()
+    report_moves(old, {name: entry["sha256"] for name, entry in GOLDEN.items()})
     lines = [
         f"  {json.dumps(name)}: {{\n"
         + ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in entry.items())

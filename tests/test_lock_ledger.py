@@ -84,9 +84,13 @@ def checked_calls(monkeypatch) -> list[bool]:
         result = step(state, event)
         wins, releases = runs_records(state.locks)
         for note in result.notes:
+            # an award names its task, and a completion its task and robot,
+            # only through the step's event
             if note["kind"] == "award" and not note["leadership"]:
-                wins.append((state.now, note["robot"], note["task"]))
-            elif note["kind"] in ("completed", "revoked"):
+                wins.append((state.now, note["robot"], event.id_task))
+            elif note["kind"] == "completed":
+                releases.append((state.now, event.robot, event.id_task))
+            elif note["kind"] == "revoked":
                 releases.append((state.now, note["robot"], note["task"]))
         # only atomic tasks lock
         assert not any(
@@ -151,9 +155,9 @@ def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
 
     def noting_step(state, event):
         result = step(state, event)
-        awards.extend((n["task"], n["robot"]) for n in result.notes if n["kind"] == "award")
+        awards.extend((event.id_task, n["robot"]) for n in result.notes if n["kind"] == "award")
         completions.extend(
-            (n["kind"], n["task"], state.now) for n in result.notes if n["kind"].startswith("complet")
+            (n["kind"], event.id_task, state.now) for n in result.notes if n["kind"].startswith("complet")
         )
         return result
 

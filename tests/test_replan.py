@@ -7,6 +7,7 @@ finish."""
 from __future__ import annotations
 
 import gc
+import json
 import random
 import time
 from dataclasses import replace
@@ -302,6 +303,16 @@ def test_budget_exhaustion_fails_formation_and_replays(tmp_path, monkeypatch):
     at = kinds.index("replan_budget_exhausted")
     assert kinds[at - 1 : at + 2] == ["give_up", "replan_budget_exhausted", "formation_failed"]
     assert "allocated" not in kinds
+    # the notes name no task: the close that gave up names it
+    [closed] = [
+        rec
+        for rec in map(json.loads, log_path.read_text().splitlines())
+        if rec["type"] == "event" and {"kind": "replan_budget_exhausted"} in rec["detail"]["notes"]
+    ]
+    assert (closed["event"], closed["data"]) == ("AuctionClosed", {"id_task": "g1", "round": 1})
+    assert closed["detail"]["notes"] == [
+        {"kind": "give_up"}, {"kind": "replan_budget_exhausted"}, {"kind": "formation_failed"}
+    ]
     assert eventlog.replay(log_path).ok
 
 

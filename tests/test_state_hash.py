@@ -18,7 +18,9 @@ theirs. A change that alters behaviour on purpose regenerates it with
 
     PYTHONPATH=src python tests/test_state_hash.py --write
 
-and says which entries moved and why.
+which prints each entry it moved, and says why. Each of these logs, mapped
+back to log version 2, must also hash to its entry in the frozen
+`fixtures/v2_digests.json`, as the golden traces' logs must.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from hwrom import eventlog
 from hwrom import formation as fm
 from hwrom.org_core import canonical_json
 
+from conftest import report_moves, v2_moved
 from test_golden_traces import GOLDEN, scenario_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -165,18 +168,28 @@ def test_cached_hash_matches_on_golden_scenarios(name, tmp_path):
 @pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
 def test_cached_hash_matches_on_pursuit_fixtures(path, tmp_path):
     pinned = json.loads(CORPUS_PATH.read_text())
-    moved = [name for name, config in pursuit_runs(path) if log_digest(check_log(config, tmp_path)) != pinned[name]]
+    moved, lost = [], []
+    for name, config in pursuit_runs(path):
+        log = check_log(config, tmp_path)
+        if log_digest(log) != pinned[name]:
+            moved.append(name)
+        if v2_moved("corpus_digests", name, log):
+            lost.append(name)
     assert not moved, f"log digests moved: {moved}"
+    assert not lost, f"logs no longer map back to their v2 digests: {lost}"
 
 
 def test_cached_hash_matches_on_random_churn(tmp_path):
     pinned = json.loads(CORPUS_PATH.read_text())
     notes: set[str] = set()
-    moved = []
+    moved, lost = [], []
     for seed in RANDOM_SEEDS:
+        name = f"random_scenario/{seed}"
         log = check_log(random_scenario(seed), tmp_path)
-        if log_digest(log) != pinned[f"random_scenario/{seed}"]:
+        if log_digest(log) != pinned[name]:
             moved.append(seed)
+        if v2_moved("corpus_digests", name, log):
+            lost.append(seed)
         for line in log:
             rec = json.loads(line)
             if rec["type"] == "event":
@@ -185,6 +198,7 @@ def test_cached_hash_matches_on_random_churn(tmp_path):
     assert {"award", "give_up", "allocated", "withdrew", "joined", "reelected",
             "dissolved", "mission_done"} <= notes
     assert not moved, f"log digests moved for random_scenario seeds {moved}"
+    assert not lost, f"logs no longer map back to their v2 digests for random_scenario seeds {lost}"
 
 
 def test_a_finished_run_is_freed_by_reference_count():
@@ -222,7 +236,7 @@ def test_same_tick_joins_run_in_robot_id_order(tmp_path):
         ],
     }
     joined = [
-        rec["robot"]
+        rec["data"]["robot"]["id"]
         for rec in map(json.loads, check_log(config, tmp_path))
         if rec.get("event") == "RobotJoined"
     ]
@@ -272,4 +286,5 @@ if __name__ == "__main__":
         log: list[str] = []
         run_logged(config, log=log)
         digests[name] = log_digest(log)
+    report_moves(json.loads(CORPUS_PATH.read_text()), digests)
     CORPUS_PATH.write_text(json.dumps(digests, indent=1) + "\n")
