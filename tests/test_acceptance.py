@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -416,9 +417,12 @@ def test_criterion_10_canonical_pursuit_fixture():
     )
 
 
-def _early_completions(config: dict, trace: list[dict]) -> list[tuple[str, int]]:
+def _early_completions(config: dict, trace: list[dict]) -> tuple[list[tuple[str, int]], Counter]:
     """Atomic tasks that complete before their latest award or allocation
-    tick plus their duration, as (task, tick)."""
+    tick plus their duration, as (task, tick), and the count of award,
+    allocation and completion notes of atomic tasks that were checked. An
+    award or completion note's task is its event's `id_task`; an
+    allocation names its own."""
     durations: dict[str, int] = {}
     stack = [config["task"]]
     while stack:
@@ -430,37 +434,41 @@ def _early_completions(config: dict, trace: list[dict]) -> list[tuple[str, int]]
             stack.extend(alternative)
     assigned_at: dict[str, int] = {}
     early = []
+    checked: Counter = Counter()
     for rec in trace:
         if rec["type"] != "event":
             continue
         for note in rec["detail"]["notes"]:
-            task = note.get("task")
+            if note["kind"] == "allocated":
+                task = note["task"]
+            elif note["kind"] in ("award", "completed"):
+                task = rec["data"]["id_task"]
+            else:
+                continue
             if task not in durations:
                 continue
-            if note["kind"] in ("award", "allocated"):
+            checked[note["kind"]] += 1
+            if note["kind"] != "completed":
                 assigned_at[task] = rec["tick"]
-            elif note["kind"] == "completed" and rec["tick"] < assigned_at[task] + durations[task]:
+            elif rec["tick"] < assigned_at[task] + durations[task]:
                 early.append((task, rec["tick"]))
-    return early
+    return early, checked
 
 
 def test_completion_timers_belong_to_their_award():
     configs = [scenario_config(entry) for entry in GOLDEN.values() if "task" in entry.get("config", {})]
     configs += [random_scenario(seed) for seed in range(200)]
     early = []
-    completed = 0
+    checked: Counter = Counter()
     for config in configs:
         trace: list[dict] = []
         eventlog.simulate(cfg.from_dict(config), trace.append)
-        completed += sum(
-            note["kind"] == "completed"
-            for rec in trace
-            if rec["type"] == "event"
-            for note in rec["detail"]["notes"]
-        )
-        early.extend(_early_completions(config, trace))
+        run_early, run_checked = _early_completions(config, trace)
+        early.extend(run_early)
+        checked += run_checked
     _report(
         "completion timers",
-        completed > 0 and not early,
-        f"{len(configs)} runs, {completed} completions, none before award + duration",
+        checked["award"] > 0 and checked["allocated"] > 0 and checked["completed"] > 0 and not early,
+        f"{len(configs)} runs, {checked['completed']} completions of {checked['award']} awards and "
+        f"{checked['allocated']} allocations, none before award + duration",
     )

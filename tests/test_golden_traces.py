@@ -28,7 +28,7 @@ import pytest
 
 from hwrom import eventlog
 
-from conftest import log_notes, report_moves, run_cli_logged, v2_moved
+from conftest import V2_DIGESTS, V3_DROPPED, report_moves, run_cli_logged, v2_moved
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_PATH = FIXTURES / "golden_traces.json"
@@ -48,11 +48,25 @@ def scenario_config(entry: dict) -> dict:
 def test_golden_trace_digest(name, tmp_path):
     entry = GOLDEN[name]
     _, log_path = run_cli_logged(scenario_config(entry), tmp_path)
-    missing = set(entry["notes"]) - {note["kind"] for note in log_notes(log_path)}
+    lines = log_path.read_text().splitlines()
+    events = [rec for rec in map(json.loads, lines) if rec["type"] == "event"]
+    missing = set(entry["notes"]) - {note["kind"] for rec in events for note in rec["detail"]["notes"]}
     assert not missing, f"{name} no longer exercises {sorted(missing)}"
+    # an event record states each fact once, and no note restates its event
+    for rec in events:
+        assert set(rec) == {"type", "event", "seq", "tick", "data", "detail"}
+        assert rec["event"] != "Tick" or rec["data"] == {}
+        for note in rec["detail"]["notes"]:
+            assert not set(V3_DROPPED.get(note["kind"], ())) & set(note), (rec["event"], note)
     assert hashlib.sha256(log_path.read_bytes()).hexdigest() == entry["sha256"]
-    assert not v2_moved("golden_traces", name, log_path.read_text().splitlines())
+    assert not v2_moved("golden_traces", name, lines)
     assert eventlog.replay(log_path).ok
+
+
+def test_each_frozen_v2_digest_is_checked():
+    """A golden leaves the v2 oracle only when its frozen digest is deleted
+    on purpose, never when it is renamed."""
+    assert set(V2_DIGESTS["golden_traces"]) <= set(GOLDEN)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from hwrom.org_core import CooperativeRobot, Organization, OrgNode
 from hwrom.simnet import Deliver, Drop, NetConfig, Reject, Scheduler, UnknownRobotError, route
 from hwrom.wire import ENV, Message
 
-from conftest import V3_DROPPED, build_robots, build_task, cap, robot
+from conftest import build_robots, build_task, cap, robot
 from test_golden_traces import GOLDEN, scenario_config
 from test_state_hash import random_scenario, with_fail
 
@@ -245,23 +245,6 @@ class TestScheduler:
         sched.run(until=10)
         assert len(logged) == 10
         assert not any("state_hash" in r for r in logged)
-
-    def test_an_event_record_states_each_fact_once(self):
-        """An event record holds its type, event, seq and tick once, its
-        `data` only the event's own fields, and no note restates its event."""
-        kinds = set()
-        for entry in GOLDEN.values():
-            records: list[dict] = []
-            eventlog.simulate(cfg.from_dict(scenario_config(entry)), records.append)
-            for rec in records:
-                if rec["type"] != "event":
-                    continue
-                assert set(rec) == {"type", "event", "seq", "tick", "data", "detail"}
-                assert rec["event"] != "Tick" or rec["data"] == {}
-                for note in rec["detail"]["notes"]:
-                    kinds.add(note["kind"])
-                    assert not set(V3_DROPPED.get(note["kind"], ())) & set(note), (rec["event"], note)
-        assert {"bid", "award", "completed", "joined", "withdrew", "escalate", "mission_done"} <= kinds
 
     def test_joiner_interface_applies_to_later_messages(self):
         _, sched = fresh_scheduler()

@@ -41,7 +41,7 @@ from hwrom import eventlog
 from hwrom import formation as fm
 from hwrom.org_core import canonical_json
 
-from conftest import report_moves, v2_moved
+from conftest import V2_DIGESTS, report_moves, v2_moved
 from test_golden_traces import GOLDEN, scenario_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,6 +108,12 @@ def pursuit_runs(path: Path) -> list[tuple[str, dict]]:
     if meta is not None:
         runs.append((f"{path.stem}/leader_failure", with_fail(raw, (meta["leader"], meta["leader_fail_tick"]))))
     return runs
+
+
+def corpus_runs() -> list[tuple[str, dict]]:
+    """Every run whose log digest `fixtures/corpus_digests.json` pins, by name."""
+    runs = [run for path in PURSUIT_FIXTURES for run in pursuit_runs(path)]
+    return runs + [(f"random_scenario/{seed}", random_scenario(seed)) for seed in RANDOM_SEEDS]
 
 
 def random_scenario(seed: int) -> dict:
@@ -201,6 +207,12 @@ def test_cached_hash_matches_on_random_churn(tmp_path):
     assert not lost, f"logs no longer map back to their v2 digests for random_scenario seeds {lost}"
 
 
+def test_each_frozen_v2_digest_is_checked():
+    """A corpus run leaves the v2 oracle only when its frozen digest is
+    deleted on purpose, never when it is renamed."""
+    assert set(V2_DIGESTS["corpus_digests"]) <= {name for name, _ in corpus_runs()}
+
+
 def test_a_finished_run_is_freed_by_reference_count():
     """Nothing a run leaves behind is a reference cycle: with the collector
     off, each finished state is freed as its last reference goes, and the
@@ -279,10 +291,8 @@ def test_one_parsed_config_serves_two_runs(config, kinds):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_state_hash.py --write")
-    runs = [run for path in PURSUIT_FIXTURES for run in pursuit_runs(path)]
-    runs += [(f"random_scenario/{seed}", random_scenario(seed)) for seed in RANDOM_SEEDS]
     digests = {}
-    for name, config in runs:
+    for name, config in corpus_runs():
         log: list[str] = []
         run_logged(config, log=log)
         digests[name] = log_digest(log)
