@@ -1,9 +1,10 @@
 """Scenario configuration: loading, schema validation, state construction.
 
-One self-describing JSON file declares the robot fleet, the task tree (or a
-pursuit block), behavior rules, constraints, auction and network parameters,
-and the scripted membership events. Every numeric money/cost value is parsed
-into an exact rational; "1/10", "0.1" and 0.1 all mean the same thing.
+One self-describing JSON file declares the robot fleet, the task tree or a
+pursuit block (exactly one of them), behavior rules, constraints, auction
+and network parameters, and the scripted membership events. Every numeric
+money/cost value is parsed into an exact rational; "1/10", "0.1" and 0.1 all
+mean the same thing.
 
 A fleet is a few robot kinds, repeated, so `from_dict` builds each distinct
 capability list once: a dict local to the call maps the list's `repr` (which
@@ -325,9 +326,6 @@ def from_dict(data: dict) -> ScenarioConfig:
             for alt in node.alternatives:
                 stack.extend(alt)
 
-    if "task" not in data and "pursuit" not in data:
-        raise ConfigError("config", "either a task tree or a pursuit block is required")
-
     constraints = []
     for i, entry in enumerate(_as_list(data.get("constraints", []), "constraints")):
         where = f"constraints[{i}]"
@@ -379,10 +377,6 @@ def from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError("pursuit.grid", "grid must be [width, height] with sides >= 2")
         w, h = grid
         world = pursuit.WorldState(w, h)
-        # the engine names its own tasks after the evaders
-        for tid in sorted(task_ids):
-            if tid.startswith(("capture:", "sg:")):
-                raise ConfigError("task", f"task id {tid!r} is reserved for pursuit goals")
         robot_by_id = {r.id_cr: r for r in built_robots}
         # robots of one kind share one capability set, so they can share the
         # magnitude table robot_pose derives from it: one table per kind
@@ -427,6 +421,12 @@ def from_dict(data: dict) -> ScenarioConfig:
             if "required_speed" in block
             else None,
         )
+
+    # a run has one root: the task tree's, or the society a pursuit founds
+    if "task" in data and "pursuit" in data:
+        raise ConfigError("config", "holds both 'task' and 'pursuit'; a run takes exactly one")
+    if "task" not in data and "pursuit" not in data:
+        raise ConfigError("config", "either a task tree or a pursuit block is required")
 
     max_ticks = _int(data.get("max_ticks", 500), "max_ticks", 0)
     seed = _int(data.get("seed", 0), "seed")

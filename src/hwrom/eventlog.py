@@ -24,7 +24,7 @@ from . import formation as fm
 from . import metrics, org_core, simnet
 from .org_core import canonical_json
 
-LOG_VERSION = 3
+LOG_VERSION = 4
 
 
 class MalformedLogError(Exception):

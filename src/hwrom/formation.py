@@ -106,7 +106,6 @@ class FormationEvent:
 class TaskArrived(FormationEvent):
     id_task: str
     parent_node: str | None = None
-    designated_leader: str | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -225,7 +224,8 @@ class FormationState:
     tasks: dict[str, TaskNode] = field(default_factory=dict)
     # the run's status of each task: the task nodes are the parsed, shared inputs
     status: dict[str, TaskStatus] = field(default_factory=dict)
-    root_tasks: list[str] = field(default_factory=list)
+    # the run's one root: the config's task, or a pursuit's SOCIETY once elected
+    root_task: str | None = None
     task_parent: dict[str, str | None] = field(default_factory=dict)
     current_reward: dict[str, Fraction] = field(default_factory=dict)
     alternatives_used: dict[str, int] = field(default_factory=dict)
@@ -235,9 +235,14 @@ class FormationState:
     # pursuit bookkeeping
     world: pursuit.WorldState | None = None
     first_detection: dict[tuple[str, str], int] = field(default_factory=dict)
-    organizer: str | None = None
     # surround goal -> (its evader, its planned sub-goal)
     flank: dict[str, tuple[str, pursuit.Subgoal]] = field(default_factory=dict)
+
+    @property
+    def organizer(self) -> str | None:
+        """A pursuit's organizer: the society's leader, None while it has none."""
+        a = self.org.assignments.get(SOCIETY) if self.world is not None else None
+        return a.assignee if a is not None else None
 
     def alive(self, robot: str) -> bool:
         return robot in self.robots and robot not in self.dead and robot not in self.departed
@@ -250,7 +255,7 @@ class FormationState:
         return {r for r in self.robots if self.alive(r) and r not in bound}
 
     def effective_tasks(self) -> Iterator[str]:
-        stack = list(self.root_tasks)
+        stack = [self.root_task] if self.root_task is not None else []
         while stack:
             t = stack.pop(0)
             yield t
@@ -279,7 +284,9 @@ def _leadership_capable(robot: CooperativeRobot) -> bool:
     return robot.dominates(LEADERSHIP_REQUIREMENTS)
 
 
-def register_task_tree(state: FormationState, task: TaskNode, *, as_root: bool = True) -> None:
+def register_task_tree(state: FormationState, task: TaskNode, parent: str | None = None) -> None:
+    """Register task and its subtree under parent, as the run's root when
+    parent is None; the caller puts it in parent's decomposition."""
     for node in task.walk():
         if node.id_task in state.tasks:
             raise FormationError("DuplicateTaskId", node.id_task)
@@ -289,9 +296,9 @@ def register_task_tree(state: FormationState, task: TaskNode, *, as_root: bool =
         state.current_reward[node.id_task] = node.reward
         for sub in node.subtasks:
             state.task_parent[sub.id_task] = node.id_task
-    if as_root:
-        state.task_parent.setdefault(task.id_task, None)
-        state.root_tasks.append(task.id_task)
+    state.task_parent[task.id_task] = parent
+    if parent is None:
+        state.root_task = task.id_task
 
 
 def new_state(
@@ -547,7 +554,7 @@ def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | No
     """Put the team of task t, led by leader, under parent_node (the root
     when None). The team takes over the leader's element, its unit with the
     teams it leads above it, so a leader's teams form one chain and every
-    robot keeps one unit. Awards, designated roots and the allocation
+    robot keeps one unit. Awards, pursuit designations and the allocation
     fallback all seat teams here; the caller renumbers."""
     ix = org_core.index(state.org)
     team = OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
@@ -597,11 +604,6 @@ def _hang_team(
     _maybe_complete_parent(state, t, result)
 
 
-def _root_owner(state: FormationState) -> str | None:
-    """Where a root task's holder goes: under the org root, if there is one."""
-    return state.org.root.id_ros if state.org.root is not None else None
-
-
 def _install_member(state: FormationState, robot: str, t: str, parent_node: str | None) -> None:
     ix = org_core.index(state.org)
     leaf = ix.leaf_of_robot.get(robot)
@@ -620,14 +622,17 @@ def _install_member(state: FormationState, robot: str, t: str, parent_node: str 
 def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) -> None:
     """Queue the completion of composite t once it has an assignee and all
     its subtasks are done: when its last subtask completes, or when it gets
-    a leader after they all finished without one."""
+    a leader after they all finished without one. A pursuit's society also
+    waits for its last evader, which a capture root may never have named."""
     children = state.org.subtasks.get(t, [])
     a = state.org.assignments.get(t)
+    world = state.world
     if (
         a is not None
         and state.status[t] is TaskStatus.ASSIGNED
         and children
         and all(state.status[s] is TaskStatus.COMPLETED for s in children)
+        and not (t == SOCIETY and world is not None and world.captured != world.evaders.keys())
     ):
         result.timers.append(TaskCompleted(tick=state.now, id_task=t, robot=a.assignee))
 
@@ -696,8 +701,7 @@ def _apply_redecompose(
     pieces = task.alternatives[used]
     state.alternatives_used[t] = used + 1
     for piece in pieces:
-        register_task_tree(state, piece, as_root=False)
-        state.task_parent[piece.id_task] = parent_id
+        register_task_tree(state, piece, parent_id)
     siblings = state.org.subtasks[parent_id]
     at = siblings.index(t)
     siblings[at : at + 1] = [p.id_task for p in pieces]
@@ -819,10 +823,6 @@ def _replan(state: FormationState, result: StepResult) -> bool:
         result.notes.append({"kind": "allocated", "task": t, "robot": assignee, "price": str(price)})
 
     _rebuild_tree(state)
-    if state.world is not None and state.root_tasks:
-        first_root = state.org.assignments.get(state.root_tasks[0])
-        if first_root is not None:
-            state.organizer = first_root.assignee
     if state.phase is Phase.EXECUTING:
         _start_execution(state, sorted({assignee for _, assignee in best}), result)
     return True
@@ -830,9 +830,8 @@ def _replan(state: FormationState, result: StepResult) -> bool:
 
 def _rebuild_tree(state: FormationState) -> None:
     """Re-seat the tree from the assignment record after a re-plan, as awards
-    seat it: teams parents first, later roots under the org root as designated
-    roots go; then each robot's unit in the deepest team where it holds atomic
-    work, with all its atomic goals in id order. A task whose owning team is
+    seat it: teams parents first; then each robot's unit in the deepest team
+    where it holds atomic work, with all its atomic goals in id order. A task whose owning team is
     gone is left out. Each edit is renumbered before the next lookup."""
     assignments = state.org.assignments
     state.org.root = None
@@ -843,7 +842,7 @@ def _rebuild_tree(state: FormationState) -> None:
         if a is None or not state.is_composite(t):
             continue
         parent = state.task_parent.get(t)
-        owner = _root_owner(state) if parent is None else f"team:{parent}"
+        owner = None if parent is None else f"team:{parent}"
         if owner is not None and owner not in org_core.index(state.org).node:
             continue  # its owning team is gone
         _seat_team(state, t, a.assignee, owner)
@@ -852,7 +851,7 @@ def _rebuild_tree(state: FormationState) -> None:
     teams.sort(key=lambda t: -allocation.depth(state.task_parent, t))
     subtasks = [(f"team:{t}", sub) for t in teams for sub in state.org.subtasks[t]]
     # with no team, an atomic root's holder is the whole organization
-    for owner, sub in subtasks or [(None, t) for t in state.root_tasks]:
+    for owner, sub in subtasks or [(None, state.root_task)]:
         a = assignments.get(sub)
         if a is None or state.is_composite(sub):
             continue
@@ -967,13 +966,13 @@ def _check_mission_done(state: FormationState, result: StepResult) -> None:
         return
     if state.world is not None and set(state.world.evaders) - state.world.captured:
         return
-    if not state.root_tasks:
+    if state.root_task is None:
         if state.world is not None and state.world.captured:
             # everything was captured before any tree formed; goal met anyway
             state.phase = Phase.DONE
             result.notes.append({"kind": "mission_done", "utilities": {}})
         return
-    if not all(state.status[t] is TaskStatus.COMPLETED for t in state.root_tasks):
+    if state.status[state.root_task] is not TaskStatus.COMPLETED:
         return
     state.phase = Phase.DONE
     payouts: dict[str, Fraction] = {}
@@ -1037,8 +1036,6 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
         state.departed.add(robot)
     if state.world is not None and robot in state.world.robots:
         state.world.robots[robot].alive = False
-    if state.organizer == robot:
-        state.organizer = None
 
     ix = org_core.index(state.org)
     led = ix.led_by.get(robot, [])
@@ -1126,8 +1123,6 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
         node.children.remove(element)
         node.children.insert(0, element)
     _lead(state, t, winner, price)
-    if state.task_parent.get(t) is None and state.world is not None:
-        state.organizer = winner
     result.notes.append(
         {
             "kind": "reelected",
@@ -1142,6 +1137,10 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
 
 
 # --- pursuit glue ---------------------------------------------------------------------
+
+#: A pursuit's one root task, registered when the first organizer is elected:
+#: its leader is the organizer, and each capture root is its subtask.
+SOCIETY = "society"
 
 
 def _pursuit_tick(state: FormationState, result: StepResult) -> None:
@@ -1186,7 +1185,9 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         for ev_id, _, tick in pursuit.sense(world, rid):
             state.first_detection.setdefault((rid, ev_id), tick)
 
-    if state.organizer is None:
+    if SOCIETY not in state.tasks:
+        # the first to detect founds the society; from then on its leader
+        # changes only by re-election or by its auction after a dissolution
         eligible = [
             (rid, ev, tick)
             for (rid, ev), tick in state.first_detection.items()
@@ -1194,12 +1195,14 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         ]
         chosen = pursuit.elect_organizer(eligible)
         if chosen is not None:
-            state.organizer = chosen
-            if state.phase is Phase.IDLE:
-                state.phase = Phase.FORMING
+            register_task_tree(state, TaskNode(SOCIETY, params.mission_reward * len(world.evaders)))
+            _hang_team(state, SOCIETY, chosen, state.current_reward[SOCIETY], None, result)
+            _renumber(state)
+            state.phase = Phase.FORMING
             result.notes.append({"kind": "organizer_elected", "robot": chosen})
 
-    if state.organizer is None:
+    organizer = state.organizer
+    if organizer is None:
         return
     detected = {ev for (_, ev) in state.first_detection}
     for evader in sorted(detected):
@@ -1207,7 +1210,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
             continue  # an evader is planned once its capture task is registered
         subgoals = pursuit.plan_pursuit(
             world,
-            state.organizer,
+            organizer,
             evader,
             k=params.k,
             base_reward=params.base_reward,
@@ -1227,22 +1230,18 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
                 for i, sg in enumerate(subgoals)
             ],
         )
-        register_task_tree(state, root)
+        register_task_tree(state, root, SOCIETY)
+        state.org.subtasks[SOCIETY].append(root.id_task)
         for i, sg in enumerate(subgoals):
             state.flank[f"sg:{evader}:{i}"] = (evader, sg)
-        result.timers.append(
-            TaskArrived(
-                tick=state.now,
-                id_task=root.id_task,
-                parent_node=None,
-                designated_leader=state.organizer,
-            )
-        )
+        # the organizer leads it from the tick that plans it, at its reward
+        _hang_team(state, root.id_task, organizer, root.reward, f"team:{SOCIETY}", result)
+        _renumber(state)
         result.notes.append(
             {
                 "kind": "planned",
                 "evader": evader,
-                "organizer": state.organizer,
+                "organizer": organizer,
                 "subgoals": [list(sg.cell) for sg in subgoals],
             }
         )
@@ -1301,13 +1300,8 @@ def step(state: FormationState, event: FormationEvent) -> StepResult:
     elif isinstance(event, TaskArrived):
         if event.id_task not in state.tasks:
             raise ProtocolViolationError(f"arrival of unregistered task {event.id_task}")
-        if state.phase is Phase.IDLE:
-            state.phase = Phase.FORMING
-        if event.designated_leader is not None:
-            _install_designated_root(state, event, result)
-        else:
-            state.pending.append(PendingTask(event.id_task, event.parent_node))
-            result.notes.append({"kind": "queued"})
+        state.pending.append(PendingTask(event.id_task, event.parent_node))
+        result.notes.append({"kind": "queued"})
     elif isinstance(event, BidSubmitted):
         _accept_bid(state, event, result)
     elif isinstance(event, AuctionClosed):
@@ -1324,20 +1318,6 @@ def step(state: FormationState, event: FormationEvent) -> StepResult:
     else:
         raise ProtocolViolationError(f"unknown event {event!r}")
     return result
-
-
-def _install_designated_root(
-    state: FormationState, event: TaskArrived, result: StepResult
-) -> None:
-    t = event.id_task
-    leader = event.designated_leader
-    assert leader is not None
-    if not state.alive(leader):
-        result.notes.append({"kind": "designation_void"})
-        return
-    _hang_team(state, t, leader, Fraction(0), _root_owner(state), result)
-    result.notes.append({"kind": "designated_leader"})
-    _renumber(state)
 
 
 def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) -> None:

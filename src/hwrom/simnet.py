@@ -279,11 +279,7 @@ class Scheduler:
 def event_data(event: fm.FormationEvent) -> dict:
     """An event's own fields, as its record's `data`; a Tick has none."""
     if isinstance(event, fm.TaskArrived):
-        return {
-            "id_task": event.id_task,
-            "parent_node": event.parent_node,
-            "designated_leader": event.designated_leader,
-        }
+        return {"id_task": event.id_task, "parent_node": event.parent_node}
     if isinstance(event, fm.BidSubmitted):
         b = event.bid
         return {

@@ -179,7 +179,7 @@ def log_notes(log_path: Path) -> list[dict]:
 
 # --- the log v2 oracle -------------------------------------------------------------
 
-# A v3 note leaves out each field that always equals a fact of its own event
+# Since v3 a note leaves out each field that always equals a fact of its own event
 # or its record's tick. These are the fields, by note kind.
 V3_DROPPED = {
     "bid": ("task", "robot", "price", "round"),
@@ -187,7 +187,6 @@ V3_DROPPED = {
         ("void_bid", "stale_bid", "duplicate_bid", "late_bid", "protocol_violation"), ("task", "robot")
     ),
     "queued": ("task",),
-    **dict.fromkeys(("designated_leader", "designation_void"), ("task", "robot")),
     **dict.fromkeys(("award", "close_stale"), ("task", "round")),
     **dict.fromkeys(
         ("close_ignored", "escalate", "redecompose", "give_up", "replan_budget_exhausted", "formation_failed"),
@@ -200,11 +199,12 @@ V3_DROPPED = {
 V2_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "v2_digests.json").read_text())
 
 
-def v3_to_v2(record: dict) -> dict:
-    """The v2 record a v3 record stands for: the header's version 2, and an
+def v4_to_v2(record: dict) -> dict:
+    """The v2 record a v4 record stands for: the header's version 2, and an
     event record's top-level task/robot/round summary, its `data`'s tick,
-    seq and type, and each field its notes leave out. Other records are
-    the same in both versions."""
+    seq and type, each field its notes leave out (v3), and a TaskArrived's
+    `designated_leader`, null in every run v2 logged outside pursuit (v4).
+    Other records are the same in all three versions."""
     if record["type"] == "header":
         return {**record, "version": 2}
     if record["type"] != "event":
@@ -218,7 +218,9 @@ def v3_to_v2(record: dict) -> dict:
         robot = data.get("robot")
         robot = robot["id"] if isinstance(robot, dict) else robot
         summary = {"task": data.get("id_task"), "robot": robot, "round": data.get("round")}
-        facts = dict(summary, robot=data.get("designated_leader", robot))
+        facts = dict(summary)
+    if record["event"] == "TaskArrived":
+        data = {**data, "designated_leader": None}
     facts["tick"] = record["tick"]
     notes = [
         {**note, **{field: facts[field] for field in V3_DROPPED.get(note["kind"], ())}}
@@ -233,12 +235,12 @@ def v3_to_v2(record: dict) -> dict:
 
 
 def v2_moved(group: str, name: str, lines: list[str]) -> bool:
-    """Whether the v2 log that a v3 log's lines stand for no longer hashes to
+    """Whether the v2 log that a v4 log's lines stand for no longer hashes to
     its frozen digest in `V2_DIGESTS[group]`. A run with no frozen digest,
     one deleted by a change that moved its log on purpose, never moves."""
     if name not in V2_DIGESTS[group]:
         return False
-    v2 = (canonical_json(v3_to_v2(json.loads(line))) + "\n" for line in lines)
+    v2 = (canonical_json(v4_to_v2(json.loads(line))) + "\n" for line in lines)
     return hashlib.sha256("".join(v2).encode()).hexdigest() != V2_DIGESTS[group][name]
 
 

@@ -278,13 +278,15 @@ class TestRunCommand:
         assert result.exit_code == 2, result.output
         assert f"config error: {where}: {problem}" in result.output
 
-    @pytest.mark.parametrize("task_id", ["capture:e1", "sg:e1:0"])
-    def test_pursuit_goal_task_id_exits_two(self, runner, tmp_path, task_id):
+    @pytest.mark.parametrize("task_id", ["T", "capture:e1", "sg:e1:0"])
+    def test_a_task_tree_beside_a_pursuit_block_exits_two(self, runner, tmp_path, task_id):
+        # a run has one root, so a config takes a task tree or a pursuit
+        # block, never both, whatever the task is called
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(canonical_with("task", {"id": task_id, "reward": 5})))
         result = runner.invoke(main, ["run", str(bad)])
         assert result.exit_code == 2, result.output
-        assert f"config error: task: task id '{task_id}' is reserved" in result.output
+        assert "config error: config: holds both 'task' and 'pursuit'" in result.output
 
     @pytest.mark.parametrize("robot", ["robots[1]", "events[0].robot"])
     @pytest.mark.parametrize(
@@ -680,7 +682,7 @@ class TestReplayCommand:
         assert result.exit_code == 2
         assert "truncated" in result.output
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_log_version_exits_two(self, runner, generic_config, tmp_path, version):
         log = self._run(runner, generic_config, tmp_path)
         records = self._records(log)
@@ -688,7 +690,7 @@ class TestReplayCommand:
         log.write_text("".join(canonical_json(r) + "\n" for r in records))
         result = runner.invoke(main, ["replay", str(log)])
         assert result.exit_code == 2
-        assert f"log version {version} cannot be replayed, only version 3" in result.output
+        assert f"log version {version} cannot be replayed, only version 4" in result.output
 
     def _malformed(self, runner, log: Path, text: str, exit_code: int, *what: str) -> None:
         """Write `text` as the log; replay must exit `exit_code` and print

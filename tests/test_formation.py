@@ -204,21 +204,6 @@ class TestStepProtocol:
         ]
         assert state.org.assignments["T"].assignee == "R1"
 
-    def test_a_designation_to_a_robot_that_just_failed_is_void(self):
-        # the organizer plans e1 at tick 1 and fails before e1's capture task
-        # arrives at that tick, designated to it
-        raw = json.loads((FIXTURES / "canonical_pursuit.json").read_text())
-        raw.pop("meta", None)
-        raw["events"] = [{"at": 1, "type": "fail", "robot": "R1"}]
-        records: list[dict] = []
-        state, _ = eventlog.simulate(config.from_dict(raw), records.append)
-        void = [
-            (rec["tick"], rec["data"]["id_task"], rec["data"]["designated_leader"], note)
-            for rec, note in noted(records, "designation_void")
-        ]
-        assert void == [(1, "capture:e1", "R1", {"kind": "designation_void"})]
-        assert "capture:e1" not in state.org.assignments
-
     def test_empty_auction_escalates(self):
         spec = {
             "robots": [
@@ -776,14 +761,96 @@ def test_the_failure_of_the_robot_whose_unit_is_the_root():
 
 
 def test_an_evader_captured_while_its_tree_is_leaderless():
-    # random_pursuit_config(14) with its organizer R1 failing at tick 2: every
-    # capture team dissolves, and the standing evaders e1 and e2 are caught at
-    # tick 15, before their trees have a leader again
+    # random_pursuit_config(93) with its organizer R1 failing at tick 1: the
+    # society's new leader R2 leads capture:e0 and R3 capture:e1, nobody is
+    # left to lead capture:e2 beside its own chain, and e2 is caught at tick
+    # 18 while its root's auction is still open
     from test_fast_paths import random_pursuit_config
 
-    scenario = dict(random_pursuit_config(14), events=[{"at": 2, "type": "fail", "robot": "R1"}])
+    scenario = dict(random_pursuit_config(93), events=[{"at": 1, "type": "fail", "robot": "R1"}])
     state, records = simulated(scenario)
     unled = [(tick, n["task"]) for tick, n in notes(records, "captured_unled")]
-    assert unled == [(15, "capture:e1"), (15, "capture:e2")]
-    for _, t in unled:
-        assert t not in state.org.assignments and state.status[t] is TaskStatus.COMPLETED
+    assert unled == [(18, "capture:e2")]
+    assert "capture:e2" not in state.org.assignments
+    assert state.status["capture:e2"] is TaskStatus.COMPLETED
+    assert state.phase is Phase.DONE and state.status[fm.SOCIETY] is TaskStatus.COMPLETED
+
+
+# --- one root per pursuit: the society -------------------------------------------------
+
+
+def organizer_failure(config: dict, at: int) -> dict:
+    """`config` with its scripted events replaced by R1 failing at tick `at`."""
+    return dict(config, events=[{"at": at, "type": "fail", "robot": "R1"}])
+
+
+def test_an_organizer_failing_before_its_first_capture_team_forms_is_replaced():
+    # R1 plans e1 at tick 1 and fails in that tick; the society's re-election
+    # hands e1's capture root to its new leader, who catches e1
+    canonical = json.loads((FIXTURES / "canonical_pursuit.json").read_text())
+    canonical.pop("meta", None)
+    state, records = simulated(organizer_failure(canonical, 1))
+    assert state.phase is Phase.DONE
+    assert [(tick, n["evader"]) for tick, n in notes(records, "captured")] == [(24, "e1")]
+    assert validate(state.org).ok
+
+
+def test_every_capture_root_is_announced_again_after_the_organizer_fails():
+    # every capture team dissolves with R1 at tick 2; the society's next
+    # leader auctions each capture root again at tick 8, long before e1 and
+    # e2 are caught
+    from test_fast_paths import random_pursuit_config
+
+    records: list[dict] = []
+    eventlog.simulate(config.from_dict(organizer_failure(random_pursuit_config(14), 2)), records.append)
+    announced = [(tick, n["task"]) for tick, n in notes(records, "announce")]
+    assert (8, "capture:e1") in announced and (8, "capture:e2") in announced
+
+
+def test_a_capture_root_won_again_cannot_replace_the_org_root():
+    # R1 fails at tick 2 and its capture roots are won again while others
+    # are at auction: each one hangs under the society, so none replaces the
+    # org root and no open auction loses the team it awards into
+    from test_fast_paths import random_pursuit_config
+
+    scenario = random_pursuit_config(166)
+    scenario["events"].append({"at": 2, "type": "fail", "robot": "R1"})
+    state, _ = simulated(scenario)
+    assert state.org.root.id_ros == f"team:{fm.SOCIETY}"
+
+
+def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
+    """Over random pursuits with R1 failing at ticks 1-8 nothing raises, a
+    capture root is Unassigned, unauctioned and unqueued only in a run that
+    ended Failed, every Done org validates, and the society completes only
+    once every evader is caught."""
+    from test_fast_paths import random_pursuit_config
+
+    step = fm.step
+
+    def checked(state, event):
+        result = step(state, event)
+        world = state.world
+        if state.status.get(fm.SOCIETY) is TaskStatus.COMPLETED:
+            assert world.captured == world.evaders.keys(), state.now
+        return result
+
+    monkeypatch.setattr(fm, "step", checked)
+    phases = set()
+    for seed in range(400):
+        state, _ = eventlog.simulate(
+            config.from_dict(organizer_failure(random_pursuit_config(seed), 1 + seed % 8)), None
+        )
+        phases.add(state.phase)
+        queued = {p.id_task for p in state.pending}
+        stranded = [
+            t
+            for t in state.org.subtasks.get(fm.SOCIETY, [])
+            if state.status[t] is TaskStatus.UNASSIGNED
+            and t not in state.active_auctions
+            and t not in queued
+        ]
+        assert not stranded or state.phase is Phase.FAILED, (seed, stranded)
+        if state.phase is Phase.DONE and state.org.root is not None:
+            assert validate(state.org).ok, seed
+    assert {Phase.DONE, Phase.FAILED} <= phases

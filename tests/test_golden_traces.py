@@ -11,8 +11,8 @@ which prints each digest it moved, and says why. Each entry is a config
 (inline, or a fixture file with inline fields laid over it), the note kinds
 its run must show, and the digest.
 
-Each log, mapped back to log version 2 by `conftest.v3_to_v2`, must also hash
-to its entry in the frozen `fixtures/v2_digests.json`: the v3 log states the
+Each log, mapped back to log version 2 by `conftest.v4_to_v2`, must also hash
+to its entry in the frozen `fixtures/v2_digests.json`: the log states the
 same facts as the v2 log it replaced, each once. That file is never
 regenerated; a change that moves a golden on purpose deletes its entry there.
 """

@@ -89,7 +89,7 @@ def reference_problem(state: fm.FormationState) -> Problem:
     robots = sorted(r for r in state.robots if state.alive(r))
     parent = {
         sub.id_task: t for t, node in state.tasks.items() for sub in node.subtasks
-    } | {t: None for t in state.root_tasks}
+    } | {state.root_task: None}
 
     def walk(node: TaskNode):
         yield node
@@ -98,8 +98,7 @@ def reference_problem(state: fm.FormationState) -> Problem:
 
     tasks = tuple(
         node.id_task
-        for t in state.root_tasks
-        for node in walk(state.tasks[t])
+        for node in walk(state.tasks[state.root_task])
         if state.status[node.id_task] not in (TaskStatus.COMPLETED, TaskStatus.FAILED)
     )
 
