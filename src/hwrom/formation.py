@@ -544,8 +544,8 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
 
 def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
     """Give task t to leader to lead: the LED assignment over t's current
-    decomposition, and t's status. Awards, designations, re-elections and
-    the allocation fallback all take leadership through here."""
+    decomposition, and t's status. Awards, the pursuit's society and capture roots,
+    re-elections and the allocation fallback all take leadership through here."""
     state.org.assignments[t] = TaskAssignment(t, leader, price, AssignmentMode.LED)
     state.status[t] = TaskStatus.ASSIGNED
 
@@ -554,8 +554,8 @@ def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | No
     """Put the team of task t, led by leader, under parent_node (the root
     when None). The team takes over the leader's element, its unit with the
     teams it leads above it, so a leader's teams form one chain and every
-    robot keeps one unit. Awards, pursuit designations and the allocation
-    fallback all seat teams here; the caller renumbers."""
+    robot keeps one unit. Awards, the pursuit's society and capture roots,
+    and the allocation fallback all seat teams here; the caller renumbers."""
     ix = org_core.index(state.org)
     team = OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
     element = ix.leaf_of_robot.get(leader)
@@ -622,17 +622,20 @@ def _install_member(state: FormationState, robot: str, t: str, parent_node: str 
 def _maybe_complete_parent(state: FormationState, t: str, result: StepResult) -> None:
     """Queue the completion of composite t once it has an assignee and all
     its subtasks are done: when its last subtask completes, or when it gets
-    a leader after they all finished without one. A pursuit's society also
-    waits for its last evader, which a capture root may never have named."""
+    a leader after they all finished without one. A pursuit's society is done
+    once every evader is caught, which a capture root may never have named."""
     children = state.org.subtasks.get(t, [])
     a = state.org.assignments.get(t)
     world = state.world
+    if t == SOCIETY and world is not None:
+        goal_met = world.captured == world.evaders.keys()
+    else:
+        goal_met = bool(children)
     if (
         a is not None
         and state.status[t] is TaskStatus.ASSIGNED
-        and children
+        and goal_met
         and all(state.status[s] is TaskStatus.COMPLETED for s in children)
-        and not (t == SOCIETY and world is not None and world.captured != world.evaders.keys())
     ):
         result.timers.append(TaskCompleted(tick=state.now, id_task=t, robot=a.assignee))
 
@@ -1165,11 +1168,25 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         # tick_world clamps the target
         targets[assignment.assignee] = (center[0] + sg.offset[0], center[1] + sg.offset[1])
 
+    # a capture tree whose holder failed in the capture tick is left open: a
+    # goal queued again, or a completion timer voided. It is finished now,
+    # before anything is auctioned for an evader already caught
+    late = [
+        ev
+        for ev in sorted(world.captured)
+        if state.status.get(f"capture:{ev}", TaskStatus.COMPLETED) is not TaskStatus.COMPLETED
+    ]
+    for evader in late:
+        _finish_evader_tree(state, evader, result)
     before = set(world.captured)
     pursuit.tick_world(world, targets, capture_quorum=params.capture_quorum)
-    for evader in sorted(world.captured - before):
+    caught = sorted(world.captured - before)
+    for evader in caught:
         result.notes.append({"kind": "captured", "evader": evader, "tick": world.tick})
         _finish_evader_tree(state, evader, result)
+    if (late or caught) and SOCIETY in state.tasks:
+        # the last evader may be caught with no led capture root to report it
+        _maybe_complete_parent(state, SOCIETY, result)
 
     # sensing is pure and the first tick is kept, so a robot that has already
     # seen every uncaptured evader has nothing left to record
@@ -1267,7 +1284,9 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
     state.pending = deque(p for p in state.pending if state.task_parent.get(p.id_task) != root_id)
     root_assignment = state.org.assignments.get(root_id)
     if root_assignment is not None:
-        if not live and state.status[root_id] is TaskStatus.ASSIGNED:
+        if state.status[root_id] is TaskStatus.ASSIGNED and all(
+            state.status[t] is TaskStatus.COMPLETED for t in live
+        ):
             result.timers.append(
                 TaskCompleted(tick=state.now, id_task=root_id, robot=root_assignment.assignee)
             )

@@ -464,7 +464,7 @@ def test_multi_root_replans_leave_one_unit_per_robot(monkeypatch):
         assert not codes & {"DuplicateNodeId", "DuplicateMembership", "LeaderMismatch"}, codes
 
     monkeypatch.setattr(fm, "_rebuild_tree", checked)
-    # seeds 21 and 40 once gave the organizer a second unit
+    # 10 of these 200 seeds give up with two or more capture roots assigned
     for seed in range(200):
         eventlog.simulate(cfg.from_dict(random_pursuit_config(seed)), None)
     assert multi_root

@@ -819,11 +819,38 @@ def test_a_capture_root_won_again_cannot_replace_the_org_root():
     assert state.org.root.id_ros == f"team:{fm.SOCIETY}"
 
 
+def test_the_last_evader_caught_unled_ends_the_mission():
+    # random_pursuit_config(138) with R1 failing at tick 8: e0 and e1 are
+    # caught at 8, R1's failure dissolves capture:e0's team in that tick,
+    # and capture:e1 completes under its new leader. capture:e0 is finished
+    # unled at 9, with no completion of its own to wake the society
+    from test_fast_paths import random_pursuit_config
+
+    state, records = simulated(organizer_failure(random_pursuit_config(138), 8))
+    assert [(tick, n["task"]) for tick, n in notes(records, "captured_unled")] == [(9, "capture:e0")]
+    assert (state.phase, state.now) == (Phase.DONE, 9)
+    assert state.status[fm.SOCIETY] is TaskStatus.COMPLETED
+
+
+def test_a_goal_whose_holder_fails_in_its_capture_tick_is_not_auctioned_again():
+    # random_pursuit_config(0): e0 is caught at 11 and its scripted R2
+    # failure in that tick revokes sg:e0:0 after its completion was queued.
+    # The next Tick supersedes the goal instead of auctioning it for an
+    # evader already caught, and the mission ends
+    from test_fast_paths import random_pursuit_config
+
+    state, records = simulated(random_pursuit_config(0))
+    assert [(tick, n["evader"]) for tick, n in notes(records, "captured")] == [(11, "e0")]
+    assert (12, "sg:e0:0") in [(tick, n["task"]) for tick, n in notes(records, "superseded_by_capture")]
+    assert "sg:e0:0" not in [n["task"] for tick, n in notes(records, "announce") if tick > 11]
+    assert (state.phase, state.now) == (Phase.DONE, 12)
+
+
 def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
     """Over random pursuits with R1 failing at ticks 1-8 nothing raises, a
     capture root is Unassigned, unauctioned and unqueued only in a run that
-    ended Failed, every Done org validates, and the society completes only
-    once every evader is caught."""
+    ended Failed, every Done org validates, the society completes only once
+    every evader is caught, and a run that catches every evader ends Done."""
     from test_fast_paths import random_pursuit_config
 
     step = fm.step
@@ -842,6 +869,8 @@ def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
             config.from_dict(organizer_failure(random_pursuit_config(seed), 1 + seed % 8)), None
         )
         phases.add(state.phase)
+        world = state.world
+        assert world.captured != world.evaders.keys() or state.phase is Phase.DONE, seed
         queued = {p.id_task for p in state.pending}
         stranded = [
             t
