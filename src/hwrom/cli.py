@@ -2,13 +2,14 @@
 
 Exit codes: 0 mission success or a verified replay, 1 formation/mission
 failure (logs still written) or a replay that diverges, 2 configuration or
-log-format errors (a truncated log or another log version included).
+log-format errors (a truncated log or another log version included), or a
+`--log` or `--snapshot` path that cannot be written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from pathlib import Path
 
 import click
 
@@ -64,15 +65,21 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
         ctx.exit(2)
         return
 
-    writer = eventlog.TraceWriter(log_path) if log_path else None
-    try:
-        state, run_metrics = eventlog.simulate(scenario, writer.write if writer else None)
-    finally:
+    # both outputs are opened before the run, so a path that cannot be
+    # written stops the run before it starts
+    with contextlib.ExitStack() as outputs:
+        try:
+            snapshot = outputs.enter_context(open(snapshot_path, "w")) if snapshot_path else None
+            writer = eventlog.TraceWriter(log_path) if log_path else None
+        except OSError as exc:
+            click.echo(f"cannot write {exc.filename}: {exc.strerror}", err=True)
+            ctx.exit(2)
+            return
         if writer:
-            writer.close()
-
-    if snapshot_path:
-        Path(snapshot_path).write_text(org_core.snapshot_json(state.org) + "\n")
+            outputs.callback(writer.close)
+        state, run_metrics = eventlog.simulate(scenario, writer.write if writer else None)
+        if snapshot:
+            snapshot.write(org_core.snapshot_json(state.org) + "\n")
 
     summary = {
         "phase": state.phase.value,

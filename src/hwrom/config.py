@@ -17,7 +17,6 @@ config, and would keep every config it ever saw alive.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .org_core import (
     CapabilityRequirement,
     CooperativeRobot,
     TaskNode,
-    canonical_json,
+    canonical_hash,
 )
 from .rules_engine import (
     PREDICATES,
@@ -129,7 +128,7 @@ def _as_dict(value: Any, where: str) -> dict:
 
 
 def config_hash(data: dict) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    return canonical_hash(data)
 
 
 @dataclass

@@ -26,6 +26,9 @@ from .org_core import canonical_json
 
 LOG_VERSION = 4
 
+#: `TraceWriter` writes this many lines at a time, and the rest at `close`.
+BLOCK_LINES = 256
+
 
 class MalformedLogError(Exception):
     """The log cannot be checked: unreadable, no usable header, another
@@ -33,16 +36,27 @@ class MalformedLogError(Exception):
 
 
 class TraceWriter:
-    """Stream trace records to a JSONL file, one record per line."""
+    """Write trace records to a JSONL file, one record per line. Canonical
+    JSON is ASCII, so the file is written as bytes, `BLOCK_LINES` lines per
+    write; `close` writes the lines of the last, partial block."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh: IO[str] = self.path.open("w")
+        self._fh: IO[bytes] = self.path.open("wb")
+        self._block: list[str] = []
 
     def write(self, record: dict) -> None:
-        self._fh.write(canonical_json(record) + "\n")
+        self._block.append(canonical_json(record))
+        if len(self._block) == BLOCK_LINES:
+            self._write_block()
+
+    def _write_block(self) -> None:
+        self._fh.write(("\n".join(self._block) + "\n").encode("ascii"))
+        self._block = []
 
     def close(self) -> None:
+        if self._block:
+            self._write_block()
         self._fh.close()
 
 
@@ -56,11 +70,13 @@ def header_record(scenario: cfg.ScenarioConfig) -> dict:
     }
 
 
-def end_record(state: fm.FormationState, run_metrics: dict) -> dict:
+def end_record(state: fm.FormationState, run_metrics: dict, org: dict | None = None) -> dict:
+    """The end record; `org` is the final `org_core.snapshot_dict`, when
+    the caller has built it already."""
     return {
         "type": "end",
         "phase": state.phase.value,
-        "final_hash": fm.state_hash(state),
+        "final_hash": fm.state_hash(state, org),
         "metrics": run_metrics,
     }
 
@@ -79,10 +95,10 @@ def simulate(
         until=scenario.max_ticks,
         stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED),
     )
-    final_org_hash = org_core.snapshot_hash(state.org)
-    run_metrics = metrics.compute_metrics(scheduler.trace, final_org_hash=final_org_hash)
+    org = org_core.snapshot_dict(state.org)
+    run_metrics = metrics.compute_metrics(scheduler.trace, final_org_hash=org_core.canonical_hash(org))
     if record is not None:
-        record(end_record(state, run_metrics.to_dict()))
+        record(end_record(state, run_metrics.to_dict(), org))
     return state, run_metrics
 
 

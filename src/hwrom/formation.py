@@ -14,9 +14,8 @@ complete whenever a feasible assignment exists at all.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +31,7 @@ from .market import (
     Redecompose,
     adjust_tactics,
     compute_bid,
+    escalate,
     select_winner,
 )
 from .org_core import (
@@ -47,7 +47,6 @@ from .org_core import (
     TaskAssignment,
     TaskNode,
     TaskStatus,
-    canonical_json,
 )
 from .rules_engine import (
     STANDARD_RULES,
@@ -495,7 +494,10 @@ def _open_auction(
     auctioneer = _speaker(state, parent_node)
     if auctioneer is None:
         return None
-    ann = replace(ann, auctioneer=auctioneer, deadline=state.now + state.params.bid_window)
+    ann = Announcement(
+        ann.id_task, ann.reward, ann.required_capabilities, ann.round,
+        state.now + state.params.bid_window, auctioneer, ann.leadership,
+    )
     t = ann.id_task
     state.current_reward[t] = ann.reward
     state.status[t] = TaskStatus.ANNOUNCED
@@ -675,7 +677,7 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
             _check_formed(state, result)
             return
         # no alternative left: escalate the reward instead
-        tactic = replace(ann, reward=ann.reward * (1 + state.params.policy.delta), round=tactic.round)
+        tactic = escalate(ann, state.params.policy)
     if isinstance(tactic, Announcement):
         _open_auction(state, tactic, auction.parent_node, result)
         result.notes.append({"kind": "escalate", "round": tactic.round, "reward": str(tactic.reward)})
@@ -1367,8 +1369,9 @@ def _accept_bid(state: FormationState, event: BidSubmitted, result: StepResult) 
 # --- snapshots / hashing ---------------------------------------------------------------
 
 
-def state_snapshot(state: FormationState) -> dict:
-    """The state a hash seals, as plain data."""
+def state_snapshot(state: FormationState, org: dict | None = None) -> dict:
+    """The state a hash seals, as plain data. `org` is the organization's
+    `org_core.snapshot_dict` when the caller has built it already."""
     return {
         "now": state.now,
         "phase": state.phase.value,
@@ -1390,7 +1393,7 @@ def state_snapshot(state: FormationState) -> dict:
             t: {"status": state.status[t].value, "reward": str(state.current_reward[t])}
             for t in sorted(state.tasks)
         },
-        "org": org_core.snapshot_dict(state.org),
+        "org": org if org is not None else org_core.snapshot_dict(state.org),
         "busy": {
             r: b for r in sorted(org_core.index(state.org).tasks_by_robot) if (b := _busy_until(state, r))
         },
@@ -1404,9 +1407,9 @@ def state_snapshot(state: FormationState) -> dict:
     }
 
 
-def state_hash(state: FormationState) -> str:
+def state_hash(state: FormationState, org: dict | None = None) -> str:
     """sha256 of the canonical JSON of `state_snapshot`: a log's `final_hash`."""
-    return hashlib.sha256(canonical_json(state_snapshot(state)).encode()).hexdigest()
+    return org_core.canonical_hash(state_snapshot(state, org))
 
 
 # --- synchronous formation ----------------------------------------------------------------

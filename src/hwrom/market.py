@@ -3,7 +3,7 @@ and the adjustment tactics applied when an auction attracts no winner."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -21,6 +21,7 @@ __all__ = [
     "compute_bid",
     "select_winner",
     "adjust_tactics",
+    "escalate",
     "MarketError",
     "MixedTaskBidsError",
     "CostUnavailableError",
@@ -154,4 +155,12 @@ def adjust_tactics(ann: Announcement, policy: AdjustPolicy) -> Announcement | Re
         return GiveUp(ann.id_task)
     if ann.round >= policy.max_reward_rounds:
         return Redecompose(ann.id_task, ann.round + 1)
-    return replace(ann, reward=ann.reward * (1 + policy.delta), round=ann.round + 1)
+    return escalate(ann, policy)
+
+
+def escalate(ann: Announcement, policy: AdjustPolicy) -> Announcement:
+    """The next round of `ann`, its reward raised by a factor of (1 + delta)."""
+    return Announcement(
+        ann.id_task, ann.reward * (1 + policy.delta), ann.required_capabilities,
+        ann.round + 1, ann.deadline, ann.auctioneer, ann.leadership,
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -21,7 +21,7 @@ class RunMetrics:
     final_org_hash: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "utilities": dict(self.utilities), "capture_ticks": dict(self.capture_ticks)}
 
 
 def compute_metrics(trace: list[dict], *, final_org_hash: str | None = None) -> RunMetrics:

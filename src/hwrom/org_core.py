@@ -13,13 +13,13 @@ settlements replay bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-import json
+import json.encoder
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .rules_engine import ConstraintRelation, RuleSet
 from .wire import ENV
@@ -514,13 +514,32 @@ def settle_utilities(org: Organization, completed: Mapping[str, Fraction]) -> di
 
 # --- canonical snapshot -----------------------------------------------------
 
-#: The one JSON encoding the engine hashes and logs: sorted keys, no spaces.
-#: Records, snapshots and parsed configs are trees, never cyclic, so the
-#: encoder skips the per-container circular-reference check; the bytes are
-#: the same with or without it.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), check_circular=False
-).encode
+def canonical_encoder() -> Callable[[object], str]:
+    """The one JSON encoding the engine hashes and logs: sorted keys, no
+    spaces, ASCII only. Records, snapshots and parsed configs are trees,
+    never cyclic, so the encoder skips the per-container circular-reference
+    check; the bytes are the same with or without it.
+
+    `JSONEncoder.encode` builds a new C encoder on every call. This builds
+    one, with the arguments `encode` passes it, and keeps `encode` only for
+    a Python without the C accelerator."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda data: "".join(encode(data, 0))
+
+
+canonical_json = canonical_encoder()
+
+
+def canonical_hash(data: object) -> str:
+    """sha256 of `data`'s canonical JSON."""
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 def node_dict(node: OrgNode) -> dict:
@@ -574,4 +593,4 @@ def snapshot_json(org: Organization) -> str:
 
 
 def snapshot_hash(org: Organization) -> str:
-    return hashlib.sha256(snapshot_json(org).encode()).hexdigest()
+    return canonical_hash(snapshot_dict(org))

@@ -64,7 +64,7 @@ def _drop_draw(seed: int, msg_seq: int) -> int:
     """Counter-based uniform draw in [0, 2**64): independent per message,
     stable under insertion of unrelated messages. A message drops when
     draw / 2**64 < drop_rate."""
-    digest = hashlib.sha256(f"{seed}:{msg_seq}".encode()).digest()
+    digest = hashlib.sha256(b"%d:%d" % (seed, msg_seq)).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hwrom import eventlog
+from hwrom import formation as fm
 from hwrom import metrics as metrics_mod
 from hwrom import pursuit
 from hwrom.cli import main
@@ -15,6 +17,7 @@ from hwrom.org_core import canonical_json
 from conftest import log_notes
 
 CANONICAL = Path(__file__).parent / "fixtures" / "canonical_pursuit.json"
+MULTIROOT = Path(__file__).parent / "fixtures" / "multiroot_replan.json"
 
 
 def with_field(data: dict, where: str, value) -> dict:
@@ -211,6 +214,19 @@ class TestRunCommand:
         assert result.exit_code == 0
         data = json.loads(snap.read_text())
         assert {"robots", "root", "relations", "assignments"} <= set(data)
+
+    @pytest.mark.parametrize("option", ["--log", "--snapshot"])
+    def test_an_output_in_a_missing_directory_exits_two_before_the_run(
+        self, runner, generic_config, tmp_path, monkeypatch, option
+    ):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(eventlog, "simulate", no_run)
+        target = tmp_path / "missing" / "out"
+        result = runner.invoke(main, ["run", str(generic_config), option, str(target)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"cannot write {target}: No such file or directory\n"
 
     def test_seed_and_ticks_overrides(self, runner, generic_config):
         result = runner.invoke(main, ["run", str(generic_config), "--seed", "7", "--ticks", "90"])
@@ -725,3 +741,54 @@ class TestReplayCommand:
         lines = log.read_text().splitlines(keepends=True)
         lines[3] = line + "\n"
         self._malformed(runner, log, "".join(lines), 1, "line 4 differs from the re-run: " + what)
+
+
+class TestLogBlocks:
+    """The log is written `eventlog.BLOCK_LINES` lines at a time."""
+
+    def test_a_run_that_raises_leaves_every_record_before_it(self, runner, tmp_path, monkeypatch):
+        """`close` writes the last partial block: a run whose 300th event
+        raises leaves every record emitted before it in the log."""
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({
+            "seed": 1,
+            "max_ticks": 500,
+            "robots": [{"id": "R1", "capabilities": [["Organization", "plan", 1],
+                                                     ["Communication", "radio", 1],
+                                                     ["Action", "weld", 1]]}],
+            "task": {"id": "T", "reward": 30, "subtasks": [
+                {"id": "t1", "reward": 10, "requires": [["Action", "weld", 1]], "duration": 400}]},
+        }))
+        full, cut = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+        assert runner.invoke(main, ["run", str(config), "--log", str(full)]).exit_code == 0
+        step, calls = fm.step, [0]
+
+        def raise_at_300(*args):
+            calls[0] += 1
+            if calls[0] == 300:
+                raise RuntimeError("step 300")
+            return step(*args)
+
+        monkeypatch.setattr(fm, "step", raise_at_300)
+        result = runner.invoke(main, ["run", str(config), "--log", str(cut)])
+        assert isinstance(result.exception, RuntimeError)
+        full_lines, cut_lines = full.read_bytes().splitlines(), cut.read_bytes().splitlines()
+        assert cut.read_bytes().endswith(b"\n")
+        assert len(cut_lines) > eventlog.BLOCK_LINES
+        assert cut_lines == full_lines[: len(cut_lines)]
+        events = [json.loads(line)["type"] == "event" for line in full_lines]
+        assert sum(events[: len(cut_lines)]) == 299 and events[len(cut_lines)]
+
+    def test_one_byte_changed_past_the_first_block_diverges(self, runner, tmp_path):
+        log = tmp_path / "mr.jsonl"
+        assert runner.invoke(main, ["run", str(MULTIROOT), "--log", str(log)]).exit_code == 0
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 322
+        line = bytearray(lines[299])
+        at = line.index(b'"tick":') + len(b'"tick":')
+        line[at] = ord("9") if line[at] != ord("9") else ord("8")
+        lines[299] = bytes(line)
+        log.write_bytes(b"".join(lines))
+        result = runner.invoke(main, ["replay", str(log)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("line 300 differs from the re-run"), result.output
