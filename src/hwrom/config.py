@@ -410,6 +410,8 @@ def from_dict(data: dict) -> ScenarioConfig:
                 _cell(_require(entry, "pos", where), f"{where}.pos", w, h),
                 _int(entry.get("speed", 1), f"{where}.speed", 0),
             )
+        if not world.evaders:
+            raise ConfigError("pursuit.evaders", "at least one evader is required")
         pursuit_params = fm.PursuitParams(
             k=_int(block.get("k", 4), "pursuit.k", 1),
             base_reward=_money(block.get("base_reward", 5), "pursuit.base_reward"),

@@ -523,8 +523,7 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         speaker = _speaker(state, auction.parent_node)
         state.locks.lock(winner, t, state.now)
         _install_member(state, winner, t, auction.parent_node)
-        state.org.assignments[t] = TaskAssignment(t, winner, bid.price, AssignmentMode.WON)
-        state.status[t] = TaskStatus.ASSIGNED
+        _assign(state, t, winner, bid.price, AssignmentMode.WON)
         result.messages.append(
             wire.Message(
                 speaker,
@@ -544,11 +543,12 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         _start_execution(state, [winner], result)
 
 
-def _lead(state: FormationState, t: str, leader: str, price: Fraction) -> None:
-    """Give task t to leader to lead: the LED assignment over t's current
-    decomposition, and t's status. Awards, the pursuit's society and capture roots,
-    re-elections and the allocation fallback all take leadership through here."""
-    state.org.assignments[t] = TaskAssignment(t, leader, price, AssignmentMode.LED)
+def _assign(state: FormationState, t: str, robot: str, price: Fraction, mode: AssignmentMode) -> None:
+    """Give task t to robot at price: t's assignment and its status. The one
+    writer of both, for an atomic award (won), a lead (led: awards, the
+    pursuit's society and capture roots, re-elections) and the allocation
+    fallback (allocated, or led for a composite)."""
+    state.org.assignments[t] = TaskAssignment(t, robot, price, mode)
     state.status[t] = TaskStatus.ASSIGNED
 
 
@@ -599,7 +599,7 @@ def _hang_team(
     The seat comes before the assignment is written, while the index still
     matches the tree; the caller renumbers."""
     _seat_team(state, t, leader, parent_node)
-    _lead(state, t, leader, price)
+    _assign(state, t, leader, price, AssignmentMode.LED)
     for child in state.org.subtasks[t]:
         if state.status[child] is TaskStatus.UNASSIGNED:
             result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
@@ -820,11 +820,8 @@ def _replan(state: FormationState, result: StepResult) -> bool:
 
     for t, assignee in best:
         price = state.current_reward[t]
-        if state.is_composite(t):
-            _lead(state, t, assignee, price)
-        else:
-            state.org.assignments[t] = TaskAssignment(t, assignee, price, AssignmentMode.ALLOCATED)
-            state.status[t] = TaskStatus.ASSIGNED
+        mode = AssignmentMode.LED if state.is_composite(t) else AssignmentMode.ALLOCATED
+        _assign(state, t, assignee, price, mode)
         result.notes.append({"kind": "allocated", "task": t, "robot": assignee, "price": str(price)})
 
     _rebuild_tree(state)
@@ -1127,7 +1124,7 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
     if element is not None:
         node.children.remove(element)
         node.children.insert(0, element)
-    _lead(state, t, winner, price)
+    _assign(state, t, winner, price, AssignmentMode.LED)
     result.notes.append(
         {
             "kind": "reelected",

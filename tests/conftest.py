@@ -1,8 +1,10 @@
-"""Shared builders for tests: robots, tasks, randomized instances, and the
-brute-force feasibility oracle used to cross-check the formation engine."""
+"""Shared builders for tests: the session walk of the corpora (`corpus.py`),
+robots, tasks, randomized instances and a runner for them, note lookups, and
+the oracles used to cross-check the formation engine."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -14,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import settings
 
 from hwrom import formation as fm
+from hwrom import simnet
 from hwrom.cli import main
 from hwrom.org_core import (
     Capability,
@@ -25,6 +28,21 @@ from hwrom.org_core import (
     canonical_json,
 )
 from hwrom.rules_engine import ConstraintKind, ConstraintRelation
+
+import corpus
+from corpus import SKILLS
+
+
+@pytest.fixture(scope="session")
+def walk() -> corpus.Walk:
+    """The shared corpora of `corpus.walk_runs`, each distinct config run
+    once, with the probe of every collected module installed. The runs live
+    as long as the session, so they are frozen out of the collector: no
+    later collection scans them again."""
+    runs = corpus.walk(corpus.walk_runs(), corpus.PROBES)
+    gc.collect()
+    gc.freeze()
+    return runs
 
 
 # the allocation property draws the same Problems on every run: a failure
@@ -57,9 +75,6 @@ def robot(rid: str, *capabilities: Capability) -> CooperativeRobot:
 
 def organizer_caps() -> tuple[Capability, ...]:
     return (cap("Organization", "plan"), cap("Communication", "radio"))
-
-
-SKILLS = [("Action", "weld"), ("Sensing", "vision"), ("Moving", "speed")]
 
 
 def make_instance(seed: int) -> dict:
@@ -157,6 +172,26 @@ def build_constraints(spec: dict) -> tuple[ConstraintRelation, ...]:
     return tuple(ConstraintRelation(a, b, ConstraintKind(k)) for a, b, k in spec["constraints"])
 
 
+def spec_scheduler(spec: dict, observe=None) -> tuple[fm.FormationState, simnet.Scheduler]:
+    """The state `spec` describes, with its root task arriving at tick 0, and
+    a scheduler that shows each record to `observe(state, record)`, if given."""
+    costs = {k: Fraction(v) for k, v in spec["costs"].items()}
+    state = fm.new_state(build_robots(spec), fm.EngineParams(cost_table=costs, constraints=build_constraints(spec)))
+    fm.register_task_tree(state, build_task(spec["task"]))
+    record = observe and (lambda rec: observe(state, rec))
+    sched = simnet.Scheduler(state, simnet.NetConfig(), record=record)
+    sched.push_event(fm.TaskArrived(tick=0, id_task=spec["task"]["id"]))
+    return state, sched
+
+
+def run_scenario(spec: dict, until=200, stop_at_formed=False, observe=None):
+    """Run `spec` until it is Done or Failed, or formed with `stop_at_formed`."""
+    state, sched = spec_scheduler(spec, observe)
+    stop = (fm.Phase.DONE, fm.Phase.FAILED) + ((fm.Phase.EXECUTING,) if stop_at_formed else ())
+    sched.run(until=until, stop_when=lambda s: s.phase in stop)
+    return state, sched.trace
+
+
 def run_cli_logged(config: dict, workdir: Path) -> tuple[int, Path]:
     """`hwrom run --log` on `config`; returns the exit code and the log path."""
     config_path = workdir / "scenario.json"
@@ -165,6 +200,21 @@ def run_cli_logged(config: dict, workdir: Path) -> tuple[int, Path]:
     result = CliRunner().invoke(main, ["run", str(config_path), "--log", str(log_path)])
     assert result.exit_code in (0, 1), result.output
     return result.exit_code, log_path
+
+
+def noted(trace, *kinds):
+    """(record, note) for each note of one of `kinds`, in trace order."""
+    return [
+        (rec, note)
+        for rec in trace
+        if rec.get("type") == "event"
+        for note in rec["detail"]["notes"]
+        if note["kind"] in kinds
+    ]
+
+
+def notes(trace, *kinds):
+    return [(rec["tick"], note) for rec, note in noted(trace, *kinds)]
 
 
 def log_notes(log_path: Path) -> list[dict]:
@@ -244,13 +294,20 @@ def v2_moved(group: str, name: str, lines: list[str]) -> bool:
     return hashlib.sha256("".join(v2).encode()).hexdigest() != V2_DIGESTS[group][name]
 
 
-def report_moves(old: dict[str, str], new: dict[str, str]) -> None:
-    """Print each pinned digest that a regeneration moved, then the count of
-    those it left alone."""
-    for name in new:
-        if old.get(name) != new[name]:
-            print(f"{name}: {old.get(name)} -> {new[name]}")
-    print(f"{sum(old.get(name) == digest for name, digest in new.items())} unchanged")
+# --- the winner lock by a scan of wins and releases ------------------------------
+
+Record = tuple[int, str, str]  # (tick, robot, task)
+
+
+def scan_locked(wins: list[Record], releases: list[Record], robot: str, at: int) -> bool:
+    """True iff some locking win of the robot at tick t <= at has no
+    completion or revocation of its task at a tick r with t <= r <= at."""
+    return any(
+        won_by == robot
+        and won <= at
+        and not any(by == robot and t == task and won <= r <= at for r, by, t in releases)
+        for won, won_by, task in wins
+    )
 
 
 # --- independent feasibility oracle ---------------------------------------------

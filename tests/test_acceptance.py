@@ -16,12 +16,10 @@ from pathlib import Path
 import pytest
 
 from hwrom import config as cfg
-from hwrom import eventlog
 from hwrom import formation as fm
-from hwrom import metrics as metrics_mod
 from hwrom import org_core, simnet
 from hwrom.market import Bid, select_winner
-from hwrom.org_core import OrgNode, validate
+from hwrom.org_core import OrgNode, canonical_json, validate
 from hwrom.rules_engine import (
     RULE_LEAST_REWARD,
     RULE_NO_PARALLEL,
@@ -29,49 +27,27 @@ from hwrom.rules_engine import (
     RuleSet,
 )
 
-from conftest import (
-    brute_force_feasible,
-    build_constraints,
-    build_robots,
-    build_task,
-    make_instance,
-    renumbered,
-)
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import random_scenario
+from conftest import brute_force_feasible, make_instance, noted, renumbered, run_scenario, scan_locked
+from corpus import FIXTURES, GOLDEN, probe
 
-FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
 ROBUSTNESS_FIXTURES = sorted(p for p in FIXTURES.glob("pursuit_*.json"))
 
 CORPUS_SIZE = 1000
 
 
-def _report(criterion: str, ok: bool, detail: str = "") -> None:
+def _report(criterion: str, ok: bool, detail: str = "", problems: list = ()) -> None:
+    """Print the criterion's PASS or FAIL line and fail on FAIL: `ok` false,
+    or any of `problems`, the first of which the line shows."""
+    ok = ok and not problems
     status = "PASS" if ok else "FAIL"
     line = f"[acceptance] {criterion}: {status}"
     if detail:
         line += f" ({detail})"
+    if problems:
+        line += f"; {len(problems)} problems, the first: {problems[0]}"
     print(line)
     assert ok, line
-
-
-def _run_instance(spec: dict, until: int = 300, observe=None):
-    state = fm.new_state(
-        build_robots(spec),
-        fm.EngineParams(
-            cost_table={k: Fraction(v) for k, v in spec["costs"].items()},
-            constraints=build_constraints(spec),
-        ),
-    )
-    fm.register_task_tree(state, build_task(spec["task"]))
-    sched = simnet.Scheduler(state, simnet.NetConfig(), record=_recorder(state, None, observe))
-    sched.push_event(fm.TaskArrived(tick=0, id_task=spec["task"]["id"]))
-    sched.run(
-        until=until,
-        stop_when=lambda s: s.phase in (fm.Phase.EXECUTING, fm.Phase.DONE, fm.Phase.FAILED),
-    )
-    return state, sched.trace
 
 
 @pytest.fixture(scope="module")
@@ -81,69 +57,32 @@ def corpus():
     t0 = time.perf_counter()
     for seed in range(CORPUS_SIZE):
         spec = make_instance(seed)
-        state, trace = _run_instance(spec)
+        state, trace = run_scenario(spec, until=300, stop_at_formed=True)
         runs.append((seed, spec, state, trace))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
 
-def _recorder(state: fm.FormationState, writer: eventlog.TraceWriter | None, observe):
-    """The scheduler's record callback: write each record to `writer` and
-    show it to `observe(state, record)` with the live state, when given."""
-
-    def record(rec: dict) -> None:
-        if writer is not None:
-            writer.write(rec)
-        if observe is not None:
-            observe(state, rec)
-
-    return record
-
-
-def _run_fixture(
-    path: Path, fail: tuple[str, int] | None = None, log_path: Path | None = None, observe=None
-):
+def _run_fixture(path: Path, observe=None):
+    """Run a pursuit fixture with no failure, showing each record to
+    `observe(state, record)` with the live state, when given."""
     raw = json.loads(path.read_text())
     raw.pop("meta", None)
     scenario = cfg.from_dict(raw)
     state = scenario.build_state()
-    writer = eventlog.TraceWriter(log_path) if log_path else None
-    sched = simnet.Scheduler(state, scenario.net, record=_recorder(state, writer, observe))
-    if writer:
-        writer.write(eventlog.header_record(scenario))
+    record = observe and (lambda rec: observe(state, rec))
+    sched = simnet.Scheduler(state, scenario.net, record=record)
     scenario.schedule(sched)
-    if fail is not None:
-        sched.inject_failure(*fail)
     sched.run(
         until=scenario.max_ticks,
         stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED),
     )
-    if writer:
-        final_hash = org_core.snapshot_hash(state.org)
-        run_metrics = metrics_mod.compute_metrics(sched.trace, final_org_hash=final_hash)
-        writer.write(eventlog.end_record(state, run_metrics.to_dict()))
-        writer.close()
     return state, sched.trace
 
 
 def _capture_tick(trace) -> int | None:
-    tick = None
-    for rec in trace:
-        if rec.get("type") != "event":
-            continue
-        for note in rec["detail"]["notes"]:
-            if note["kind"] == "captured":
-                tick = note["tick"]
-    return tick
-
-
-def _note_kinds(trace) -> set[str]:
-    return {
-        n["kind"]
-        for rec in trace
-        if rec.get("type") == "event"
-        for n in rec["detail"]["notes"]
-    }
+    ticks = [note["tick"] for _, note in noted(trace, "captured")]
+    return ticks[-1] if ticks else None
 
 
 def test_criterion_1_structural_validity_closure(corpus):
@@ -209,38 +148,29 @@ def _scan_locked_bids(trace) -> list[dict]:
             elif note["kind"] == "revoked":
                 releases.append((tick, note["robot"], note["task"]))
 
-    def locked(robot: str, at: int) -> bool:
-        return any(
-            won_by == robot
-            and won <= at
-            and not any(by == robot and t == task and won <= r <= at for r, by, t in releases)
-            for won, won_by, task in wins
-        )
-
-    offenders = []
-    for rec in trace:
-        if rec.get("type") == "event" and rec.get("event") == "BidSubmitted":
-            bid = rec["data"]["bid"]
-            if locked(bid["bidder"], bid["sent_at"]):
-                offenders.append(bid)
-    return offenders
+    return [
+        rec["data"]["bid"]
+        for rec in trace
+        if rec.get("event") == "BidSubmitted"
+        and scan_locked(wins, releases, rec["data"]["bid"]["bidder"], rec["data"]["bid"]["sent_at"])
+    ]
 
 
-def test_criterion_4_winner_lock(corpus):
+def _trace(run) -> list[dict]:
+    return list(map(json.loads, run.lines))
+
+
+def test_criterion_4_winner_lock(corpus, walk):
     runs, _ = corpus
     offenders = []
     n_bids = 0
     for seed, _, _, trace in runs:
-        n_bids += sum(
-            1 for r in trace if r.get("type") == "event" and r.get("event") == "BidSubmitted"
-        )
-        offenders.extend(_scan_locked_bids(trace))
+        n_bids += sum(r.get("event") == "BidSubmitted" for r in trace)
+        offenders += [(f"instance {seed}", bid) for bid in _scan_locked_bids(trace)]
     for path in ROBUSTNESS_FIXTURES:
-        meta = json.loads(path.read_text())["meta"]
-        for fail in (None, (meta["victim"], meta["fail_tick"])):
-            _, trace = _run_fixture(path, fail=fail)
-            offenders.extend(_scan_locked_bids(trace))
-    _report("4 winner lock (post-hoc scan)", not offenders, f"{n_bids}+ bids scanned")
+        for name in (path.stem, f"{path.stem}/member_failure"):
+            offenders += [(name, bid) for bid in _scan_locked_bids(_trace(walk.run(name)))]
+    _report("4 winner lock (post-hoc scan)", True, f"{n_bids}+ bids scanned", offenders)
 
 
 def test_criterion_5_rule_intersection_oracle():
@@ -299,44 +229,40 @@ def _post_failure_pursuit_feasible(raw: dict, victim: str) -> bool:
     return brute_force_feasible(synthetic)
 
 
-def test_criterion_6_robustness_under_member_failure():
+def test_criterion_6_robustness_under_member_failure(walk):
     assert len(ROBUSTNESS_FIXTURES) >= 20
     failures = []
     extra_ticks = {}
     for path in ROBUSTNESS_FIXTURES:
         raw = json.loads(path.read_text())
-        meta = raw["meta"]
         expect = EXPECTED[path.stem]
-        assert _post_failure_pursuit_feasible(raw, meta["victim"])
-        state, trace = _run_fixture(path, fail=(meta["victim"], meta["fail_tick"]))
-        captured = _capture_tick(trace)
-        if state.phase is not fm.Phase.DONE or captured != expect["failure_capture"]:
-            failures.append(path.stem)
+        assert _post_failure_pursuit_feasible(raw, raw["meta"]["victim"])
+        run = walk.run(f"{path.stem}/member_failure")
+        captured = _capture_tick(_trace(run))
+        if run.state.phase is not fm.Phase.DONE or captured != expect["failure_capture"]:
+            failures.append((run.name, run.state.phase.value, captured))
         else:
             extra_ticks[path.stem] = captured - expect["baseline_capture"]
     detail = f"{len(ROBUSTNESS_FIXTURES)} fixtures, extra ticks {sorted(set(extra_ticks.values()))}"
-    _report("6 robustness under non-leader failure", not failures, detail)
+    _report("6 robustness under non-leader failure", True, detail, failures)
 
 
-def test_criterion_7_leader_failure_reelection():
+def test_criterion_7_leader_failure_reelection(walk):
     failures = []
     for path in ROBUSTNESS_FIXTURES:
-        raw = json.loads(path.read_text())
-        meta = raw["meta"]
-        expect = EXPECTED[path.stem]
-        state, trace = _run_fixture(path, fail=(meta["leader"], meta["leader_fail_tick"]))
-        kinds = _note_kinds(trace)
+        run = walk.run(f"{path.stem}/leader_failure")
         ok = (
-            state.phase is fm.Phase.DONE
-            and "reelected" in kinds
-            and _capture_tick(trace) == expect["leader_failure_capture"]
+            run.state.phase is fm.Phase.DONE
+            and "reelected" in run.notes
+            and _capture_tick(_trace(run)) == EXPECTED[path.stem]["leader_failure_capture"]
         )
         if not ok:
-            failures.append(path.stem)
+            failures.append((run.name, run.state.phase.value, _capture_tick(_trace(run))))
     _report(
         "7 leader failure recovery",
-        not failures,
+        True,
         f"{len(ROBUSTNESS_FIXTURES)} fixtures, re-election observed in each",
+        failures,
     )
 
 
@@ -346,27 +272,46 @@ class _TopologyScan:
 
     def __init__(self) -> None:
         self.delivered = 0
-        self.illegal: list[dict] = []
+        self.run = ""  # the name of the run being observed
+        self.illegal: list[tuple[str, dict]] = []
 
     def __call__(self, state: fm.FormationState, rec: dict) -> None:
         if rec["type"] == "net" and rec["outcome"] == "deliver":
             self.delivered += 1
             if not org_core.communication_allowed(state.org, rec["sender"], rec["to"]):
-                self.illegal.append(rec)
+                self.illegal.append((self.run, rec))
 
 
-def test_criterion_8_communication_topology(corpus):
+@probe(covers=lambda name: name.endswith("/leader_failure"))
+def topology(mp, run):
+    """Check every delivery of the run against the topology of the org at
+    the moment it is sent."""
+    route = simnet.route
+
+    def checked_route(net, msg, org, **kw):
+        outcome = route(net, msg, org, **kw)
+        if isinstance(outcome, simnet.Deliver):
+            run.seen["topology"] += 1
+            if not org_core.communication_allowed(org, msg.sender, msg.to):
+                run.find("topology", msg.sent_at, f"{msg.kind} from {msg.sender} to {msg.to} delivered")
+        return outcome
+
+    mp.setattr(simnet, "route", checked_route)
+
+
+def test_criterion_8_communication_topology(corpus, walk):
     runs, _ = corpus
     scan = _TopologyScan()
-    for _, spec, _, _ in runs[::10]:  # every 10th randomized run
-        _run_instance(spec, observe=scan)
-    for path in ROBUSTNESS_FIXTURES:
-        meta = json.loads(path.read_text())["meta"]
-        _run_fixture(path, fail=(meta["leader"], meta["leader_fail_tick"]), observe=scan)
+    for seed, spec, _, _ in runs[::10]:  # every 10th randomized run
+        scan.run = f"instance {seed}"
+        run_scenario(spec, until=300, stop_at_formed=True, observe=scan)
+    leader_failures = [f"{path.stem}/leader_failure" for path in ROBUSTNESS_FIXTURES]
+    delivered = walk.assert_clean("topology", leader_failures)["topology"]
     _report(
         "8 communication topology",
-        scan.delivered > 0 and not scan.illegal,
-        f"{scan.delivered} deliveries re-checked, 0 cross-team non-leader expected",
+        scan.delivered > 0 and delivered > 0,
+        f"{scan.delivered + delivered} deliveries re-checked, 0 cross-team non-leader expected",
+        scan.illegal,
     )
 
 
@@ -381,27 +326,27 @@ def _hash_after_each_event(hashes: list[str]):
     return observe
 
 
-def test_criterion_9_determinism_and_replay(tmp_path):
+def test_criterion_9_determinism_and_replay(walk):
+    """Each fixture runs twice here, with the state hash taken after every
+    event: both runs must emit the shared walk's log body, whose log must
+    replay."""
     paths = ROBUSTNESS_FIXTURES + [FIXTURES / "canonical_pursuit.json"]
     problems = []
     for path in paths:
-        log_a = tmp_path / f"{path.stem}_a.jsonl"
-        log_b = tmp_path / f"{path.stem}_b.jsonl"
         hashes_a: list[str] = []
         hashes_b: list[str] = []
-        _run_fixture(path, log_path=log_a, observe=_hash_after_each_event(hashes_a))
-        _run_fixture(path, log_path=log_b, observe=_hash_after_each_event(hashes_b))
-        if log_a.read_bytes() != log_b.read_bytes() or hashes_a != hashes_b:
-            problems.append((path.stem, "nondeterministic run"))
-            continue
-        outcome = eventlog.replay(log_a)
-        if not outcome.ok:
-            problems.append((path.stem, outcome.message))
-    _report(
-        "9 determinism and replay",
-        not problems,
-        f"{len(paths)} fixtures run twice and replayed",
-    )
+        _, trace_a = _run_fixture(path, observe=_hash_after_each_event(hashes_a))
+        _, trace_b = _run_fixture(path, observe=_hash_after_each_event(hashes_b))
+        run = walk.run(path.stem)
+        if trace_a != trace_b:
+            problems.append((path.stem, "the two runs' records differ"))
+        elif hashes_a != hashes_b:
+            problems.append((path.stem, "the two runs' state hashes differ"))
+        elif run.lines[1:-1] != list(map(canonical_json, trace_a)):
+            problems.append((path.stem, "the runs' records differ from the walk's log"))
+        elif not run.replayed.ok:
+            problems.append((path.stem, run.replayed.message))
+    _report("9 determinism and replay", True, f"{len(paths)} fixtures run twice and replayed", problems)
 
 
 def test_criterion_10_canonical_pursuit_fixture():
@@ -455,20 +400,19 @@ def _early_completions(config: dict, trace: list[dict]) -> tuple[list[tuple[str,
     return early, checked
 
 
-def test_completion_timers_belong_to_their_award():
-    configs = [scenario_config(entry) for entry in GOLDEN.values() if "task" in entry.get("config", {})]
-    configs += [random_scenario(seed) for seed in range(200)]
+def test_completion_timers_belong_to_their_award(walk):
+    runs = [f"golden/{name}" for name, entry in GOLDEN.items() if "task" in entry.get("config", {})]
+    runs += [f"random_scenario/{seed}" for seed in range(200)]
     early = []
     checked: Counter = Counter()
-    for config in configs:
-        trace: list[dict] = []
-        eventlog.simulate(cfg.from_dict(config), trace.append)
-        run_early, run_checked = _early_completions(config, trace)
-        early.extend(run_early)
+    for name in runs:
+        run_early, run_checked = _early_completions(walk.run(name).config, _trace(walk.run(name)))
+        early += [(name, *completion) for completion in run_early]
         checked += run_checked
     _report(
         "completion timers",
-        checked["award"] > 0 and checked["allocated"] > 0 and checked["completed"] > 0 and not early,
-        f"{len(configs)} runs, {checked['completed']} completions of {checked['award']} awards and "
+        checked["award"] > 0 and checked["allocated"] > 0 and checked["completed"] > 0,
+        f"{len(runs)} runs, {checked['completed']} completions of {checked['award']} awards and "
         f"{checked['allocated']} allocations, none before award + duration",
+        [(name, f"{task} completed at {tick}") for name, task, tick in early],
     )

@@ -558,6 +558,8 @@ class TestRunCommand:
             (lambda d: d.update(pursuit={"grid": [5, 5], "robots": [{"id": "R9", "pos": [0, 0]}],
                                          "evaders": []}),
              "pursuit.robots[0]", "unknown robot 'R9'"),
+            (lambda d: d.update(pursuit={"grid": [5, 5], "robots": [], "evaders": []}),
+             "pursuit.evaders", "at least one evader is required"),
             (lambda d: d.update(events=[{"at": 3, "type": "withdraw", "robot": "R2", "reason": "Bored"}]),
              "events[0].reason", "unknown reason 'Bored'"),
             (lambda d: d.update(events=[{"at": 3, "type": "explode", "robot": "R2"}]),
@@ -566,7 +568,7 @@ class TestRunCommand:
         ids=["block_not_object", "capability_kind", "rule_category", "rule_predicate",
              "rule_redeclared", "no_robots", "duplicate_robot", "duplicate_task", "no_task_or_pursuit",
              "constraint_kind", "cost_robot", "cost_task", "pursuit_grid", "pursuit_robot",
-             "withdraw_reason", "event_type"],
+             "no_evaders", "withdraw_reason", "event_type"],
     )
     def test_config_error_exits_two_naming_where(
         self, runner, generic_config, tmp_path, edit, where, problem

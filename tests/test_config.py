@@ -9,7 +9,6 @@ apart, and does not outlive the call.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -19,11 +18,7 @@ from hwrom import formation as fm
 from hwrom.cli import main
 from hwrom.org_core import CapabilityKind
 
-from test_fast_paths import random_pursuit_config
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import random_scenario
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from corpus import FIXTURES, GOLDEN, random_pursuit_config, random_scenario, scenario_config
 
 
 def fixture_configs() -> list[dict]:

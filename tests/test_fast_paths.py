@@ -43,9 +43,8 @@ from hwrom.rules_engine import (
 from hwrom.simnet import Drop, NetConfig, _drop_draw, route
 from hwrom.wire import ENV, Message
 
-from test_formation import chain_config, one_unit_config
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import random_scenario
+import corpus
+from corpus import GOLDEN, chain_config, one_unit_config, random_scenario
 
 # --- the magnitude table ---------------------------------------------------------
 
@@ -426,48 +425,58 @@ def reference_rebuild_tree(state: fm.FormationState) -> None:
     fm._renumber(state)
 
 
-def test_rebuild_matches_the_recursive_builder_on_single_root_replans(monkeypatch):
+@corpus.probe(covers=lambda name: name.startswith(("golden/", "random_scenario/")))
+def rebuild_matches_the_recursive_builder(mp, run):
+    """Build the reference tree before each re-plan's `_rebuild_tree` and
+    compare; count the re-plans and the shapes they reach."""
     rebuild = fm._rebuild_tree
-    seen = {"replans": 0, "nested_team": 0, "chain": 0, "dead_member": 0}
 
     def both(state):
         reference_rebuild_tree(state)
         want = org_core.snapshot_dict(state.org)
         rebuild(state)
-        assert org_core.snapshot_dict(state.org) == want
+        got = org_core.snapshot_dict(state.org)
+        if got != want:
+            run.find("rebuild", state.now, f"{got} != {want}")
         ix = org_core.index(state.org)
-        seen["replans"] += 1
-        seen["nested_team"] += any(d > 1 and n.startswith("team:") for n, d in ix.depth.items())
-        seen["chain"] += any(len(teams) > 1 for teams in ix.led_by.values())
-        seen["dead_member"] += any(not state.alive(r) for r in ix.leaf_of_robot)
+        run.seen["replans"] += 1
+        run.seen["nested_team"] += any(d > 1 and n.startswith("team:") for n, d in ix.depth.items())
+        run.seen["chain"] += any(len(teams) > 1 for teams in ix.led_by.values())
+        run.seen["dead_member"] += any(not state.alive(r) for r in ix.leaf_of_robot)
 
-    monkeypatch.setattr(fm, "_rebuild_tree", both)
-    for name in sorted(GOLDEN):
-        eventlog.simulate(cfg.from_dict(scenario_config(GOLDEN[name])), None)
-    for seed in range(400):
-        eventlog.simulate(cfg.from_dict(random_scenario(seed)), None)
-    assert all(seen.values()), seen
+    mp.setattr(fm, "_rebuild_tree", both)
 
 
-def test_multi_root_replans_leave_one_unit_per_robot(monkeypatch):
-    """A re-plan of two or more capture roots under the society seats them
-    as awards do, so no robot gets a second unit."""
+def test_rebuild_matches_the_recursive_builder_on_single_root_replans(walk):
+    runs = [f"golden/{name}" for name in sorted(GOLDEN)] + [f"random_scenario/{seed}" for seed in range(400)]
+    seen = walk.assert_clean("rebuild", runs)
+    assert all(seen[key] for key in ("replans", "nested_team", "chain", "dead_member")), seen
+
+
+@corpus.probe(covers=lambda name: name.startswith("random_pursuit_config/"))
+def one_unit_per_robot(mp, run):
+    """After each re-plan, note a tree that holds a node id twice, a robot
+    twice or a team whose leader is not its first member; count the re-plans
+    of two or more capture roots under the society."""
     rebuild = fm._rebuild_tree
-    multi_root = 0
 
     def checked(state):
-        nonlocal multi_root
         rebuild(state)
         captures = state.org.subtasks.get(fm.SOCIETY, [])
-        multi_root += sum(state.status[t] is org_core.TaskStatus.ASSIGNED for t in captures) > 1
+        run.seen["multi_root"] += sum(state.status[t] is org_core.TaskStatus.ASSIGNED for t in captures) > 1
         codes = {v.code for v in org_core.validate(state.org).violations}
-        assert not codes & {"DuplicateNodeId", "DuplicateMembership", "LeaderMismatch"}, codes
+        if codes & {"DuplicateNodeId", "DuplicateMembership", "LeaderMismatch"}:
+            run.find("one unit", state.now, sorted(codes))
 
-    monkeypatch.setattr(fm, "_rebuild_tree", checked)
+    mp.setattr(fm, "_rebuild_tree", checked)
+
+
+def test_multi_root_replans_leave_one_unit_per_robot(walk):
+    """A re-plan of two or more capture roots under the society seats them
+    as awards do, so no robot gets a second unit."""
+    runs = [f"random_pursuit_config/{seed}" for seed in range(200)]
     # 10 of these 200 seeds give up with two or more capture roots assigned
-    for seed in range(200):
-        eventlog.simulate(cfg.from_dict(random_pursuit_config(seed)), None)
-    assert multi_root
+    assert walk.assert_clean("one unit", runs)["multi_root"]
 
 
 # --- the pursuit tick ----------------------------------------------------------------------
@@ -607,69 +616,38 @@ def test_integer_pursuit_tick_matches_the_per_pair_tick(monkeypatch):
     assert all(seen.values()), seen
 
 
-def random_pursuit_config(seed: int) -> dict:
-    """A small pursuit with short sensing radii, so robots detect evaders at
-    different ticks, and up to two robots failing mid-run."""
-    rng = random.Random(seed)
-    w, h = rng.randint(5, 12), rng.randint(5, 12)
-    n = rng.randint(3, 6)
-    cells = rng.sample([[x, y] for x in range(w) for y in range(h)], n + 3)
-    robots = [
-        {"id": f"R{i}", "capabilities": [
-            ["Organization", "plan", 1], ["Communication", "radio", 1],
-            ["Moving", "speed", rng.randint(1, 2)], ["Sensing", "vision", rng.randint(1, 6)]]}
-        for i in range(1, n + 1)
-    ]
-    return {
-        "seed": seed,
-        "max_ticks": 80,
-        "robots": robots,
-        "pursuit": {
-            "grid": [w, h],
-            "robots": [{"id": r["id"], "pos": cells[i]} for i, r in enumerate(robots)],
-            "evaders": [
-                {"id": f"e{i}", "pos": cells[n + i], "speed": rng.randint(0, 2)}
-                for i in range(rng.randint(1, 3))
-            ],
-            "k": rng.randint(2, 4),
-            "capture_quorum": rng.randint(1, 2),
-        },
-        "events": [
-            {"at": rng.randint(2, 30), "type": "fail", "robot": r["id"]}
-            for r in rng.sample(robots, rng.randint(0, 2))
-        ],
-    }
-
-
-def test_skipped_sensing_matches_sensing_every_live_robot_every_tick(monkeypatch):
+@corpus.probe(covers=lambda name: name.startswith("random_pursuit_config/"))
+def sensing_every_live_robot(mp, run):
+    """After each pursuit tick, sense for every live robot and compare the
+    first detections with the run's; count the sense calls of each."""
     fast_tick, real_sense = fm._pursuit_tick, pursuit.sense
     want: dict[tuple[str, str], int] = {}
-    calls = {"fast": 0, "every": 0}
-    counter = ["fast"]
+    counter = ["sense fast"]
 
     def counted_sense(world, robot):
-        calls[counter[0]] += 1
+        run.seen[counter[0]] += 1
         return real_sense(world, robot)
 
     def both(state, result):
-        counter[0] = "fast"
+        counter[0] = "sense fast"
         fast_tick(state, result)
-        counter[0] = "every"
+        counter[0] = "sense every"
         for rid in sorted(state.world.robots):
             if state.alive(rid):
                 for ev_id, _, tick in pursuit.sense(state.world, rid):
                     want.setdefault((rid, ev_id), tick)
+        if list(state.first_detection.items()) != list(want.items()):
+            run.find("sensing", state.now, f"{state.first_detection} != {want}")
+        run.seen["late detection"] = int(any(tick > 1 for tick in want.values()))
 
-    monkeypatch.setattr(pursuit, "sense", counted_sense)
-    monkeypatch.setattr(fm, "_pursuit_tick", both)
-    late = captured = 0
-    for seed in range(150):
-        want.clear()
-        state, _ = eventlog.simulate(cfg.from_dict(random_pursuit_config(seed)), None)
-        assert list(state.first_detection.items()) == list(want.items()), seed
-        late += any(tick > 1 for tick in want.values())
-        captured += bool(state.world.captured)
+    mp.setattr(pursuit, "sense", counted_sense)
+    mp.setattr(fm, "_pursuit_tick", both)
+
+
+def test_skipped_sensing_matches_sensing_every_live_robot_every_tick(walk):
+    runs = [f"random_pursuit_config/{seed}" for seed in range(200)]
+    seen = walk.assert_clean("sensing", runs)
     # detections come at different ticks, evaders get caught, and some
     # sensing is skipped
-    assert late and captured
-    assert calls["fast"] < calls["every"], calls
+    assert seen["late detection"] and any(walk.run(name).state.world.captured for name in runs)
+    assert seen["sense fast"] < seen["sense every"], seen

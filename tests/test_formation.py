@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,58 +23,26 @@ from hwrom.wire import ENV
 
 from conftest import (
     brute_force_feasible,
-    build_constraints,
-    build_robots,
-    build_task,
     cap,
+    notes,
+    noted,
     organizer_caps,
     req,
     robot,
     run_cli_logged,
+    run_scenario,
+    spec_scheduler,
     standard_instance,
 )
-
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def params_for(spec: dict, **kw) -> EngineParams:
-    return EngineParams(
-        cost_table={k: Fraction(v) for k, v in spec.get("costs", {}).items()},
-        constraints=build_constraints(spec),
-        **kw,
-    )
-
-
-def run_scenario(spec: dict, script=(), until=200, stop_at_formed=False, net=None):
-    state = fm.new_state(build_robots(spec), params_for(spec))
-    fm.register_task_tree(state, build_task(spec["task"]))
-    sched = simnet.Scheduler(state, net or simnet.NetConfig())
-    sched.push_event(fm.TaskArrived(tick=0, id_task=spec["task"]["id"]))
-    for ev in script:
-        sched.push_event(ev)
-    stop_phases = (
-        (Phase.EXECUTING, Phase.DONE, Phase.FAILED)
-        if stop_at_formed
-        else (Phase.DONE, Phase.FAILED)
-    )
-    sched.run(until=until, stop_when=lambda s: s.phase in stop_phases)
-    return state, sched.trace
-
-
-def noted(trace, *kinds):
-    """(record, note) for each note of one of `kinds`, in trace order."""
-    return [
-        (rec, note)
-        for rec in trace
-        if rec.get("type") == "event"
-        for note in rec["detail"]["notes"]
-        if note["kind"] in kinds
-    ]
-
-
-def notes(trace, *kinds):
-    return [(rec["tick"], note) for rec, note in noted(trace, *kinds)]
+from corpus import (
+    FIXTURES,
+    ORGANIZER,
+    WELD,
+    chain_config,
+    one_unit_config,
+    organizer_failure,
+    random_pursuit_config,
+)
 
 
 class TestForm:
@@ -248,10 +215,7 @@ class TestWithdrawal:
             "constraints": [],
             "costs": {("R2", "t1"): 1, ("R5", "t1"): 3},
         }
-        state = fm.new_state(build_robots(spec), params_for(spec))
-        fm.register_task_tree(state, build_task(spec["task"]))
-        sched = simnet.Scheduler(state, simnet.NetConfig())
-        sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
+        state, sched = spec_scheduler(spec)
         sched.run(until=30, stop_when=lambda s: s.phase is Phase.EXECUTING)
         assert state.org.assignments["t1"].assignee == "R2"
         withdraw_tick = state.now + 1
@@ -299,10 +263,7 @@ class TestReelection:
 
     def test_leader_failure_triggers_reelection_tiebreak(self):
         spec = self.reelect_spec()
-        state = fm.new_state(build_robots(spec), params_for(spec))
-        fm.register_task_tree(state, build_task(spec["task"]))
-        sched = simnet.Scheduler(state, simnet.NetConfig())
-        sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
+        state, sched = spec_scheduler(spec)
         sched.run(until=40, stop_when=lambda s: s.phase is Phase.EXECUTING)
         assert state.org.root.id_robot == "R1"
         fail_tick = state.now + 1
@@ -320,10 +281,7 @@ class TestReelection:
         # strip organization ability from the members
         for r in spec["robots"][1:]:
             r["caps"] = [("Communication", "radio", 1), ("Action", "weld", 1)]
-        state = fm.new_state(build_robots(spec), params_for(spec))
-        fm.register_task_tree(state, build_task(spec["task"]))
-        sched = simnet.Scheduler(state, simnet.NetConfig())
-        sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
+        state, sched = spec_scheduler(spec)
         sched.run(until=40, stop_when=lambda s: s.phase is Phase.EXECUTING)
         fail_tick = state.now + 1
         sched.inject_failure("R1", fail_tick)
@@ -358,10 +316,7 @@ class TestJoin:
             "constraints": [],
             "costs": {("R2", "t1"): 5, ("R9", "t1"): 1},
         }
-        state = fm.new_state(build_robots(spec), params_for(spec))
-        fm.register_task_tree(state, build_task(spec["task"]))
-        sched = simnet.Scheduler(state, simnet.NetConfig())
-        sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
+        state, sched = spec_scheduler(spec)
         # t1 is announced at tick 6 with a 3-tick window; join right after announce
         joiner = robot("R9", cap("Action", "weld", 1), cap("Communication", "radio"))
         sched.push_event(fm.RobotJoined(tick=7, robot=joiner))
@@ -533,47 +488,6 @@ def test_priority_orders_a_robots_execution():
 
 # --- a robot's completed work in its norms, and one unit per robot --------------------
 
-LEAD = [["Organization", "plan", 1], ["Communication", "radio", 1]]
-WELD = [["Action", "weld", 1]]
-
-
-def two_team_config(robots: dict[str, list], costs: dict, fail: str) -> dict:
-    """T leads X (over leaf a, duration 1) and Y (over leaf b, duration 30);
-    `fail` fails at tick 25, while b is still running."""
-    leaf = {"reward": 10, "requires": WELD}
-    return {
-        "seed": 1,
-        "max_ticks": 200,
-        "robots": [{"id": r, "capabilities": caps} for r, caps in robots.items()],
-        "task": {"id": "T", "reward": 100, "subtasks": [
-            {"id": "X", "reward": 10, "subtasks": [dict(leaf, id="a", duration=1)]},
-            {"id": "Y", "reward": 10, "subtasks": [dict(leaf, id="b", duration=30)]},
-        ]},
-        "costs": costs,
-        "events": [{"at": 25, "type": "fail", "robot": fail}],
-    }
-
-
-def chain_config() -> dict:
-    """R1 leads X and completes it; once R2 fails, only R1 can lead Y."""
-    return two_team_config(
-        {"R1": LEAD + WELD, "R2": LEAD + WELD, "R3": WELD},
-        {"R1": {"X": 1, "Y": 25, "a": 5, "b": 9}, "R2": {"X": 25, "Y": 1, "a": 9, "b": 1},
-         "R3": {"a": 1, "b": 9}},
-        fail="R2",
-    )
-
-
-def one_unit_config() -> dict:
-    """R2 completes a in team:X, then wins Y once R4 fails."""
-    return two_team_config(
-        {"R1": LEAD + WELD, "R2": LEAD + WELD, "R3": WELD, "R4": LEAD},
-        {"R1": {"T": 1, "X": 1, "Y": 25, "a": 9, "b": 9},
-         "R2": {"T": 9, "X": 25, "Y": 20, "a": 1, "b": 9},
-         "R3": {"a": 9, "b": 1}, "R4": {"T": 9, "X": 25, "Y": 1}},
-        fail="R4",
-    )
-
 
 def test_a_completed_composite_keeps_its_leader_out_of_a_sibling_team(tmp_path):
     # R1 led X, now completed, so it may not lead X's sibling Y: the auction
@@ -612,8 +526,8 @@ def takeover_config(**changes) -> dict:
         "seed": 1,
         "max_ticks": 200,
         "robots": [
-            {"id": "R1", "capabilities": LEAD + WELD},
-            {"id": "R2", "capabilities": LEAD + WELD},
+            {"id": "R1", "capabilities": ORGANIZER + WELD},
+            {"id": "R2", "capabilities": ORGANIZER + WELD},
             {"id": "R3", "capabilities": WELD},
         ],
         "task": {"id": "T", "reward": 100, "subtasks": [
@@ -709,9 +623,9 @@ def test_a_reelection_without_offers_dissolves_the_team(monkeypatch):
         "seed": 1,
         "max_ticks": 120,
         "robots": [
-            {"id": "R1", "capabilities": LEAD},
-            {"id": "R2", "capabilities": LEAD},
-            {"id": "R3", "capabilities": LEAD + WELD},
+            {"id": "R1", "capabilities": ORGANIZER},
+            {"id": "R2", "capabilities": ORGANIZER},
+            {"id": "R3", "capabilities": ORGANIZER + WELD},
         ],
         "task": {"id": "T", "reward": 100, "subtasks": [
             {"id": "c1", "reward": 40, "subtasks": [
@@ -749,7 +663,7 @@ def test_the_failure_of_the_robot_whose_unit_is_the_root():
     state, records = simulated({
         "seed": 1,
         "max_ticks": 120,
-        "robots": [{"id": "R1", "capabilities": LEAD + WELD}, {"id": "R2", "capabilities": LEAD + WELD}],
+        "robots": [{"id": "R1", "capabilities": ORGANIZER + WELD}, {"id": "R2", "capabilities": ORGANIZER + WELD}],
         "task": {"id": "T", "reward": 30, "requires": WELD, "duration": 20},
         "events": [{"at": 8, "type": "fail", "robot": "R1"}],
     })
@@ -765,8 +679,6 @@ def test_an_evader_captured_while_its_tree_is_leaderless():
     # society's new leader R2 leads capture:e0 and R3 capture:e1, nobody is
     # left to lead capture:e2 beside its own chain, and e2 is caught at tick
     # 18 while its root's auction is still open
-    from test_fast_paths import random_pursuit_config
-
     scenario = dict(random_pursuit_config(93), events=[{"at": 1, "type": "fail", "robot": "R1"}])
     state, records = simulated(scenario)
     unled = [(tick, n["task"]) for tick, n in notes(records, "captured_unled")]
@@ -777,11 +689,6 @@ def test_an_evader_captured_while_its_tree_is_leaderless():
 
 
 # --- one root per pursuit: the society -------------------------------------------------
-
-
-def organizer_failure(config: dict, at: int) -> dict:
-    """`config` with its scripted events replaced by R1 failing at tick `at`."""
-    return dict(config, events=[{"at": at, "type": "fail", "robot": "R1"}])
 
 
 def test_an_organizer_failing_before_its_first_capture_team_forms_is_replaced():
@@ -799,8 +706,6 @@ def test_every_capture_root_is_announced_again_after_the_organizer_fails():
     # every capture team dissolves with R1 at tick 2; the society's next
     # leader auctions each capture root again at tick 8, long before e1 and
     # e2 are caught
-    from test_fast_paths import random_pursuit_config
-
     records: list[dict] = []
     eventlog.simulate(config.from_dict(organizer_failure(random_pursuit_config(14), 2)), records.append)
     announced = [(tick, n["task"]) for tick, n in notes(records, "announce")]
@@ -811,8 +716,6 @@ def test_a_capture_root_won_again_cannot_replace_the_org_root():
     # R1 fails at tick 2 and its capture roots are won again while others
     # are at auction: each one hangs under the society, so none replaces the
     # org root and no open auction loses the team it awards into
-    from test_fast_paths import random_pursuit_config
-
     scenario = random_pursuit_config(166)
     scenario["events"].append({"at": 2, "type": "fail", "robot": "R1"})
     state, _ = simulated(scenario)
@@ -824,8 +727,6 @@ def test_the_last_evader_caught_unled_ends_the_mission():
     # caught at 8, R1's failure dissolves capture:e0's team in that tick,
     # and capture:e1 completes under its new leader. capture:e0 is finished
     # unled at 9, with no completion of its own to wake the society
-    from test_fast_paths import random_pursuit_config
-
     state, records = simulated(organizer_failure(random_pursuit_config(138), 8))
     assert [(tick, n["task"]) for tick, n in notes(records, "captured_unled")] == [(9, "capture:e0")]
     assert (state.phase, state.now) == (Phase.DONE, 9)
@@ -837,8 +738,6 @@ def test_a_goal_whose_holder_fails_in_its_capture_tick_is_not_auctioned_again():
     # failure in that tick revokes sg:e0:0 after its completion was queued.
     # The next Tick supersedes the goal instead of auctioning it for an
     # evader already caught, and the mission ends
-    from test_fast_paths import random_pursuit_config
-
     state, records = simulated(random_pursuit_config(0))
     assert [(tick, n["evader"]) for tick, n in notes(records, "captured")] == [(11, "e0")]
     assert (12, "sg:e0:0") in [(tick, n["task"]) for tick, n in notes(records, "superseded_by_capture")]
@@ -851,8 +750,6 @@ def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
     capture root is Unassigned, unauctioned and unqueued only in a run that
     ended Failed, every Done org validates, the society completes only once
     every evader is caught, and a run that catches every evader ends Done."""
-    from test_fast_paths import random_pursuit_config
-
     step = fm.step
 
     def checked(state, event):

@@ -2,12 +2,13 @@
 
 Before `rules_engine.LockLedger`, the lock was answered by scanning every
 locking win and, per win, every completion and revocation of its task:
-`scan_locked` below is that scan. The ledger must agree with it on seeded
+`conftest.scan_locked` is that scan. The ledger must agree with it on seeded
 random lock/release sequences, and `formation.winner_locked` must agree with
 it on every call the engine makes, with the scan fed from the notes of the
-steps taken so far: the golden-trace scenarios, every pursuit fixture with
-its leader failure, a team dissolution, and the 200 random churn scenarios
-of the state-hash test.
+steps taken so far. A probe checks every call of the shared walk's runs
+(`corpus.py`): the golden-trace scenarios, every pursuit fixture with its
+leader failure, and the 200 random churn scenarios; a team dissolution is
+run here.
 """
 
 from __future__ import annotations
@@ -20,22 +21,9 @@ import pytest
 from hwrom import formation as fm
 from hwrom.rules_engine import LockLedger, winner_locked
 
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import PURSUIT_FIXTURES, random_scenario, run_logged
-
-Record = tuple[int, str, str]  # (tick, robot, task)
-
-
-def scan_locked(wins: list[Record], releases: list[Record], robot: str, at: int) -> bool:
-    """True iff some locking win of the robot at tick t <= at has no
-    completion or revocation of its task at a tick r with t <= r <= at."""
-    return any(
-        won_by == robot
-        and won <= at
-        and not any(by == robot and t == task and won <= r <= at for r, by, t in releases)
-        for won, won_by, task in wins
-    )
-
+import corpus
+from conftest import Record, noted, scan_locked
+from corpus import GOLDEN, ORGANIZER, PURSUIT_FIXTURES, RANDOM_SEEDS
 
 def test_ledger_matches_scan_on_random_sequences():
     rng = random.Random(5)
@@ -67,22 +55,17 @@ def test_ledger_matches_scan_on_random_sequences():
                 )
 
 
-@pytest.fixture
-def checked_calls(monkeypatch) -> list[bool]:
-    """Check every `formation.winner_locked` call against the scan over the
-    wins, completions and revocations that the notes of the run's steps so far
-    record; the list holds each call's answer."""
+@corpus.probe(covers=corpus.golden_or_pinned)
+def lock_matches_scan(mp, run):
+    """Check every `formation.winner_locked` call of the run against the scan
+    over the wins, completions and revocations that the notes of its steps so
+    far record, and that only atomic tasks lock; count each answer."""
     step, locked = fm.step, fm.winner_locked
-    records: dict[int, tuple[LockLedger, list[Record], list[Record]]] = {}
-
-    def runs_records(ledger: LockLedger) -> tuple[list[Record], list[Record]]:
-        # keyed by id, and holding the ledger keeps that id unique
-        _, wins, releases = records.setdefault(id(ledger), (ledger, [], []))
-        return wins, releases
+    wins: list[Record] = []
+    releases: list[Record] = []
 
     def noting_step(state, event):
         result = step(state, event)
-        wins, releases = runs_records(state.locks)
         for note in result.notes:
             # an award names its task, and a completion its task and robot,
             # only through the step's event
@@ -93,52 +76,46 @@ def checked_calls(monkeypatch) -> list[bool]:
             elif note["kind"] == "revoked":
                 releases.append((state.now, note["robot"], note["task"]))
         # only atomic tasks lock
-        assert not any(
-            state.is_composite(task) for spans in state.locks.spans.values() for task, _, _ in spans
-        )
+        locked_tasks = [task for spans in state.locks.spans.values() for task, _, _ in spans]
+        if any(map(state.is_composite, locked_tasks)):
+            run.find("lock", state.now, f"a composite task locks: {locked_tasks}")
         return result
-
-    answers: list[bool] = []
 
     def checking_winner_locked(ledger, robot, at):
         got = locked(ledger, robot, at)
-        assert got == scan_locked(*runs_records(ledger), robot, at), (robot, at)
-        answers.append(got)
+        want = scan_locked(wins, releases, robot, at)
+        if got != want:
+            run.find("lock", at, f"winner_locked({robot!r}) is {got}, the scan says {want}")
+        run.seen[f"lock {got}"] += 1
+        run.seen["lock"] += 1
         return got
 
-    monkeypatch.setattr(fm, "step", noting_step)
-    monkeypatch.setattr(fm, "winner_locked", checking_winner_locked)
-    return answers
+    mp.setattr(fm, "step", noting_step)
+    mp.setattr(fm, "winner_locked", checking_winner_locked)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_engine_lock_matches_scan_on_golden_scenarios(name, checked_calls):
-    run_logged(scenario_config(GOLDEN[name]))
-    assert checked_calls
+def test_engine_lock_matches_scan_on_golden_scenarios(name, walk):
+    assert walk.assert_clean("lock", [f"golden/{name}"])["lock"]
 
 
 @pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
-def test_engine_lock_matches_scan_on_pursuit_fixtures(path, checked_calls):
-    raw = json.loads(path.read_text())
-    meta = raw.pop("meta", None)
-    run_logged(raw)
-    if meta is not None:
-        run_logged(raw, fail=(meta["leader"], meta["leader_fail_tick"]))
-    assert checked_calls
+def test_engine_lock_matches_scan_on_pursuit_fixtures(path, walk):
+    runs = [name for name, _ in corpus.pursuit_runs(path) if corpus.golden_or_pinned(name)]
+    assert walk.assert_clean("lock", runs)["lock"]
 
 
-def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
+def test_member_of_a_dissolved_team_may_win_again():
     """R2 leads c1 and R3 holds c1.1 when R2 fails; nobody left in c1 can
     lead, so the team dissolves and revokes c1.1. The revocation releases
     R3's lock, so R3 wins c1.1 again under R1. The timer of the first award
     (tick 35) is ignored: c1.1 takes its full 20 ticks from the second, which
     the revoked first award no longer delays."""
-    organizer = [["Organization", "plan", 1], ["Communication", "radio", 1]]
     config = {
         "max_ticks": 120,
         "robots": [
-            {"id": "R1", "capabilities": organizer},
-            {"id": "R2", "capabilities": organizer},
+            {"id": "R1", "capabilities": ORGANIZER},
+            {"id": "R2", "capabilities": ORGANIZER},
             {"id": "R3", "capabilities": [["Action", "weld", 1]]},
         ],
         "task": {"id": "T", "reward": 60, "subtasks": [
@@ -149,32 +126,21 @@ def test_member_of_a_dissolved_team_may_win_again(checked_calls, monkeypatch):
         "costs": {"R1": {"c1": 5}},
         "events": [{"at": 22, "type": "fail", "robot": "R2"}],
     }
-    awards = []
-    completions = []
-    step = fm.step
-
-    def noting_step(state, event):
-        result = step(state, event)
-        awards.extend((event.id_task, n["robot"]) for n in result.notes if n["kind"] == "award")
-        completions.extend(
-            (n["kind"], event.id_task, state.now) for n in result.notes if n["kind"].startswith("complet")
-        )
-        return result
-
-    monkeypatch.setattr(fm, "step", noting_step)
-    state = run_logged(config)
-    assert state.phase is fm.Phase.DONE
+    walk = corpus.walk({"dissolution": config}, [(lambda name: True, lock_matches_scan)])
+    records = list(map(json.loads, walk.run("dissolution").lines))
+    assert walk.run("dissolution").state.phase is fm.Phase.DONE
+    awards = [(rec["data"]["id_task"], note["robot"]) for rec, note in noted(records, "award")]
     assert awards == [("T", "R1"), ("c1", "R2"), ("c1.1", "R3"), ("c1", "R1"), ("c1.1", "R3")]
-    assert [c for c in completions if c[1] == "c1.1"] == [
-        ("completion_ignored", "c1.1", 35),
-        ("completed", "c1.1", 52),
+    completions = noted(records, "completion_ignored", "completed")
+    assert [(n["kind"], rec["tick"]) for rec, n in completions if rec["data"]["id_task"] == "c1.1"] == [
+        ("completion_ignored", 35),
+        ("completed", 52),
     ]
-    assert checked_calls
+    assert walk.assert_clean("lock", ["dissolution"])["lock"]
 
 
-def test_engine_lock_matches_scan_on_random_churn(checked_calls):
-    for seed in range(200):
-        run_logged(random_scenario(seed))
+def test_engine_lock_matches_scan_on_random_churn(walk):
+    runs = [f"random_scenario/{seed}" for seed in RANDOM_SEEDS]
+    answers = walk.assert_clean("lock", runs)
     # both answers occur, over thousands of calls
-    assert True in checked_calls and False in checked_calls
-    assert len(checked_calls) > 5000
+    assert answers["lock True"] and answers["lock False"] and answers["lock"] > 5000

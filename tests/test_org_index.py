@@ -1,25 +1,25 @@
 """The structural index against the tree scans it replaced.
 
 `org_core.index` returns the org's cached `OrgIndex`. Every call made during
-the runs here, mid-step ones included, must return an index equal to the one
-the old scanning helpers compute from the current tree and assignments. The
-runs cover the golden-trace scenarios, every pursuit fixture with its leader
-failure, and 200 seeded random generic scenarios with drops, latency,
-membership churn, Parallel pairs and forced give-ups.
+the shared walk's runs (`corpus.py`), mid-step ones included, must return an
+index equal to the one the old scanning helpers compute from the current
+tree and assignments: a probe compares the two on every call. The runs cover
+the golden-trace scenarios, every pursuit fixture with its leader failure,
+and 200 seeded random generic scenarios with drops, latency, membership
+churn, Parallel pairs and forced give-ups.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 
 import pytest
 
 from hwrom import formation as fm
 from hwrom import org_core
 
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import PURSUIT_FIXTURES, random_scenario, run_logged
+import corpus
+from corpus import GOLDEN, PURSUIT_FIXTURES, RANDOM_SEEDS
 
 
 def reference_index(org: org_core.Organization) -> dict:
@@ -65,24 +65,31 @@ def as_reference(ix: org_core.OrgIndex) -> dict:
     }
 
 
-@pytest.fixture
-def checked_calls(monkeypatch) -> list[int]:
-    """Check every `org_core.index` call against the reference; the list
-    counts the checks."""
-    index = org_core.index
-    checks: list[int] = []
+@corpus.probe(covers=corpus.golden_or_pinned)
+def index_matches_scans(mp, run):
+    """Compare every `org_core.index` call of the run with the reference."""
+    index, step = org_core.index, fm.step
+    tick = [0]
+
+    def ticking_step(state, event):
+        tick[0] = event.tick
+        return step(state, event)
 
     def checking_index(org):
         ix = index(org)
-        assert as_reference(ix) == reference_index(org)
-        checks.append(1)
+        got, want = as_reference(ix), reference_index(org)
+        if got != want:
+            run.find("index", tick[0], {key: (got[key], want[key]) for key in want if got[key] != want[key]})
+        run.seen["index"] += 1
         return ix
 
-    monkeypatch.setattr(org_core, "index", checking_index)
-    return checks
+    mp.setattr(fm, "step", ticking_step)
+    mp.setattr(org_core, "index", checking_index)
 
 
-def test_index_matches_scans_on_a_hand_built_org(checked_calls):
+def test_index_matches_scans_on_a_hand_built_org(monkeypatch):
+    run = corpus.Run({}, ["hand-built"])
+    index_matches_scans(monkeypatch, run)
     root = org_core.OrgNode("team:T", "R1", 0, 0)
     sub = org_core.OrgNode("team:c1", "R2", 1, 1)
     sub.children = [org_core.OrgNode("unit:R2", "R2", 2, 0), org_core.OrgNode("unit:R3", "R3", 2, 1)]
@@ -91,42 +98,29 @@ def test_index_matches_scans_on_a_hand_built_org(checked_calls):
     assert org_core.level_of(org, "unit:R3") == 2
     assert org_core.leader_of(org, "team:c1") == "R2"
     assert not org_core.communication_allowed(org, "R3", "R1")
-    assert len(checked_calls) == 3
+    assert run.seen["index"] == 3 and not run.found
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_index_matches_scans_on_golden_scenarios(name, checked_calls):
-    run_logged(scenario_config(GOLDEN[name]))
-    assert checked_calls
+def test_index_matches_scans_on_golden_scenarios(name, walk):
+    assert walk.assert_clean("index", [f"golden/{name}"])["index"]
 
 
 @pytest.mark.parametrize("path", PURSUIT_FIXTURES, ids=lambda p: p.stem)
-def test_index_matches_scans_on_pursuit_fixtures(path, checked_calls):
-    raw = json.loads(path.read_text())
-    meta = raw.pop("meta", None)
-    state = run_logged(raw)
-    assert state.world is not None and checked_calls
-    if meta is not None:
-        run_logged(raw, fail=(meta["leader"], meta["leader_fail_tick"]))
+def test_index_matches_scans_on_pursuit_fixtures(path, walk):
+    runs = [name for name, _ in corpus.pursuit_runs(path) if corpus.golden_or_pinned(name)]
+    assert walk.run(path.stem).state.world is not None
+    assert walk.assert_clean("index", runs)["index"]
 
 
-def test_index_matches_scans_on_random_churn(checked_calls):
-    notes: set[str] = set()
-    original_step = fm.step
-
-    def noting_step(state, event):
-        result = original_step(state, event)
-        notes.update(note["kind"] for note in result.notes)
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fm, "step", noting_step)
-        for seed in range(200):
-            run_logged(random_scenario(seed))
+def test_index_matches_scans_on_random_churn(walk):
+    runs = [f"random_scenario/{seed}" for seed in RANDOM_SEEDS]
+    checks = walk.assert_clean("index", runs)["index"]
+    notes = set().union(*(walk.run(name).notes for name in runs))
     # the corpus reaches every path that edits the tree or the assignments
     assert {"award", "revoked", "give_up", "allocated", "withdrew", "joined", "reelected",
             "dissolved"} <= notes
-    assert len(checked_calls) > 5000
+    assert checks > 5000
 
 
 def test_index_rebuilds_leave_no_reference_cycle():

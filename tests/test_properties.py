@@ -1,33 +1,20 @@
 """Cross-cutting invariants checked over whole runs."""
 
-import json
 from fractions import Fraction
-from pathlib import Path
 
-from hwrom import config as cfg
 from hwrom import formation as fm
 from hwrom import org_core, simnet
 
-from conftest import build_constraints, build_robots, build_task, make_instance
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import build_robots, build_task, make_instance, noted, run_scenario
+from corpus import FIXTURES, probe
 
 LEVEL_CODES = {"LevelSkew", "RootLevelNotZero", "PositionMismatch", "LeaderMismatch"}
 
 
 def test_level_discipline_after_every_step():
     """validate() never reports level violations at any point of a run."""
-    spec = make_instance(3)
-    state = fm.new_state(
-        build_robots(spec),
-        fm.EngineParams(
-            cost_table={k: Fraction(v) for k, v in spec["costs"].items()},
-            constraints=build_constraints(spec),
-        ),
-    )
-    fm.register_task_tree(state, build_task(spec["task"]))
 
-    def check(rec):
+    def check(state, rec):
         # the scheduler records each event right after its transition
         if rec["type"] != "event" or state.org.root is None:
             return
@@ -36,36 +23,33 @@ def test_level_discipline_after_every_step():
         checked.append(rec["seq"])
 
     checked: list[int] = []
-    sched = simnet.Scheduler(state, simnet.NetConfig(), record=check)
-    sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
-    sched.run(until=120, stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED))
+    run_scenario(make_instance(3), until=120, observe=check)
     assert checked
 
 
-def test_level_discipline_through_leader_failure():
-    path = FIXTURES / "pursuit_00.json"
-    raw = json.loads(path.read_text())
-    meta = raw.pop("meta")
-    scenario = cfg.from_dict(raw)
-    state = scenario.build_state()
+@probe(covers=lambda name: name.endswith("/leader_failure"))
+def level_geometry(mp, run):
+    """After each transition, note the level geometry `validate` reports. A
+    failed leader leaves its node unbound until the same-transition
+    re-election resolves, so only level geometry is checked here."""
+    step = fm.step
 
-    def check(rec):
-        # the scheduler records each event right after its transition
-        if rec["type"] != "event" or state.org.root is None:
-            return
-        codes = org_core.validate(state.org).codes()
-        # a failed leader leaves the node unbound until the same-transition
-        # re-election resolves, so only level geometry is asserted here
-        assert not (codes & {"LevelSkew", "RootLevelNotZero", "PositionMismatch"})
-        checked.append(rec["seq"])
+    def checked(state, event):
+        result = step(state, event)
+        if state.org.root is not None:
+            run.seen["levels"] += 1
+            codes = org_core.validate(state.org).codes() & LEVEL_CODES - {"LeaderMismatch"}
+            if codes:
+                run.find("levels", state.now, sorted(codes))
+        return result
 
-    checked: list[int] = []
-    sched = simnet.Scheduler(state, scenario.net, record=check)
-    scenario.schedule(sched)
-    sched.inject_failure(meta["leader"], meta["leader_fail_tick"])
-    sched.run(until=scenario.max_ticks, stop_when=lambda s: s.phase is fm.Phase.DONE)
-    assert state.phase is fm.Phase.DONE
-    assert checked
+    mp.setattr(fm, "step", checked)
+
+
+def test_level_discipline_through_leader_failure(walk):
+    runs = [f"{path.stem}/leader_failure" for path in sorted(FIXTURES.glob("pursuit_*.json"))]
+    assert walk.assert_clean("levels", runs)["levels"]
+    assert walk.run("pursuit_00/leader_failure").state.phase is fm.Phase.DONE
 
 
 def test_simnet_module_level_surface():
@@ -84,25 +68,10 @@ def test_settlement_conservation_over_random_missions():
     checked = 0
     for seed in range(40):
         spec = make_instance(seed)
-        state = fm.new_state(
-            build_robots(spec),
-            fm.EngineParams(
-                cost_table={k: Fraction(v) for k, v in spec["costs"].items()},
-                constraints=build_constraints(spec),
-            ),
-        )
-        fm.register_task_tree(state, build_task(spec["task"]))
-        sched = simnet.Scheduler(state, simnet.NetConfig())
-        sched.push_event(fm.TaskArrived(tick=0, id_task="T"))
-        sched.run(until=300, stop_when=lambda s: s.phase in (fm.Phase.DONE, fm.Phase.FAILED))
+        state, trace = run_scenario(spec, until=300)
         if state.phase is not fm.Phase.DONE:
             continue
-        for rec in sched.trace:
-            if rec.get("type") != "event":
-                continue
-            for note in rec["detail"]["notes"]:
-                if note["kind"] == "mission_done":
-                    total = sum(Fraction(v) for v in note["utilities"].values())
-                    assert total == Fraction(spec["task"]["reward"])
-                    checked += 1
+        for _, note in noted(trace, "mission_done"):
+            assert sum(Fraction(v) for v in note["utilities"].values()) == Fraction(spec["task"]["reward"])
+            checked += 1
     assert checked >= 10

@@ -2,22 +2,18 @@
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from hwrom import config as cfg
-from hwrom import eventlog
 from hwrom import formation as fm
 from hwrom.org_core import CooperativeRobot, Organization, OrgNode
 from hwrom.simnet import Deliver, Drop, NetConfig, Reject, Scheduler, UnknownRobotError, route
 from hwrom.wire import ENV, Message
 
-from conftest import build_robots, build_task, cap, robot
-from test_golden_traces import GOLDEN, scenario_config
-from test_state_hash import random_scenario, with_fail
-
-FIXTURES = Path(__file__).parent / "fixtures"
+import corpus
+from corpus import FIXTURES
+from conftest import build_robots, build_task, cap, noted, notes, robot
 
 
 def society() -> Organization:
@@ -137,14 +133,7 @@ class TestScheduler:
     def test_full_drop_rate_forces_timeout_path(self):
         state, sched = fresh_scheduler(drop_rate=1)
         trace = sched.run(until=60)
-        escalations = [
-            n
-            for r in trace
-            if r["type"] == "event"
-            for n in r["detail"]["notes"]
-            if n["kind"] == "escalate"
-        ]
-        assert escalations, "every announcement is dropped, auctions must time out"
+        assert noted(trace, "escalate"), "every announcement is dropped, auctions must time out"
         drops = [r for r in trace if r["type"] == "net" and r["outcome"] == "drop"]
         assert drops and not any(
             r["type"] == "net" and r["outcome"] == "deliver" for r in trace
@@ -183,30 +172,11 @@ class TestScheduler:
         }
         state, sched = fresh_scheduler(spec=spec)
         sched.run(until=12, stop_when=lambda s: s.phase is fm.Phase.EXECUTING)
-        announces_before = sum(
-            1
-            for r in sched.trace
-            if r["type"] == "event"
-            for n in r["detail"]["notes"]
-            if n["kind"] == "announce"
-        )
+        announces_before = len(noted(sched.trace, "announce"))
         sched.inject_failure("R9", state.now + 1)
         sched.run(until=state.now + 6)
-        announces_after = sum(
-            1
-            for r in sched.trace
-            if r["type"] == "event"
-            for n in r["detail"]["notes"]
-            if n["kind"] == "announce"
-        )
-        assert announces_after == announces_before
-        idle = [
-            r["data"]["robot"]
-            for r in sched.trace
-            if r["type"] == "event"
-            for n in r["detail"]["notes"]
-            if n["kind"] == "withdrew_idle"
-        ]
+        assert len(noted(sched.trace, "announce")) == announces_before
+        idle = [rec["data"]["robot"] for rec, _ in noted(sched.trace, "withdrew_idle")]
         assert idle and idle[0] == "R9"
 
     def test_failure_of_active_assignee_reannounces_once(self):
@@ -230,11 +200,7 @@ class TestScheduler:
         sched.inject_failure("R2", fail_at)
         sched.run(until=fail_at + 8)
         reannounces = [
-            r["tick"]
-            for r in sched.trace
-            if r["type"] == "event"
-            for n in r["detail"]["notes"]
-            if n["kind"] == "announce" and n["task"] == "t1" and r["tick"] > fail_at
+            tick for tick, n in notes(sched.trace, "announce") if n["task"] == "t1" and tick > fail_at
         ]
         assert reannounces == [fail_at + 1]
 
@@ -328,45 +294,36 @@ class TestLazyTicks:
 
         monkeypatch.setattr(fm, "step", counting_step)
         trace = sched.run(until=scenario.max_ticks, stop_when=lambda s: s.phase is fm.Phase.DONE)
-        captured = [
-            n["tick"] for r in trace if r["type"] == "event" for n in r["detail"]["notes"]
-            if n["kind"] == "captured"
-        ]
+        captured = [n["tick"] for _, n in noted(trace, "captured")]
         expected = json.loads((FIXTURES / "expected.json").read_text())["canonical_pursuit"]
         assert state.phase is fm.Phase.DONE
         assert captured == [expected["capture_tick"]]
         assert pending and max(pending) <= 1
 
 
-def test_no_message_from_a_dead_sender(monkeypatch):
-    """Every message comes from ENV or a live robot: each round, award and
-    re-send of an auction speaks for the owning team's current leader, and a
-    robot answers only an announcement it hears alive. Checked on every send
-    of the goldens, of each pursuit fixture with no failure, its member
-    failure and its leader failure, and of the random churn corpus."""
-    sent = 0
-    dead: list[tuple[int, str, str, str]] = []
+def sender_checked(name: str) -> bool:
+    """The goldens, each pursuit fixture with no failure, its member failure
+    and its leader failure, and `random_scenario(0..199)`."""
+    return corpus.golden_or_pinned(name) or name.endswith("/member_failure")
+
+
+@corpus.probe(covers=sender_checked)
+def no_dead_sender(mp, run):
+    """Note every message the run sends from a robot that is not alive."""
     send = Scheduler.send
 
     def checked_send(self, msg):
-        nonlocal sent
-        sent += 1
+        run.seen["sender"] += 1
         if msg.sender != ENV and not self.state.alive(msg.sender):
-            dead.append((self.state.now, msg.kind, msg.sender, msg.to))
+            run.find("sender", self.state.now, f"{msg.kind} from {msg.sender} to {msg.to}")
         send(self, msg)
 
-    monkeypatch.setattr(Scheduler, "send", checked_send)
-    configs = [scenario_config(entry) for entry in GOLDEN.values()]
-    for path in sorted(FIXTURES.glob("pursuit_*.json")):
-        raw = json.loads(path.read_text())
-        meta = raw.pop("meta")
-        configs += [
-            raw,
-            with_fail(raw, (meta["victim"], meta["fail_tick"])),
-            with_fail(raw, (meta["leader"], meta["leader_fail_tick"])),
-        ]
-    configs += [random_scenario(seed) for seed in range(200)]
-    for config in configs:
-        eventlog.simulate(cfg.from_dict(config))
-    assert sent > 10_000
-    assert dead == []
+    mp.setattr(Scheduler, "send", checked_send)
+
+
+def test_no_message_from_a_dead_sender(walk):
+    """Every message comes from ENV or a live robot: each round, award and
+    re-send of an auction speaks for the owning team's current leader, and a
+    robot answers only an announcement it hears alive. Checked on every send
+    of the shared walk's runs (`corpus.py`) that `sender_checked` names."""
+    assert walk.assert_clean("sender", filter(sender_checked, walk))["sender"] > 10_000
