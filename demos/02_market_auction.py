@@ -3,6 +3,9 @@
 Three robots price the same announcement from different cost positions; the
 cheapest ask wins. Then a task nobody wants shows the escalation ladder:
 reward rises, then the task re-splits, then the auction gives up.
+`adjust_tactics` only decides the next tactic; as in the formation engine,
+whose `_open_auction` builds each round's announcement, the caller builds
+the next round from that decision.
 """
 
 from fractions import Fraction
@@ -12,6 +15,7 @@ from hwrom.market import (
     Announcement,
     Bid,
     Decline,
+    Escalate,
     GiveUp,
     Redecompose,
     adjust_tactics,
@@ -51,17 +55,17 @@ def main() -> None:
     policy = AdjustPolicy()
     current = Announcement("impossible", Fraction(4), frozenset(), deadline=5)
     while True:
-        tactic = adjust_tactics(current, policy)
-        if isinstance(tactic, Announcement):
-            print(f"  round {tactic.round}: reward escalates to {tactic.reward}")
-            current = tactic
-        elif isinstance(tactic, Redecompose):
-            print(f"  round {tactic.round}: re-split the task and try the pieces")
-            current = Announcement("impossible", current.reward, frozenset(),
-                                   round=tactic.round, deadline=5)
-        elif isinstance(tactic, GiveUp):
+        tactic = adjust_tactics(current, policy, can_resplit=True)
+        if isinstance(tactic, GiveUp):
             print("  give up: hand the problem to the leader's allocation right")
             break
+        reward = current.reward
+        if isinstance(tactic, Escalate):
+            print(f"  round {tactic.round}: reward escalates to {tactic.reward}")
+            reward = tactic.reward
+        elif isinstance(tactic, Redecompose):
+            print(f"  round {tactic.round}: re-split the task and try the pieces")
+        current = Announcement("impossible", reward, frozenset(), round=tactic.round, deadline=5)
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ from .rules_engine import (
     ConstraintRelation,
     LockLedger,
     Rule,
-    RuleSet,
     check_assignment,
+    has_predicate,
     winner_locked,
 )
 from .simnet import NetConfig, Scheduler, route

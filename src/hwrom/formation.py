@@ -6,10 +6,11 @@ identical (state, event) sequences produce identical states and hashes, which
 is what makes logs replayable and verifiable.
 
 The normal path is market-based: announce, collect bids, award by least
-reward, escalate or re-split on silence. When the tactics ladder is
-exhausted the acting society leader falls back on its allocation right and
-re-plans assignments directly (without negotiation), which keeps formation
-complete whenever a feasible assignment exists at all.
+reward, and on silence escalate or re-split as `market.adjust_tactics`
+decides; `_open_auction` builds each round's announcement. When the tactics
+ladder is exhausted the acting society leader falls back on its allocation
+right and re-plans assignments directly (without negotiation), which keeps
+formation complete whenever a feasible assignment exists at all.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .market import (
     Announcement,
     Bid,
     Decline,
-    GiveUp,
+    Escalate,
     Redecompose,
     adjust_tactics,
     compute_bid,
-    escalate,
     select_winner,
 )
 from .org_core import (
@@ -54,8 +54,8 @@ from .rules_engine import (
     ConstraintRelation,
     LockLedger,
     Rule,
-    RuleSet,
     check_assignment,
+    has_predicate,
     winner_locked,
 )
 from .wire import ENV
@@ -182,7 +182,7 @@ class EngineParams:
     def parallel_pairs(self) -> frozenset[frozenset[str]]:
         """The Parallel pairs {a, b} (a != b) the Parallel norm binds, empty
         unless the rules pool holds `no_parallel_coassignment`."""
-        binds = RuleSet(self.rules_pool).has_predicate("no_parallel_coassignment")
+        binds = has_predicate(self.rules_pool, "no_parallel_coassignment")
         return frozenset(
             frozenset((c.a, c.b))
             for c in self.constraints
@@ -359,8 +359,8 @@ def consider_announcement(state: FormationState, robot_id: str, ann: Announcemen
 # --- structural edits --------------------------------------------------------------
 
 
-def _rules_for(state: FormationState, robot: str) -> RuleSet:
-    return RuleSet(state.params.robot_rules.get(robot, state.params.rules_pool))
+def _rules_for(state: FormationState, robot: str) -> frozenset[Rule]:
+    return state.params.robot_rules.get(robot, state.params.rules_pool)
 
 
 def _new_leaf(state: FormationState, robot: str) -> OrgNode:
@@ -410,14 +410,14 @@ def _renumber_subtree(
     if node.id_robot is not None:
         bound.add(node.id_robot)
     if not node.children:
-        return node.rules.rules, set(node.goals)
+        return node.rules, set(node.goals)
     rules: frozenset[Rule] | None = None
     goals = set(node.goals)
     for i, child in enumerate(node.children):
         child_rules, child_goals = _renumber_subtree(state, child, depth + 1, i, relations, bound)
         rules = child_rules if rules is None else rules & child_rules
         goals |= child_goals
-    node.rules = RuleSet(rules)
+    node.rules = rules
     node.constraints = [c for c in state.params.constraints if c.a in goals and c.b in goals]
     if node.id_robot is not None:
         element_robots = [c.id_robot for c in node.children if c.id_robot is not None]
@@ -462,14 +462,7 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
     t = item.id_task
     if state.status.get(t) is not TaskStatus.UNASSIGNED:
         return
-    reqs, leadership = _requirements(state, t)
-    ann = Announcement(
-        id_task=t,
-        reward=state.current_reward[t],
-        required_capabilities=reqs,
-        leadership=leadership,
-    )
-    ann = _open_auction(state, ann, item.parent_node, result)
+    ann = _open_auction(state, t, state.current_reward[t], 0, item.parent_node, result)
     if ann is None:
         return  # owning team vanished; the task was revoked with it
     result.notes.append(
@@ -479,26 +472,24 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
             "round": ann.round,
             "reward": str(ann.reward),
             "auctioneer": ann.auctioneer,
-            "leadership": leadership,
+            "leadership": ann.leadership,
         }
     )
 
 
 def _open_auction(
-    state: FormationState, ann: Announcement, parent_node: str | None, result: StepResult
+    state: FormationState, t: str, reward: Fraction, round: int, parent_node: str | None, result: StepResult
 ) -> Announcement | None:
-    """Open one round of a task's auction and return it: its speaker is the
-    owning team's current leader, its bid window starts now, every live robot
-    that speaker may talk to hears it, and its close is timed. None, and no
-    round, when the owning team is gone."""
+    """Open one round of task t's auction at `reward` and return its one
+    announcement: its speaker is the owning team's current leader, its
+    requirements and leadership come from `_requirements`, its bid window
+    starts now, every live robot that speaker may talk to hears it, and its
+    close is timed. None, and no round, when the owning team is gone."""
     auctioneer = _speaker(state, parent_node)
     if auctioneer is None:
         return None
-    ann = Announcement(
-        ann.id_task, ann.reward, ann.required_capabilities, ann.round,
-        state.now + state.params.bid_window, auctioneer, ann.leadership,
-    )
-    t = ann.id_task
+    reqs, leadership = _requirements(state, t)
+    ann = Announcement(t, reward, reqs, round, state.now + state.params.bid_window, auctioneer, leadership)
     state.current_reward[t] = ann.reward
     state.status[t] = TaskStatus.ANNOUNCED
     state.active_auctions[t] = AuctionState(ann, parent_node)
@@ -671,15 +662,17 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
         _check_formed(state, result)
         return
 
-    tactic = adjust_tactics(ann, state.params.policy)
+    can_resplit = (
+        state.task_parent.get(t) is not None
+        and state.alternatives_used.get(t, 0) < len(state.tasks[t].alternatives)
+    )
+    tactic = adjust_tactics(ann, state.params.policy, can_resplit=can_resplit)
     if isinstance(tactic, Redecompose):
-        if _apply_redecompose(state, t, tactic, result):
-            _check_formed(state, result)
-            return
-        # no alternative left: escalate the reward instead
-        tactic = escalate(ann, state.params.policy)
-    if isinstance(tactic, Announcement):
-        _open_auction(state, tactic, auction.parent_node, result)
+        _apply_redecompose(state, t, tactic.round, result)
+        _check_formed(state, result)
+        return
+    if isinstance(tactic, Escalate):
+        _open_auction(state, t, tactic.reward, tactic.round, auction.parent_node, result)
         result.notes.append({"kind": "escalate", "round": tactic.round, "reward": str(tactic.reward)})
         return
     result.notes.append({"kind": "give_up"})
@@ -694,16 +687,12 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
     _check_formed(state, result)
 
 
-def _apply_redecompose(
-    state: FormationState, t: str, tactic: Redecompose, result: StepResult
-) -> bool:
-    """Swap the failed task for its next alternative decomposition, if any."""
-    task = state.tasks[t]
-    parent_id = state.task_parent.get(t)
+def _apply_redecompose(state: FormationState, t: str, round: int, result: StepResult) -> None:
+    """Swap the failed task for its next alternative decomposition, which the
+    tactics ladder chose only when the task has a parent and one is left."""
+    parent_id = state.task_parent[t]
     used = state.alternatives_used.get(t, 0)
-    if parent_id is None or used >= len(task.alternatives):
-        return False
-    pieces = task.alternatives[used]
+    pieces = state.tasks[t].alternatives[used]
     state.alternatives_used[t] = used + 1
     for piece in pieces:
         register_task_tree(state, piece, parent_id)
@@ -714,8 +703,7 @@ def _apply_redecompose(
     owning = f"team:{parent_id}"
     for piece in pieces:
         state.pending.append(PendingTask(piece.id_task, owning))
-    result.notes.append({"kind": "redecompose", "pieces": [p.id_task for p in pieces], "round": tactic.round})
-    return True
+    result.notes.append({"kind": "redecompose", "pieces": [p.id_task for p in pieces], "round": round})
 
 
 def _descendants(state: FormationState, t: str) -> list[str]:
@@ -902,7 +890,7 @@ def _ordered_exec(state: FormationState, robot: str) -> list[str]:
         if not state.is_composite(t) and state.status[t] is TaskStatus.ASSIGNED
     )
     orderings = check_assignment(
-        RuleSet(state.params.rules_pool), state.params.constraints, {robot: set(mine)}
+        state.params.rules_pool, state.params.constraints, {robot: set(mine)}
     ).orderings
     before: dict[str, set[str]] = {t: set() for t in mine}
     for _, first, second in orderings:
@@ -1073,8 +1061,9 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
 
 
 def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> None:
-    """Least-reward mini-auction among the team's remaining members holding
-    the organization ability; the team dissolves if nobody qualifies.
+    """Least-reward mini-auction among the team's remaining live members:
+    `compute_bid` declines a member without the organization ability, and
+    the team dissolves if nobody bids.
 
     Resolved synchronously: a leadership change is an internal team mechanism,
     so the winner lock on outstanding task work does not bar a member from
@@ -1092,14 +1081,7 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
         if state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
             state.status[t] = TaskStatus.UNASSIGNED
             state.active_auctions.pop(t, None)
-    candidates = sorted(
-        c.id_robot
-        for c in node.children
-        if c.id_robot is not None
-        and state.alive(c.id_robot)
-        and _leadership_capable(state.robots[c.id_robot])
-    )
-    if not candidates or t is None:
+    if t is None:
         _dissolve_team(state, node, parent, result)
         return
     election = Announcement(
@@ -1109,8 +1091,9 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
         deadline=state.now,
         leadership=True,
     )
-    offers: dict[str, Bid] = {}  # by bidder, one per candidate
-    for rid in candidates:
+    members = sorted(c.id_robot for c in node.children if c.id_robot is not None)
+    offers: dict[str, Bid] = {}  # by bidder
+    for rid in filter(state.alive, members):
         decision = compute_bid(state.robots[rid], election, state.cost_of, state.params.markup, state.now)
         if isinstance(decision, Bid):
             offers[rid] = decision

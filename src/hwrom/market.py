@@ -1,5 +1,10 @@
 """Auction protocol: announcements, bid computation, least-reward selection,
-and the adjustment tactics applied when an auction attracts no winner."""
+and the adjustment tactics applied when an auction attracts no winner.
+
+`adjust_tactics` is the ladder's one decision (raise the reward, re-split the
+task, give up); it returns what to do, not an announcement. The formation
+engine acts on it, and `formation._open_auction` builds every round's one
+`Announcement`."""
 
 from __future__ import annotations
 
@@ -16,12 +21,12 @@ __all__ = [
     "Bid",
     "Decline",
     "AdjustPolicy",
+    "Escalate",
     "Redecompose",
     "GiveUp",
     "compute_bid",
     "select_winner",
     "adjust_tactics",
-    "escalate",
     "MarketError",
     "MixedTaskBidsError",
     "CostUnavailableError",
@@ -119,8 +124,8 @@ class AdjustPolicy:
     """Escalation policy for failed auctions.
 
     Rounds 1..max_reward_rounds raise the reward by a factor of (1 + delta);
-    later rounds ask the leader to re-split the task; past max_total_rounds
-    the task is given up.
+    later rounds ask the leader to re-split the task, or raise the reward
+    again when it cannot; past max_total_rounds the task is given up.
     """
 
     delta: Fraction = Fraction(1, 4)
@@ -135,32 +140,35 @@ class AdjustPolicy:
 
 
 @dataclass(frozen=True)
+class Escalate:
+    """Announce the task again as `round`, at the raised `reward`."""
+
+    reward: Fraction
+    round: int
+
+
+@dataclass(frozen=True)
 class Redecompose:
-    id_task: str
+    """Swap the task for its next alternative decomposition in `round`."""
+
     round: int
 
 
 @dataclass(frozen=True)
 class GiveUp:
-    id_task: str
+    """Stop auctioning the task."""
 
 
-def adjust_tactics(ann: Announcement, policy: AdjustPolicy) -> Announcement | Redecompose | GiveUp:
-    """Next tactic after a round with no winner.
+def adjust_tactics(
+    ann: Announcement, policy: AdjustPolicy, *, can_resplit: bool
+) -> Escalate | Redecompose | GiveUp:
+    """The next tactic after round `ann` closed with no winner.
 
-    The returned announcement keeps the stale deadline; the caller re-stamps
-    it when actually re-announcing.
+    `can_resplit` says whether the task has an alternative decomposition left
+    to try; in the re-split range a task without one escalates instead.
     """
     if ann.round >= policy.max_total_rounds:
-        return GiveUp(ann.id_task)
-    if ann.round >= policy.max_reward_rounds:
-        return Redecompose(ann.id_task, ann.round + 1)
-    return escalate(ann, policy)
-
-
-def escalate(ann: Announcement, policy: AdjustPolicy) -> Announcement:
-    """The next round of `ann`, its reward raised by a factor of (1 + delta)."""
-    return Announcement(
-        ann.id_task, ann.reward * (1 + policy.delta), ann.required_capabilities,
-        ann.round + 1, ann.deadline, ann.auctioneer, ann.leadership,
-    )
+        return GiveUp()
+    if ann.round >= policy.max_reward_rounds and can_resplit:
+        return Redecompose(ann.round + 1)
+    return Escalate(ann.reward * (1 + policy.delta), ann.round + 1)

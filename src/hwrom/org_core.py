@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .rules_engine import ConstraintRelation, RuleSet
+from .rules_engine import ConstraintRelation, Rule
 from .wire import ENV
 
 
@@ -207,7 +207,7 @@ class OrgNode:
     children: list["OrgNode"] = field(default_factory=list)
     goals: list[str] = field(default_factory=list)
     constraints: list[ConstraintRelation] = field(default_factory=list)
-    rules: RuleSet = field(default_factory=RuleSet)
+    rules: frozenset[Rule] = frozenset()
     utility: Fraction = Fraction(0)
 
     @property
@@ -552,7 +552,7 @@ def node_dict(node: OrgNode) -> dict:
         "constraints": [
             {"a": c.a, "b": c.b, "kind": c.kind.value} for c in node.constraints
         ],
-        "rules": sorted(r.id_rule for r in node.rules.rules),
+        "rules": sorted(r.id_rule for r in node.rules),
         "utility": str(node.utility),
         "children": [node_dict(c) for c in node.children],
     }

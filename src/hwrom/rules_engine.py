@@ -55,12 +55,8 @@ RULE_LEAST_REWARD = Rule("selection.least-reward", RuleCategory.SELECTION, "leas
 STANDARD_RULES = frozenset({RULE_NO_PARALLEL, RULE_FEWER_MEMBERS, RULE_WINNER_LOCK, RULE_LEAST_REWARD})
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: frozenset[Rule] = frozenset()
-
-    def has_predicate(self, predicate: str) -> bool:
-        return any(r.predicate == predicate for r in self.rules)
+def has_predicate(rules: Iterable[Rule], predicate: str) -> bool:
+    return any(r.predicate == predicate for r in rules)
 
 
 class ConstraintKind(Enum):
@@ -116,7 +112,7 @@ class AssignmentCheck:
 
 
 def check_assignment(
-    rules: RuleSet,
+    rules: frozenset[Rule],
     constraints: Sequence[ConstraintRelation],
     assignment: Mapping[str, Iterable[str]],
 ) -> AssignmentCheck:
@@ -126,7 +122,7 @@ def check_assignment(
     allowed on one robot. The Parallel check only applies when ``rules``
     contains the no_parallel_coassignment predicate.
     """
-    enforce_parallel = rules.has_predicate("no_parallel_coassignment")
+    enforce_parallel = has_predicate(rules, "no_parallel_coassignment")
     violations: list[Violation] = []
     orderings: list[tuple[str, str, str]] = []
     for robot in sorted(assignment):

@@ -24,11 +24,10 @@ from hwrom.rules_engine import (
     RULE_LEAST_REWARD,
     RULE_NO_PARALLEL,
     RULE_WINNER_LOCK,
-    RuleSet,
 )
 
 from conftest import brute_force_feasible, make_instance, noted, renumbered, run_scenario, scan_locked
-from corpus import FIXTURES, GOLDEN, probe
+from corpus import FIXTURES, GOLDEN, probe, walk_runs
 
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
 ROBUSTNESS_FIXTURES = sorted(p for p in FIXTURES.glob("pursuit_*.json"))
@@ -182,7 +181,7 @@ def test_criterion_5_rule_intersection_oracle():
             rules = frozenset(r for r in pool if rng.random() < 0.6)
             return OrgNode(
                 id_ros=f"unit:{rng.random()}", id_robot="r", level_i=1, pos_j=0,
-                rules=RuleSet(rules),
+                rules=rules,
             )
         node = OrgNode(id_ros=f"team:{rng.random()}", id_robot="r", level_i=0, pos_j=0)
         node.children = [tree(depth - 1) for _ in range(rng.randint(1, 3))]
@@ -192,10 +191,10 @@ def test_criterion_5_rule_intersection_oracle():
     for _ in range(500):
         t = tree(rng.randint(0, 4))
         leaves = [n for n in t.walk() if n.is_leaf]
-        acc = leaves[0].rules.rules
+        acc = leaves[0].rules
         for lf in leaves[1:]:
-            acc &= lf.rules.rules
-        if renumbered(t).rules.rules != acc:
+            acc &= lf.rules
+        if renumbered(t).rules != acc:
             mismatches += 1
     _report("5 rule intersection oracle", mismatches == 0, "500 random trees, depth <= 4")
 
@@ -282,7 +281,11 @@ class _TopologyScan:
                 self.illegal.append((self.run, rec))
 
 
-@probe(covers=lambda name: name.endswith("/leader_failure"))
+#: every pursuit run of the shared walk, by name, in walk order
+PURSUIT_RUNS = [name for name, config in walk_runs().items() if "pursuit" in config]
+
+
+@probe(covers=lambda name: name in PURSUIT_RUNS)
 def topology(mp, run):
     """Check every delivery of the run against the topology of the org at
     the moment it is sent."""
@@ -305,8 +308,7 @@ def test_criterion_8_communication_topology(corpus, walk):
     for seed, spec, _, _ in runs[::10]:  # every 10th randomized run
         scan.run = f"instance {seed}"
         run_scenario(spec, until=300, stop_at_formed=True, observe=scan)
-    leader_failures = [f"{path.stem}/leader_failure" for path in ROBUSTNESS_FIXTURES]
-    delivered = walk.assert_clean("topology", leader_failures)["topology"]
+    delivered = walk.assert_clean("topology", PURSUIT_RUNS)["topology"]
     _report(
         "8 communication topology",
         scan.delivered > 0 and delivered > 0,

@@ -36,7 +36,6 @@ from hwrom.rules_engine import (
     ConstraintRelation,
     Rule,
     RuleCategory,
-    RuleSet,
     check_assignment,
     winner_locked,
 )
@@ -160,7 +159,7 @@ def reference_norm_violation(state: fm.FormationState, robot_id: str, ann) -> st
             return "leadership_chain"
     held = tasks_by_robot.get(robot_id, set()) | {ann.id_task}
     check = check_assignment(
-        RuleSet(state.params.rules_pool), state.params.constraints, {robot_id: held}
+        state.params.rules_pool, state.params.constraints, {robot_id: held}
     )
     return None if check.ok else "parallel_conflict"
 
@@ -197,7 +196,7 @@ def test_parallel_gate_is_closed_only_where_no_assignment_can_break_the_norm():
         empty += not pairs
         for _ in range(10):
             held = set(rng.sample(tasks, rng.randint(0, 4)))
-            ok = check_assignment(RuleSet(pool), constraints, {"R1": held}).ok
+            ok = check_assignment(pool, constraints, {"R1": held}).ok
             assert ok == (not any(p <= held for p in pairs)), (constraints, pool, held)
     assert 0 < empty < 400
 
@@ -255,16 +254,16 @@ def test_parallel_gate_matches_check_assignment_on_random_runs(monkeypatch):
 # --- `_renumber` in one walk ---------------------------------------------------------------
 
 
-def whole_rules(node: OrgNode) -> RuleSet:
+def whole_rules(node: OrgNode) -> frozenset[Rule]:
     """The recursive rule fold `_renumber` replaced: a leaf abides its own
     rules, a team only what every child abides."""
     if not node.children:
-        return RuleSet(node.rules.rules)
+        return node.rules
     acc: frozenset[Rule] | None = None
     for child in node.children:
-        child_rules = whole_rules(child).rules
+        child_rules = whole_rules(child)
         acc = child_rules if acc is None else acc & child_rules
-    return RuleSet(acc)
+    return acc
 
 
 def reference_renumber(state: fm.FormationState) -> None:
@@ -329,7 +328,7 @@ def random_tree_state(rng: random.Random) -> fm.FormationState:
         robot = rng.choice(robots).id_cr
         goals = rng.sample(tasks, rng.randint(0, 2))
         if depth >= 3 or rng.random() < 0.4:
-            leaf_rules = RuleSet(frozenset(rng.sample(rules, rng.randint(0, len(rules)))))
+            leaf_rules = frozenset(rng.sample(rules, rng.randint(0, len(rules))))
             return OrgNode(f"unit:{next(serial)}", robot, 9, 9, goals=goals, rules=leaf_rules)
         children = [node(depth + 1) for _ in range(rng.randint(1, 3))]
         leader = None if rng.random() < 0.15 else children[0].id_robot

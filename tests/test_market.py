@@ -10,6 +10,7 @@ from hwrom.market import (
     Announcement,
     Bid,
     Decline,
+    Escalate,
     GiveUp,
     MixedTaskBidsError,
     Redecompose,
@@ -17,9 +18,11 @@ from hwrom.market import (
     compute_bid,
     select_winner,
 )
+from hwrom import formation as fm
 from hwrom import pursuit
 
 from conftest import cap, req, robot
+from corpus import probe
 
 
 def ann(task="t1", reward=5, reqs=(), round=0, deadline=10) -> Announcement:
@@ -117,16 +120,16 @@ class TestSelectWinner:
 
 class TestAdjustTactics:
     def test_reward_escalates(self):
-        out = adjust_tactics(ann(reward=4, round=0), AdjustPolicy())
-        assert isinstance(out, Announcement)
+        out = adjust_tactics(ann(reward=4, round=0), AdjustPolicy(), can_resplit=True)
+        assert isinstance(out, Escalate)
         assert out.round == 1 and out.reward == Fraction(5)
 
     def test_redecompose_at_reward_round_cap(self):
-        out = adjust_tactics(ann(round=3), AdjustPolicy())
+        out = adjust_tactics(ann(round=3), AdjustPolicy(), can_resplit=True)
         assert isinstance(out, Redecompose) and out.round == 4
 
     def test_give_up_at_total_round_cap(self):
-        out = adjust_tactics(ann(round=5), AdjustPolicy())
+        out = adjust_tactics(ann(round=5), AdjustPolicy(), can_resplit=True)
         assert isinstance(out, GiveUp)
 
     def test_reward_sequence_strictly_increasing(self):
@@ -134,13 +137,26 @@ class TestAdjustTactics:
         a = ann(reward=4, round=0)
         rewards = [a.reward]
         while True:
-            out = adjust_tactics(a, policy)
-            if not isinstance(out, Announcement):
+            out = adjust_tactics(a, policy, can_resplit=True)
+            if not isinstance(out, Escalate):
                 break
             rewards.append(out.reward)
-            a = out
+            a = ann(reward=out.reward, round=out.round)
         assert rewards == sorted(set(rewards))
         assert len(rewards) == policy.max_reward_rounds + 1
+
+    def test_no_alternative_left_escalates_in_the_resplit_range(self):
+        policy = AdjustPolicy()
+        for round in range(policy.max_reward_rounds, policy.max_total_rounds):
+            out = adjust_tactics(ann(reward=4, round=round), policy, can_resplit=False)
+            assert out == Escalate(Fraction(5), round + 1)
+
+    def test_the_ladder_gives_up_past_max_total_rounds(self):
+        policy = AdjustPolicy(max_reward_rounds=2, max_total_rounds=4)
+        for round in (4, 5, 9):
+            for can_resplit in (True, False):
+                assert adjust_tactics(ann(round=round), policy, can_resplit=can_resplit) == GiveUp()
+        assert isinstance(adjust_tactics(ann(round=3), policy, can_resplit=False), Escalate)
 
     def test_policy_requires_positive_delta(self):
         with pytest.raises(ValueError):
@@ -149,3 +165,28 @@ class TestAdjustTactics:
     def test_bid_below_cost_rejected(self):
         with pytest.raises(ValueError):
             Bid("R1", "t1", Fraction(1), Fraction(2))
+
+
+@probe()
+def escalation(mp, run):
+    """After each close that opens the next round of the same task, compare
+    that round's requirements and leadership, which `_open_auction` builds
+    from `_requirements`, with the closed round's."""
+    close = fm._close_auction
+
+    def checked(state, event, result):
+        closed = state.active_auctions.get(event.id_task)
+        close(state, event, result)
+        opened = state.active_auctions.get(event.id_task)
+        if closed is None or opened is None or opened is closed:
+            return
+        run.seen["escalated"] += 1
+        was, now = closed.announcement, opened.announcement
+        if (now.required_capabilities, now.leadership) != (was.required_capabilities, was.leadership):
+            run.find("escalation", state.now, f"{now.id_task} round {now.round}: {now} after {was}")
+
+    mp.setattr(fm, "_close_auction", checked)
+
+
+def test_an_escalated_round_keeps_the_requirements_of_the_round_before(walk):
+    assert walk.assert_clean("escalation", walk)["escalated"]

@@ -21,7 +21,6 @@ from hwrom.rules_engine import (
     LockLedger,
     Rule,
     RuleCategory,
-    RuleSet,
     check_assignment,
     forming_key,
     winner_locked,
@@ -29,7 +28,7 @@ from hwrom.rules_engine import (
 
 from conftest import renumbered
 
-STD = RuleSet(STANDARD_RULES)
+STD = STANDARD_RULES
 
 
 def parallel(a, b):
@@ -69,7 +68,7 @@ class TestCheckAssignment:
         assert out.ok
 
     def test_rule_absent_means_no_enforcement(self):
-        bare = RuleSet(frozenset({RULE_LEAST_REWARD}))
+        bare = frozenset({RULE_LEAST_REWARD})
         out = check_assignment(bare, [parallel("t1", "t2")], {"R1": {"t1", "t2"}})
         assert out.ok
 
@@ -89,7 +88,7 @@ RULE_POOL = [RULE_NO_PARALLEL, RULE_WINNER_LOCK, RULE_LEAST_REWARD]
 
 def leaf_node(rules: frozenset[Rule], tag: str) -> OrgNode:
     return OrgNode(
-        id_ros=f"unit:{tag}", id_robot=tag, level_i=1, pos_j=0, rules=RuleSet(rules)
+        id_ros=f"unit:{tag}", id_robot=tag, level_i=1, pos_j=0, rules=rules
     )
 
 
@@ -104,18 +103,18 @@ class TestWholeRules:
 
     def test_leaf_identity(self):
         rules = frozenset({RULE_NO_PARALLEL, RULE_WINNER_LOCK})
-        assert renumbered(leaf_node(rules, "R1")).rules.rules == rules
+        assert renumbered(leaf_node(rules, "R1")).rules == rules
 
     def test_intersection_of_children(self):
         a = frozenset({RULE_NO_PARALLEL, RULE_WINNER_LOCK})
         b = frozenset({RULE_WINNER_LOCK, RULE_LEAST_REWARD})
         node = team([leaf_node(a, "R1"), leaf_node(b, "R2")])
-        assert renumbered(node).rules.rules == frozenset({RULE_WINNER_LOCK})
+        assert renumbered(node).rules == frozenset({RULE_WINNER_LOCK})
 
     def test_disjoint_children_give_empty_set(self):
         node = team([leaf_node(frozenset({RULE_NO_PARALLEL}), "R1"),
                      leaf_node(frozenset({RULE_LEAST_REWARD}), "R2")])
-        assert renumbered(node).rules.rules == frozenset()
+        assert renumbered(node).rules == frozenset()
 
     def _random_tree(self, rng: random.Random, depth: int) -> OrgNode:
         if depth == 0 or rng.random() < 0.4:
@@ -126,25 +125,25 @@ class TestWholeRules:
 
     def _fold_leaves(self, node: OrgNode) -> frozenset[Rule]:
         leaves = [n for n in node.walk() if n.is_leaf]
-        acc = leaves[0].rules.rules
+        acc = leaves[0].rules
         for lf in leaves[1:]:
-            acc &= lf.rules.rules
+            acc &= lf.rules
         return acc
 
     def test_matches_fold_oracle_on_random_trees(self):
         rng = random.Random(7)
         for _ in range(100):
             tree = self._random_tree(rng, rng.randint(0, 4))
-            assert renumbered(tree).rules.rules == self._fold_leaves(tree)
+            assert renumbered(tree).rules == self._fold_leaves(tree)
 
     @given(st.lists(st.lists(st.sampled_from(RULE_POOL), max_size=3), min_size=1, max_size=5))
     def test_shrinks_upward(self, leaf_rule_lists):
         node = team(
             [leaf_node(frozenset(rules), f"R{i}") for i, rules in enumerate(leaf_rule_lists)]
         )
-        whole = renumbered(node).rules.rules
+        whole = renumbered(node).rules
         for child in node.children:
-            assert whole <= child.rules.rules
+            assert whole <= child.rules
 
 
 class TestFormingPreference:
