@@ -63,7 +63,6 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
     except cfg.ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         ctx.exit(2)
-        return
 
     # both outputs are opened before the run, so a path that cannot be
     # written stops the run before it starts
@@ -74,7 +73,6 @@ def run_command(ctx, config_path, seed, ticks, fails, log_path, snapshot_path) -
         except OSError as exc:
             click.echo(f"cannot write {exc.filename}: {exc.strerror}", err=True)
             ctx.exit(2)
-            return
         if writer:
             outputs.callback(writer.close)
         state, run_metrics = eventlog.simulate(scenario, writer.write if writer else None)
@@ -101,7 +99,6 @@ def replay_command(ctx, log_path) -> None:
     except eventlog.MalformedLogError as exc:
         click.echo(f"malformed log: {exc}", err=True)
         ctx.exit(2)
-        return
     if outcome.ok:
         click.echo("replay ok")
         ctx.exit(0)

@@ -109,6 +109,13 @@ def _cell(value: Any, where: str, w: int, h: int) -> tuple[int, int]:
     return x, y
 
 
+def _id(value: Any, where: str) -> str:
+    """A robot, task, evader or rule id: a string or a number, as a string."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ConfigError(where, f"expected a string or number, got {value!r}")
+    return str(value)
+
+
 def _require(data: dict, key: str, where: str) -> Any:
     if key not in data:
         raise ConfigError(where, f"missing required field {key!r}")
@@ -141,7 +148,6 @@ class ScenarioConfig:
     statuses included, in its `FormationState`."""
 
     raw: dict
-    seed: int
     max_ticks: int
     net: simnet.NetConfig
     params: fm.EngineParams
@@ -149,9 +155,6 @@ class ScenarioConfig:
     task: TaskNode | None = None
     script: list[fm.FormationEvent] = field(default_factory=list)
     world: pursuit.WorldState | None = None
-
-    def hash(self) -> str:
-        return config_hash(self.raw)
 
     def build_world(self) -> pursuit.WorldState | None:
         start = self.world
@@ -213,9 +216,7 @@ def _build_robot(
 ) -> CooperativeRobot:
     """One robot; `kinds` is the call's memo of built capability lists."""
     data = _as_dict(data, where)
-    rid = _require(data, "id", where)
-    if rid is None or isinstance(rid, (bool, list, dict)):
-        raise ConfigError(f"{where}.id", f"expected a string or number, got {rid!r}")
+    rid = _id(_require(data, "id", where), f"{where}.id")
     if rid == ENV:
         raise ConfigError(f"{where}.id", f"robot id {ENV!r} is reserved for the environment")
     raw_caps = data.get("capabilities", [])
@@ -244,12 +245,12 @@ def _build_robot(
                     f"unknown message kind {kind!r}, expected one of {sorted(ALL_KINDS)}",
                 )
         interface = frozenset(listed)
-    return CooperativeRobot(str(rid), caps, resources, interface)
+    return CooperativeRobot(rid, caps, resources, interface)
 
 
 def _build_task(data: dict, where: str) -> TaskNode:
     data = _as_dict(data, where)
-    tid = str(_require(data, "id", where))
+    tid = _id(_require(data, "id", where), f"{where}.id")
     reward = _money(data.get("reward", 0), f"{where}.reward")
     requires = frozenset(
         _build_requirement(r, f"{where}.requires[{i}]")
@@ -272,7 +273,7 @@ def _build_rules(data: dict) -> tuple[frozenset[Rule], dict[str, frozenset[Rule]
     for i, entry in enumerate(_as_list(data.get("rules", []), "rules")):
         where = f"rules[{i}]"
         entry = _as_dict(entry, where)
-        rid = str(_require(entry, "id", where))
+        rid = _id(_require(entry, "id", where), f"{where}.id")
         category = entry.get("category", "Custom")
         predicate = str(_require(entry, "predicate", where))
         try:
@@ -398,10 +399,10 @@ def from_dict(data: dict) -> ScenarioConfig:
             where = f"pursuit.evaders[{i}]"
             entry = _as_dict(entry, where)
             raw_id = _require(entry, "id", where)
+            eid = _id(raw_id, f"{where}.id")
             string_ids.add(isinstance(raw_id, str))
             if len(string_ids) > 1:
                 raise ConfigError(f"{where}.id", "evader ids mix strings and numbers")
-            eid = str(raw_id)
             if eid in world.evaders:
                 raise ConfigError(f"{where}.id", f"duplicate evader id {eid!r}")
             if entry.get("policy", "flee") != "flee":
@@ -496,7 +497,6 @@ def from_dict(data: dict) -> ScenarioConfig:
     )
     return ScenarioConfig(
         raw=data,
-        seed=seed,
         max_ticks=max_ticks,
         net=net,
         params=params,

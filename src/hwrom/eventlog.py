@@ -64,8 +64,8 @@ def header_record(scenario: cfg.ScenarioConfig) -> dict:
     return {
         "type": "header",
         "version": LOG_VERSION,
-        "seed": scenario.seed,
-        "config_hash": scenario.hash(),
+        "seed": scenario.net.seed,
+        "config_hash": cfg.config_hash(scenario.raw),
         "config": scenario.raw,
     }
 

@@ -279,10 +279,6 @@ class FormationState:
 # --- state construction ---------------------------------------------------------
 
 
-def _leadership_capable(robot: CooperativeRobot) -> bool:
-    return robot.dominates(LEADERSHIP_REQUIREMENTS)
-
-
 def register_task_tree(state: FormationState, task: TaskNode, parent: str | None = None) -> None:
     """Register task and its subtree under parent, as the run's root when
     parent is None; the caller puts it in parent's decomposition."""
@@ -515,15 +511,7 @@ def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepR
         state.locks.lock(winner, t, state.now)
         _install_member(state, winner, t, auction.parent_node)
         _assign(state, t, winner, bid.price, AssignmentMode.WON)
-        result.messages.append(
-            wire.Message(
-                speaker,
-                winner,
-                wire.KIND_AWARD,
-                {"task": t, "price": str(bid.price)},
-                state.now,
-            )
-        )
+        result.messages.append(wire.Message(speaker, winner, wire.KIND_AWARD, sent_at=state.now))
 
     result.notes.append(
         {"kind": "award", "robot": winner, "price": str(bid.price), "leadership": state.is_composite(t)}
@@ -538,9 +526,11 @@ def _assign(state: FormationState, t: str, robot: str, price: Fraction, mode: As
     """Give task t to robot at price: t's assignment and its status. The one
     writer of both, for an atomic award (won), a lead (led: awards, the
     pursuit's society and capture roots, re-elections) and the allocation
-    fallback (allocated, or led for a composite)."""
+    fallback (allocated, or led for a composite). A re-election keeps a
+    completed task completed: its new leader is paid, not put to work."""
     state.org.assignments[t] = TaskAssignment(t, robot, price, mode)
-    state.status[t] = TaskStatus.ASSIGNED
+    if state.status[t] is not TaskStatus.COMPLETED:
+        state.status[t] = TaskStatus.ASSIGNED
 
 
 def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | None) -> None:
@@ -734,15 +724,14 @@ def _dissolve_team(
 ) -> None:
     """Reset a leaderless team: unfinished subtree tasks return to the parent's
     queue, members go back to the pool, accumulated margin is forfeited."""
-    t = node.goals[0] if node.goals else None
-    if t is not None:
-        for sub in _descendants(state, t):
-            if state.status[sub] is not TaskStatus.COMPLETED:
-                _revoke_task(state, sub, "team_dissolved", result)
-        state.org.assignments.pop(t, None)
-        if state.status[t] is not TaskStatus.COMPLETED:
-            state.status[t] = TaskStatus.UNASSIGNED
-            state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
+    t = node.goals[0]
+    for sub in _descendants(state, t):
+        if state.status[sub] is not TaskStatus.COMPLETED:
+            _revoke_task(state, sub, "team_dissolved", result)
+    state.org.assignments.pop(t, None)
+    if state.status[t] is not TaskStatus.COMPLETED:
+        state.status[t] = TaskStatus.UNASSIGNED
+        state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
     if parent is None:
         state.org.root = None
     else:
@@ -871,9 +860,7 @@ def _start_execution(state: FormationState, robots: list[str], result: StepResul
             done = start + state.tasks[t].duration - 1
             state.exec_started[t] = done
             result.timers.append(TaskCompleted(tick=done, id_task=t, robot=robot))
-            result.messages.append(
-                wire.Message(ENV, robot, wire.KIND_START_WORK, {"task": t, "done_at": done}, state.now)
-            )
+            result.messages.append(wire.Message(ENV, robot, wire.KIND_START_WORK, sent_at=state.now))
 
 
 def _busy_until(state: FormationState, robot: str) -> int:
@@ -954,10 +941,8 @@ def _complete_task(state: FormationState, event: TaskCompleted, result: StepResu
 def _check_mission_done(state: FormationState, result: StepResult) -> None:
     if state.phase in (Phase.DONE, Phase.FAILED):
         return
-    if state.world is not None and set(state.world.evaders) - state.world.captured:
-        return
     if state.root_task is None:
-        if state.world is not None and state.world.captured:
+        if state.world is not None and state.world.captured == state.world.evaders.keys():
             # everything was captured before any tree formed; goal met anyway
             state.phase = Phase.DONE
             result.notes.append({"kind": "mission_done", "utilities": {}})
@@ -1017,7 +1002,7 @@ def handle_join(
 
 def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason) -> StepResult:
     result = StepResult()
-    if robot not in state.robots or robot in state.dead or robot in state.departed:
+    if not state.alive(robot):
         result.notes.append({"kind": "withdraw_noop"})
         return result
     if reason is WithdrawReason.FAILURE:
@@ -1074,16 +1059,12 @@ def reelect_leader(state: FormationState, node_id: str, result: StepResult) -> N
     if node is None:
         return
     parent = ix.parent[node_id]
-    t = node.goals[0] if node.goals else None
+    t = node.goals[0]
     node.id_robot = None
-    if t is not None:
-        state.org.assignments.pop(t, None)
-        if state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
-            state.status[t] = TaskStatus.UNASSIGNED
-            state.active_auctions.pop(t, None)
-    if t is None:
-        _dissolve_team(state, node, parent, result)
-        return
+    state.org.assignments.pop(t, None)
+    if state.status[t] in (TaskStatus.ASSIGNED, TaskStatus.ANNOUNCED):
+        state.status[t] = TaskStatus.UNASSIGNED
+        state.active_auctions.pop(t, None)
     election = Announcement(
         id_task=t,
         reward=state.current_reward[t],
@@ -1136,19 +1117,16 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
     targets: dict[str, tuple[int, int]] = {}
     centers: dict[str, tuple[int, int]] = {}
     for t, (evader, sg) in sorted(state.flank.items()):
-        # a captured evader's goals are done or superseded
-        if evader in world.captured:
-            continue
-        assignment = state.org.assignments.get(t)
-        if assignment is None or state.status[t] is not TaskStatus.ASSIGNED:
-            continue
-        if not state.alive(assignment.assignee):
+        # a captured evader's goals are done or superseded; an Assigned
+        # goal's holder is alive, as a withdrawal revokes the goals it holds
+        if evader in world.captured or state.status[t] is not TaskStatus.ASSIGNED:
             continue
         center = centers.get(evader)
         if center is None:
             center = centers[evader] = pursuit.predicted_position(world, evader)
+        holder = state.org.assignments[t].assignee
         # tick_world clamps the target
-        targets[assignment.assignee] = (center[0] + sg.offset[0], center[1] + sg.offset[1])
+        targets[holder] = (center[0] + sg.offset[0], center[1] + sg.offset[1])
 
     # a capture tree whose holder failed in the capture tick is left open: a
     # goal queued again, or a completion timer voided. It is finished now,
@@ -1171,10 +1149,11 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         _maybe_complete_parent(state, SOCIETY, result)
 
     # sensing is pure and the first tick is kept, so a robot that has already
-    # seen every uncaptured evader has nothing left to record
+    # seen every uncaptured evader has nothing left to record. A pose is
+    # alive exactly while its robot is
     open_evaders = [ev for ev in sorted(world.evaders) if ev not in world.captured]
-    for rid in sorted(world.robots):
-        if not state.alive(rid):
+    for rid, pose in sorted(world.robots.items()):
+        if not pose.alive:
             continue
         for ev in open_evaders:
             if (rid, ev) not in state.first_detection:
@@ -1186,11 +1165,12 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
 
     if SOCIETY not in state.tasks:
         # the first to detect founds the society; from then on its leader
-        # changes only by re-election or by its auction after a dissolution
+        # changes only by re-election, by a re-plan, or by its auction after
+        # a dissolution
         eligible = [
             (rid, ev, tick)
             for (rid, ev), tick in state.first_detection.items()
-            if state.alive(rid) and _leadership_capable(state.robots[rid])
+            if world.robots[rid].alive and state.robots[rid].dominates(LEADERSHIP_REQUIREMENTS)
         ]
         chosen = pursuit.elect_organizer(eligible)
         if chosen is not None:

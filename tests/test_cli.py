@@ -324,6 +324,25 @@ class TestRunCommand:
         assert f"config error: {robot}.id: {problem}" in result.output
 
     @pytest.mark.parametrize(
+        "where", ["task.id", "task.subtasks[0].id", "pursuit.evaders[0].id", "rules[0].id"]
+    )
+    @pytest.mark.parametrize("value", [None, True, ["x"], {"a": 1}])
+    def test_a_task_evader_or_rule_id_that_is_not_an_id_exits_two(
+        self, runner, generic_config, tmp_path, where, value
+    ):
+        # robot ids keep the same rule: a string or a number
+        if where.startswith("pursuit"):
+            data = json.loads(CANONICAL.read_text())
+        else:
+            data = json.loads(generic_config.read_text())
+            data["rules"] = [{"id": "no-parallel", "predicate": "no_parallel_coassignment"}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(with_field(data, where, value)))
+        result = runner.invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {where}: expected a string or number, got {value!r}" in result.output
+
+    @pytest.mark.parametrize(
         "where",
         ["task.subtasks[0].subtasks[0].duration",
          "task.subtasks[0].subtasks[0].alternatives[0][0].duration"],

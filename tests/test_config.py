@@ -1,4 +1,5 @@
-"""Config parsing: robots that repeat a capability list share one parsed set.
+"""Config parsing: robots that repeat a capability list share one parsed set,
+and a field a config leaves out takes the engine's default.
 
 `config.from_dict` builds each distinct capability list once per call, and
 the pursuit start poses of one robot kind share one magnitude table. These
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 
 from hwrom import config as cfg
 from hwrom import formation as fm
+from hwrom import simnet
 from hwrom.cli import main
 from hwrom.org_core import CapabilityKind
 
@@ -97,3 +99,22 @@ def test_robots_of_one_kind_share_one_set_and_one_table_within_a_parse_only():
     # no cache across calls: the second parse builds its own
     assert first.robots[0].capabilities is not second.robots[0].capabilities
     assert first.robots[0].magnitudes is not second.robots[0].magnitudes
+
+
+def test_a_config_that_leaves_every_knob_out_gets_the_engines_defaults():
+    generic = cfg.from_dict({"robots": [{"id": "R1"}], "task": {"id": "T"}})
+    engine = fm.EngineParams()
+    got = generic.params
+    assert (got.margin, got.bid_window, got.default_cost, got.policy, got.rules_pool) == (
+        engine.margin, engine.bid_window, engine.default_cost, engine.policy, engine.rules_pool
+    )
+    assert generic.net == simnet.NetConfig()
+    pursuit = cfg.from_dict({
+        "robots": [{"id": "R1"}],
+        "pursuit": {
+            "grid": [5, 5],
+            "robots": [{"id": "R1", "pos": [0, 0]}],
+            "evaders": [{"id": "e1", "pos": [4, 4]}],
+        },
+    })
+    assert pursuit.params.pursuit == fm.PursuitParams()

@@ -41,6 +41,7 @@ from corpus import (
     chain_config,
     one_unit_config,
     organizer_failure,
+    probe,
     random_pursuit_config,
 )
 
@@ -780,3 +781,90 @@ def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
         if state.phase is Phase.DONE and state.org.root is not None:
             assert validate(state.org).ok, seed
     assert {Phase.DONE, Phase.FAILED} <= phases
+
+
+def test_a_reelection_keeps_a_completed_task_completed():
+    # random_pursuit_config(25): capture:e1 and capture:e0 complete at 9 and
+    # 10. When R1 fails at 23, R2 takes the lead of both teams and is owed
+    # their price, but neither task is reopened or completes a second time
+    records: list[dict] = []
+    state, _ = eventlog.simulate(config.from_dict(random_pursuit_config(25)), records.append)
+    completed = [rec["data"]["id_task"] for rec, _ in noted(records, "completed")]
+    assert completed.count("capture:e0") == completed.count("capture:e1") == 1
+    reelected = [(rec["tick"], n["task"], n["robot"]) for rec, n in noted(records, "reelected")]
+    assert {(23, "capture:e0", "R2"), (23, "capture:e1", "R2")} <= set(reelected)
+    for t in ("capture:e0", "capture:e1"):
+        assert state.org.assignments[t].assignee == "R2"
+        assert state.status[t] is TaskStatus.COMPLETED
+
+
+# --- engine invariants the run path relies on without re-checking ------------------------
+
+
+@probe()
+def pursuit_tick_reads(mp, run):
+    """At each pursuit Tick, before it runs: every Assigned surround goal
+    has an assignment, and every pose is alive exactly while its robot is.
+    The Tick moves each goal's holder and senses by pose on that account."""
+    tick = fm._pursuit_tick
+
+    def checked(state, result):
+        for t in state.flank:
+            if state.status[t] is TaskStatus.ASSIGNED:
+                run.seen["assigned goal"] += 1
+                if t not in state.org.assignments:
+                    run.find("tick", state.now, f"{t} is Assigned without an assignment")
+        for rid, pose in state.world.robots.items():
+            run.seen["pose"] += 1
+            if pose.alive != state.alive(rid):
+                run.find("tick", state.now, f"{rid}: pose alive {pose.alive}, robot alive {state.alive(rid)}")
+        tick(state, result)
+
+    mp.setattr(fm, "_pursuit_tick", checked)
+
+
+@probe()
+def reelected_team(mp, run):
+    """At each re-election, the team node holds exactly its own task."""
+    reelect = fm.reelect_leader
+
+    def checked(state, node_id, result):
+        node = org_core.index(state.org).node.get(node_id)
+        if node is not None:
+            run.seen["reelection"] += 1
+            if node.goals != [node_id.removeprefix("team:")]:
+                run.find("reelection", state.now, f"{node_id} holds {node.goals}")
+        reelect(state, node_id, result)
+
+    mp.setattr(fm, "reelect_leader", checked)
+
+
+@probe()
+def completions(mp, run):
+    """Each task becomes Completed at most once in a run."""
+    complete = fm._complete_task
+    done: set[str] = set()
+
+    def checked(state, event, result):
+        was = state.status.get(event.id_task)
+        complete(state, event, result)
+        if was is not TaskStatus.COMPLETED and state.status[event.id_task] is TaskStatus.COMPLETED:
+            run.seen["completion"] += 1
+            if event.id_task in done:
+                run.find("completion", state.now, f"{event.id_task} completed again")
+            done.add(event.id_task)
+
+    mp.setattr(fm, "_complete_task", checked)
+
+
+def test_a_pursuit_tick_finds_each_assigned_goal_held_and_each_pose_alive_with_its_robot(walk):
+    seen = walk.assert_clean("tick", walk)
+    assert seen["assigned goal"] and seen["pose"], seen
+
+
+def test_a_reelected_team_holds_exactly_its_own_task(walk):
+    assert walk.assert_clean("reelection", walk)["reelection"]
+
+
+def test_no_task_completes_twice(walk):
+    assert walk.assert_clean("completion", walk)["completion"]

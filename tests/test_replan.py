@@ -20,8 +20,8 @@ from hwrom import eventlog
 from hwrom.allocation import BudgetExhausted, Problem, solve
 from hwrom.config import from_dict
 from hwrom import formation as fm
-from hwrom.formation import EngineParams, _leadership_capable
-from hwrom.org_core import AssignmentMode, TaskAssignment, TaskNode, TaskStatus
+from hwrom.formation import EngineParams
+from hwrom.org_core import LEADERSHIP_REQUIREMENTS, AssignmentMode, TaskAssignment, TaskNode, TaskStatus
 from hwrom.rules_engine import RULE_NO_PARALLEL, STANDARD_RULES, ConstraintKind, ConstraintRelation
 
 from conftest import SKILLS, cap, log_notes, organizer_caps, req, robot, run_cli_logged
@@ -108,7 +108,7 @@ def reference_problem(state: fm.FormationState) -> Problem:
         out = []
         for r in robots:
             rb = state.robots[r]
-            if need_leadership and not _leadership_capable(rb):
+            if need_leadership and not rb.dominates(LEADERSHIP_REQUIREMENTS):
                 continue
             if not task.subtasks and not rb.dominates(task.required_capabilities):
                 continue
