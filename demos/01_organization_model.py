@@ -78,10 +78,10 @@ def main() -> None:
     org.subtasks = {"mission": ["survey", "haul"], "survey": ["scan-east"],
                     "scan-east": [], "haul": []}
     org.assignments = {
-        "mission": TaskAssignment("mission", "R1", Fraction(20), AssignmentMode.LED),
-        "survey": TaskAssignment("survey", "R2", Fraction(5), AssignmentMode.LED),
-        "scan-east": TaskAssignment("scan-east", "R3", Fraction(6), AssignmentMode.WON),
-        "haul": TaskAssignment("haul", "R4", Fraction(4), AssignmentMode.WON),
+        "mission": TaskAssignment("R1", Fraction(20), AssignmentMode.LED),
+        "survey": TaskAssignment("R2", Fraction(5), AssignmentMode.LED),
+        "scan-east": TaskAssignment("R3", Fraction(6), AssignmentMode.WON),
+        "haul": TaskAssignment("R4", Fraction(4), AssignmentMode.WON),
     }
     deltas = settle_utilities(
         org,

@@ -110,7 +110,8 @@ def _cell(value: Any, where: str, w: int, h: int) -> tuple[int, int]:
 
 
 def _id(value: Any, where: str) -> str:
-    """A robot, task, evader or rule id: a string or a number, as a string."""
+    """A robot, task, evader or rule id, or a reference to one: a string or
+    a number, as a string."""
     if value is None or isinstance(value, (bool, list, dict)):
         raise ConfigError(where, f"expected a string or number, got {value!r}")
     return str(value)
@@ -291,7 +292,8 @@ def _build_rules(data: dict) -> tuple[frozenset[Rule], dict[str, frozenset[Rule]
     robot_rules: dict[str, frozenset[Rule]] = {}
     for rid, rule_ids in _as_dict(data.get("robot_rules", {}), "robot_rules").items():
         rules = []
-        for rule_id in _as_list(rule_ids, f"robot_rules.{rid}"):
+        for j, raw in enumerate(_as_list(rule_ids, f"robot_rules.{rid}")):
+            rule_id = _id(raw, f"robot_rules.{rid}[{j}]")
             if rule_id not in by_id:
                 raise ConfigError(f"robot_rules.{rid}", f"unknown rule id {rule_id!r}")
             rules.append(by_id[rule_id])
@@ -330,8 +332,8 @@ def from_dict(data: dict) -> ScenarioConfig:
     for i, entry in enumerate(_as_list(data.get("constraints", []), "constraints")):
         where = f"constraints[{i}]"
         entry = _as_dict(entry, where)
-        a = str(_require(entry, "a", where))
-        b = str(_require(entry, "b", where))
+        a = _id(_require(entry, "a", where), f"{where}.a")
+        b = _id(_require(entry, "b", where), f"{where}.b")
         kind = _require(entry, "kind", where)
         try:
             ck = ConstraintKind(kind)
@@ -384,7 +386,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         for i, entry in enumerate(_as_list(_require(block, "robots", "pursuit"), "pursuit.robots")):
             where = f"pursuit.robots[{i}]"
             entry = _as_dict(entry, where)
-            rid = str(_require(entry, "id", where))
+            rid = _id(_require(entry, "id", where), f"{where}.id")
             if rid not in robot_ids:
                 raise ConfigError(where, f"unknown robot {rid!r}")
             cell = _cell(_require(entry, "pos", where), f"{where}.pos", w, h)
@@ -460,7 +462,7 @@ def from_dict(data: dict) -> ScenarioConfig:
             event = fm.RobotJoined(tick=at, robot=robot, pose=pose)
             script.append(((at, kind, robot.id_cr), where, event))
         elif kind in ("fail", "withdraw"):
-            rid = str(_require(entry, "robot", where))
+            rid = _id(_require(entry, "robot", where), f"{where}.robot")
             if kind == "fail":
                 event = fm.RobotFailed(tick=at, robot=rid)
             else:

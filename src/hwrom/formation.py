@@ -104,7 +104,6 @@ class FormationEvent:
 @dataclass(frozen=True, kw_only=True)
 class TaskArrived(FormationEvent):
     id_task: str
-    parent_node: str | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -193,14 +192,7 @@ class EngineParams:
 @dataclass
 class AuctionState:
     announcement: Announcement
-    parent_node: str | None
     bids: dict[str, Bid] = field(default_factory=dict)  # by bidder, in arrival order
-
-
-@dataclass(frozen=True)
-class PendingTask:
-    id_task: str
-    parent_node: str | None
 
 
 @dataclass
@@ -216,7 +208,7 @@ class FormationState:
     robots: dict[str, CooperativeRobot] = field(default_factory=dict)
     dead: set[str] = field(default_factory=set)
     departed: set[str] = field(default_factory=set)
-    pending: deque[PendingTask] = field(default_factory=deque)
+    pending: deque[str] = field(default_factory=deque)  # tasks to announce, in order
     active_auctions: dict[str, AuctionState] = field(default_factory=dict)
     org: Organization = field(default_factory=Organization)
     locks: LockLedger = field(default_factory=LockLedger)
@@ -443,22 +435,30 @@ def _requirements(state: FormationState, t: str) -> tuple[frozenset[CapabilityRe
     return own, False
 
 
-def _speaker(state: FormationState, parent_node: str | None) -> str | None:
-    """Who speaks for the auction of a task owned by parent_node: ENV for a
-    root task, otherwise the owning team's current leader, or None when that
-    team is gone. Every round, award and re-send of an auction comes from
-    here, so a re-elected leader takes over its team's open auctions."""
-    if parent_node is None:
+def owning_team(state: FormationState, t: str) -> str | None:
+    """The team node that owns task t, its parent task's team, as the task
+    tree says; None for the run's root. Who speaks for t's auction and where
+    t's team is seated are both read from here."""
+    parent = state.task_parent[t]
+    return None if parent is None else f"team:{parent}"
+
+
+def _speaker(state: FormationState, t: str) -> str | None:
+    """Who speaks for task t's auction: ENV for the run's root, otherwise
+    the owning team's current leader, or None when that team is gone. Every
+    round, award and re-send of an auction comes from here, so a re-elected
+    leader takes over its team's open auctions."""
+    owner = owning_team(state, t)
+    if owner is None:
         return ENV
-    node = org_core.index(state.org).node.get(parent_node)
+    node = org_core.index(state.org).node.get(owner)
     return node.id_robot if node is not None else None
 
 
-def _announce(state: FormationState, item: PendingTask, result: StepResult) -> None:
-    t = item.id_task
+def _announce(state: FormationState, t: str, result: StepResult) -> None:
     if state.status.get(t) is not TaskStatus.UNASSIGNED:
         return
-    ann = _open_auction(state, t, state.current_reward[t], 0, item.parent_node, result)
+    ann = _open_auction(state, t, state.current_reward[t], 0, result)
     if ann is None:
         return  # owning team vanished; the task was revoked with it
     result.notes.append(
@@ -474,21 +474,21 @@ def _announce(state: FormationState, item: PendingTask, result: StepResult) -> N
 
 
 def _open_auction(
-    state: FormationState, t: str, reward: Fraction, round: int, parent_node: str | None, result: StepResult
+    state: FormationState, t: str, reward: Fraction, round: int, result: StepResult
 ) -> Announcement | None:
     """Open one round of task t's auction at `reward` and return its one
     announcement: its speaker is the owning team's current leader, its
     requirements and leadership come from `_requirements`, its bid window
     starts now, every live robot that speaker may talk to hears it, and its
     close is timed. None, and no round, when the owning team is gone."""
-    auctioneer = _speaker(state, parent_node)
+    auctioneer = _speaker(state, t)
     if auctioneer is None:
         return None
     reqs, leadership = _requirements(state, t)
     ann = Announcement(t, reward, reqs, round, state.now + state.params.bid_window, auctioneer, leadership)
     state.current_reward[t] = ann.reward
     state.status[t] = TaskStatus.ANNOUNCED
-    state.active_auctions[t] = AuctionState(ann, parent_node)
+    state.active_auctions[t] = AuctionState(ann)
     for rid in sorted(state.robots):
         if state.alive(rid) and org_core.communication_allowed(state.org, auctioneer, rid):
             result.messages.append(wire.Message(auctioneer, rid, wire.KIND_ANNOUNCE, ann, state.now))
@@ -499,17 +499,17 @@ def _open_auction(
 # --- awards --------------------------------------------------------------------------
 
 
-def _award(state: FormationState, auction: AuctionState, bid: Bid, result: StepResult) -> None:
+def _award(state: FormationState, bid: Bid, result: StepResult) -> None:
     t = bid.id_task
     winner = bid.bidder
 
     if state.is_composite(t):
-        _hang_team(state, t, winner, bid.price, auction.parent_node, result)
+        _hang_team(state, t, winner, bid.price, result)
     else:
         # before the edit below, while the index still matches the tree
-        speaker = _speaker(state, auction.parent_node)
+        speaker = _speaker(state, t)
         state.locks.lock(winner, t, state.now)
-        _install_member(state, winner, t, auction.parent_node)
+        _install_member(state, winner, t, owning_team(state, t))
         _assign(state, t, winner, bid.price, AssignmentMode.WON)
         result.messages.append(wire.Message(speaker, winner, wire.KIND_AWARD, sent_at=state.now))
 
@@ -528,27 +528,29 @@ def _assign(state: FormationState, t: str, robot: str, price: Fraction, mode: As
     pursuit's society and capture roots, re-elections) and the allocation
     fallback (allocated, or led for a composite). A re-election keeps a
     completed task completed: its new leader is paid, not put to work."""
-    state.org.assignments[t] = TaskAssignment(t, robot, price, mode)
+    state.org.assignments[t] = TaskAssignment(robot, price, mode)
     if state.status[t] is not TaskStatus.COMPLETED:
         state.status[t] = TaskStatus.ASSIGNED
 
 
-def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | None) -> None:
-    """Put the team of task t, led by leader, under parent_node (the root
-    when None). The team takes over the leader's element, its unit with the
-    teams it leads above it, so a leader's teams form one chain and every
-    robot keeps one unit. Awards, the pursuit's society and capture roots,
-    and the allocation fallback all seat teams here; the caller renumbers."""
+def _seat_team(state: FormationState, t: str, leader: str) -> None:
+    """Put the team of task t, led by leader, under t's owning team (as the
+    root for the run's root). The team takes over the leader's element, its
+    unit with the teams it leads above it, so a leader's teams form one chain
+    and every robot keeps one unit. Awards, the pursuit's society and capture
+    roots, and the allocation fallback all seat teams here; the caller
+    renumbers."""
+    owner = owning_team(state, t)
     ix = org_core.index(state.org)
     team = OrgNode(id_ros=f"team:{t}", id_robot=leader, level_i=0, pos_j=0, goals=[t])
     element = ix.leaf_of_robot.get(leader)
-    if parent_node is None:
+    if owner is None:
         team.children = [element if element is not None else _new_leaf(state, leader)]
         state.org.root = team
         return
-    parent = ix.node.get(parent_node)
+    parent = ix.node.get(owner)
     if parent is None:
-        raise ProtocolViolationError(f"award under unknown node {parent_node}")
+        raise ProtocolViolationError(f"award under unknown node {owner}")
     while element is not None and (up := ix.parent[element.id_ros]) is not None:
         if up is parent or up.id_robot != leader:
             break
@@ -567,23 +569,16 @@ def _seat_team(state: FormationState, t: str, leader: str, parent_node: str | No
         parent.children.append(team)
 
 
-def _hang_team(
-    state: FormationState,
-    t: str,
-    leader: str,
-    price: Fraction,
-    parent_node: str | None,
-    result: StepResult,
-) -> None:
-    """Seat a new team for task t, led by leader, under parent_node, hand
+def _hang_team(state: FormationState, t: str, leader: str, price: Fraction, result: StepResult) -> None:
+    """Seat a new team for task t, led by leader, under its owning team, hand
     leader the lead, and queue the arrival of each subtask still unassigned.
     The seat comes before the assignment is written, while the index still
     matches the tree; the caller renumbers."""
-    _seat_team(state, t, leader, parent_node)
+    _seat_team(state, t, leader)
     _assign(state, t, leader, price, AssignmentMode.LED)
     for child in state.org.subtasks[t]:
         if state.status[child] is TaskStatus.UNASSIGNED:
-            result.timers.append(TaskArrived(tick=state.now, id_task=child, parent_node=f"team:{t}"))
+            result.timers.append(TaskArrived(tick=state.now, id_task=child))
     _maybe_complete_parent(state, t, result)
 
 
@@ -648,7 +643,7 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
     winner = select_winner(valid)
     del state.active_auctions[t]
     if winner is not None:
-        _award(state, auction, auction.bids[winner], result)
+        _award(state, auction.bids[winner], result)
         _check_formed(state, result)
         return
 
@@ -662,7 +657,7 @@ def _close_auction(state: FormationState, event: AuctionClosed, result: StepResu
         _check_formed(state, result)
         return
     if isinstance(tactic, Escalate):
-        _open_auction(state, t, tactic.reward, tactic.round, auction.parent_node, result)
+        _open_auction(state, t, tactic.reward, tactic.round, result)
         result.notes.append({"kind": "escalate", "round": tactic.round, "reward": str(tactic.reward)})
         return
     result.notes.append({"kind": "give_up"})
@@ -690,9 +685,7 @@ def _apply_redecompose(state: FormationState, t: str, round: int, result: StepRe
     at = siblings.index(t)
     siblings[at : at + 1] = [p.id_task for p in pieces]
     state.status[t] = TaskStatus.FAILED
-    owning = f"team:{parent_id}"
-    for piece in pieces:
-        state.pending.append(PendingTask(piece.id_task, owning))
+    state.pending.extend(p.id_task for p in pieces)
     result.notes.append({"kind": "redecompose", "pieces": [p.id_task for p in pieces], "round": round})
 
 
@@ -722,8 +715,9 @@ def _revoke_task(state: FormationState, t: str, reason: str, result: StepResult)
 def _dissolve_team(
     state: FormationState, node: OrgNode, parent: OrgNode | None, result: StepResult
 ) -> None:
-    """Reset a leaderless team: unfinished subtree tasks return to the parent's
-    queue, members go back to the pool, accumulated margin is forfeited."""
+    """Reset a leaderless team: unfinished subtree tasks return to the queue,
+    its own task to be won again under its owning team, members go back to
+    the pool, accumulated margin is forfeited."""
     t = node.goals[0]
     for sub in _descendants(state, t):
         if state.status[sub] is not TaskStatus.COMPLETED:
@@ -731,7 +725,7 @@ def _dissolve_team(
     state.org.assignments.pop(t, None)
     if state.status[t] is not TaskStatus.COMPLETED:
         state.status[t] = TaskStatus.UNASSIGNED
-        state.pending.append(PendingTask(t, parent.id_ros if parent is not None else None))
+        state.pending.append(t)
     if parent is None:
         state.org.root = None
     else:
@@ -820,17 +814,15 @@ def _rebuild_tree(state: FormationState) -> None:
         a = assignments.get(t)
         if a is None or not state.is_composite(t):
             continue
-        parent = state.task_parent.get(t)
-        owner = None if parent is None else f"team:{parent}"
+        owner = owning_team(state, t)
         if owner is not None and owner not in org_core.index(state.org).node:
             continue  # its owning team is gone
-        _seat_team(state, t, a.assignee, owner)
+        _seat_team(state, t, a.assignee)
         _renumber(state)
         teams.append(t)
     teams.sort(key=lambda t: -allocation.depth(state.task_parent, t))
-    subtasks = [(f"team:{t}", sub) for t in teams for sub in state.org.subtasks[t]]
     # with no team, an atomic root's holder is the whole organization
-    for owner, sub in subtasks or [(None, state.root_task)]:
+    for sub in [sub for t in teams for sub in state.org.subtasks[t]] or [state.root_task]:
         a = assignments.get(sub)
         if a is None or state.is_composite(sub):
             continue
@@ -839,7 +831,7 @@ def _rebuild_tree(state: FormationState) -> None:
         if leaf is not None and leaf.goals:
             continue  # the robot's unit took its goals where it was first met
         for g in sorted(x for x in ix.tasks_by_robot[a.assignee] if not state.is_composite(x)):
-            _install_member(state, a.assignee, g, owner)
+            _install_member(state, a.assignee, g, owning_team(state, sub))
             _renumber(state)
 
 
@@ -988,9 +980,8 @@ def handle_join(
     if state.world is not None and pose is not None:
         state.world.robots[robot.id_cr] = robot_pose(robot, pose)
     result.notes.append({"kind": "joined"})
-    for t in sorted(state.active_auctions):
-        auction = state.active_auctions[t]
-        speaker = _speaker(state, auction.parent_node)
+    for t, auction in sorted(state.active_auctions.items()):
+        speaker = _speaker(state, t)
         if org_core.communication_allowed(state.org, speaker, robot.id_cr):
             result.messages.append(
                 wire.Message(
@@ -1025,8 +1016,7 @@ def handle_withdrawal(state: FormationState, robot: str, reason: WithdrawReason)
         if state.status[t] is not TaskStatus.ASSIGNED or assignment.mode is AssignmentMode.LED:
             continue
         _revoke_task(state, t, reason.value, result)
-        parent = state.task_parent.get(t)
-        state.pending.append(PendingTask(t, f"team:{parent}" if parent is not None else None))
+        state.pending.append(t)
 
     if leaf is not None:
         holder = ix.parent[leaf.id_ros]
@@ -1175,7 +1165,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         chosen = pursuit.elect_organizer(eligible)
         if chosen is not None:
             register_task_tree(state, TaskNode(SOCIETY, params.mission_reward * len(world.evaders)))
-            _hang_team(state, SOCIETY, chosen, state.current_reward[SOCIETY], None, result)
+            _hang_team(state, SOCIETY, chosen, state.current_reward[SOCIETY], result)
             _renumber(state)
             state.phase = Phase.FORMING
             result.notes.append({"kind": "organizer_elected", "robot": chosen})
@@ -1214,7 +1204,7 @@ def _pursuit_tick(state: FormationState, result: StepResult) -> None:
         for i, sg in enumerate(subgoals):
             state.flank[f"sg:{evader}:{i}"] = (evader, sg)
         # the organizer leads it from the tick that plans it, at its reward
-        _hang_team(state, root.id_task, organizer, root.reward, f"team:{SOCIETY}", result)
+        _hang_team(state, root.id_task, organizer, root.reward, result)
         _renumber(state)
         result.notes.append(
             {
@@ -1243,7 +1233,7 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
             state.active_auctions.pop(t, None)
             result.notes.append({"kind": "superseded_by_capture", "task": t})
     state.org.subtasks[root_id] = live
-    state.pending = deque(p for p in state.pending if state.task_parent.get(p.id_task) != root_id)
+    state.pending = deque(p for p in state.pending if state.task_parent[p] != root_id)
     root_assignment = state.org.assignments.get(root_id)
     if root_assignment is not None:
         if state.status[root_id] is TaskStatus.ASSIGNED and all(
@@ -1255,7 +1245,7 @@ def _finish_evader_tree(state: FormationState, evader: str, result: StepResult) 
     elif state.status[root_id] is not TaskStatus.COMPLETED:
         # captured while the tree was leaderless: the goal is met regardless
         state.active_auctions.pop(root_id, None)
-        state.pending = deque(p for p in state.pending if p.id_task != root_id)
+        state.pending = deque(p for p in state.pending if p != root_id)
         state.status[root_id] = TaskStatus.COMPLETED
         result.notes.append({"kind": "captured_unled", "task": root_id})
 
@@ -1276,12 +1266,12 @@ def step(state: FormationState, event: FormationEvent) -> StepResult:
             _check_mission_done(state, result)
         if state.phase not in (Phase.DONE, Phase.FAILED):
             queued, state.pending = state.pending, deque()
-            for item in queued:
-                _announce(state, item, result)
+            for t in queued:
+                _announce(state, t, result)
     elif isinstance(event, TaskArrived):
         if event.id_task not in state.tasks:
             raise ProtocolViolationError(f"arrival of unregistered task {event.id_task}")
-        state.pending.append(PendingTask(event.id_task, event.parent_node))
+        state.pending.append(event.id_task)
         result.notes.append({"kind": "queued"})
     elif isinstance(event, BidSubmitted):
         _accept_bid(state, event, result)
@@ -1339,7 +1329,7 @@ def state_snapshot(state: FormationState, org: dict | None = None) -> dict:
         "pool": sorted(state.pool),
         "dead": sorted(state.dead),
         "departed": sorted(state.departed),
-        "pending": [[p.id_task, p.parent_node] for p in state.pending],
+        "pending": [[t, owning_team(state, t)] for t in state.pending],
         "auctions": {
             t: {
                 "round": a.announcement.round,
@@ -1394,7 +1384,7 @@ def form(
     state = new_state(robots, params or EngineParams())
     register_task_tree(state, task)
     scheduler = Scheduler(state, NetConfig())
-    scheduler.push_event(TaskArrived(tick=0, id_task=task.id_task, parent_node=None))
+    scheduler.push_event(TaskArrived(tick=0, id_task=task.id_task))
     scheduler.run(
         until=max_ticks,
         stop_when=lambda s: s.phase in (Phase.EXECUTING, Phase.DONE, Phase.FAILED),

@@ -231,10 +231,10 @@ class TaskAssignment:
     """Who carries a task, at what agreed price, and how it was obtained.
 
     The decomposition the assignee runs when it leads the task is the task's
-    entry in `Organization.subtasks`.
+    entry in `Organization.subtasks`. The task is its key in
+    `Organization.assignments`.
     """
 
-    id_task: str
     assignee: str
     price: Fraction
     mode: AssignmentMode

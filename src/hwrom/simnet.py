@@ -208,13 +208,11 @@ class Scheduler:
 
     def _deliver(self, msg: Message, at: int) -> None:
         state = self.state
-        if msg.to == ENV:
-            if msg.kind == wire.KIND_BID:
-                self.push_event(fm.BidSubmitted(tick=at, bid=msg.payload))
+        if msg.to != ENV and not state.alive(msg.to):
             return
-        if not state.alive(msg.to):
-            return
-        if msg.kind == wire.KIND_ANNOUNCE:
+        if msg.kind == wire.KIND_BID:
+            self.push_event(fm.BidSubmitted(tick=at, bid=msg.payload))
+        elif msg.kind == wire.KIND_ANNOUNCE:  # never addressed to ENV
             decision = fm.consider_announcement(state, msg.to, msg.payload)
             if isinstance(decision, Bid):
                 reply = Message(msg.to, msg.sender, wire.KIND_BID, decision, at)
@@ -229,8 +227,6 @@ class Scheduler:
                         "reason": decision.reason,
                     }
                 )
-        elif msg.kind == wire.KIND_BID:
-            self.push_event(fm.BidSubmitted(tick=at, bid=msg.payload))
         # award / start_work deliveries are informational for the robot
 
     # -- the loop ---------------------------------------------------------------
@@ -260,7 +256,7 @@ class Scheduler:
                     "event": type(event).__name__,
                     "seq": seq,
                     "tick": event.tick,
-                    "data": event_data(event),
+                    "data": event_data(self.state, event),
                     "detail": {"notes": result.notes},
                 }
             )
@@ -276,10 +272,11 @@ class Scheduler:
 # --- event data for logs ---------------------------------------------------------
 
 
-def event_data(event: fm.FormationEvent) -> dict:
-    """An event's own fields, as its record's `data`; a Tick has none."""
+def event_data(state: fm.FormationState, event: fm.FormationEvent) -> dict:
+    """An event's own fields, as its record's `data`; a Tick has none. A
+    TaskArrived record also names the task's owning team, from the tree."""
     if isinstance(event, fm.TaskArrived):
-        return {"id_task": event.id_task, "parent_node": event.parent_node}
+        return {"id_task": event.id_task, "parent_node": fm.owning_team(state, event.id_task)}
     if isinstance(event, fm.BidSubmitted):
         b = event.bid
         return {

@@ -324,7 +324,11 @@ class TestRunCommand:
         assert f"config error: {robot}.id: {problem}" in result.output
 
     @pytest.mark.parametrize(
-        "where", ["task.id", "task.subtasks[0].id", "pursuit.evaders[0].id", "rules[0].id"]
+        "where",
+        ["task.id", "task.subtasks[0].id", "pursuit.evaders[0].id", "rules[0].id",
+         # a reference keeps the rule too: null names no robot "None", true no task "True"
+         "events[0].robot", "constraints[0].a", "constraints[0].b", "pursuit.robots[0].id",
+         "robot_rules.R1[0]"],
     )
     @pytest.mark.parametrize("value", [None, True, ["x"], {"a": 1}])
     def test_a_task_evader_or_rule_id_that_is_not_an_id_exits_two(
@@ -336,6 +340,9 @@ class TestRunCommand:
         else:
             data = json.loads(generic_config.read_text())
             data["rules"] = [{"id": "no-parallel", "predicate": "no_parallel_coassignment"}]
+            data["robot_rules"] = {"R1": ["no-parallel"]}
+            data["constraints"] = [{"a": "t1", "b": "t2", "kind": "Parallel"}]
+            data["events"] = [{"at": 2, "type": "fail", "robot": "R2"}]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(with_field(data, where, value)))
         result = runner.invoke(main, ["run", str(bad)])

@@ -115,7 +115,6 @@ class TestStepProtocol:
             announcement=__import__("hwrom.market", fromlist=["Announcement"]).Announcement(
                 "fake", Fraction(5), frozenset(), 0, state.now + 3
             ),
-            parent_node=None,
         )
         state.tasks["fake"] = TaskNode("fake", Fraction(5))
         forged = Bid("R2", "fake", Fraction(1), Fraction(0), 0, sent_at=state.now)
@@ -769,7 +768,7 @@ def test_organizer_failures_leave_no_capture_root_without_an_owner(monkeypatch):
         phases.add(state.phase)
         world = state.world
         assert world.captured != world.evaders.keys() or state.phase is Phase.DONE, seed
-        queued = {p.id_task for p in state.pending}
+        queued = set(state.pending)
         stranded = [
             t
             for t in state.org.subtasks.get(fm.SOCIETY, [])
@@ -857,6 +856,26 @@ def completions(mp, run):
     mp.setattr(fm, "_complete_task", checked)
 
 
+@probe()
+def seats(mp, run):
+    """Each seated team sits under its task's owning team, or is the root
+    for the run's root: its parent is found by walking the tree, not
+    through the index."""
+    seat = fm._seat_team
+
+    def checked(state, t, leader):
+        seat(state, t, leader)
+        run.seen["seat"] += 1
+        team, owner, root = f"team:{t}", fm.owning_team(state, t), state.org.root
+        parents = {c.id_ros: n.id_ros for n in root.walk() for c in n.children}
+        parents[root.id_ros] = None
+        parent = parents.get(team, "nowhere")
+        if parent != owner:
+            run.find("seat", state.now, f"{team} seated under {parent}, its owner is {owner}")
+
+    mp.setattr(fm, "_seat_team", checked)
+
+
 def test_a_pursuit_tick_finds_each_assigned_goal_held_and_each_pose_alive_with_its_robot(walk):
     seen = walk.assert_clean("tick", walk)
     assert seen["assigned goal"] and seen["pose"], seen
@@ -868,3 +887,7 @@ def test_a_reelected_team_holds_exactly_its_own_task(walk):
 
 def test_no_task_completes_twice(walk):
     assert walk.assert_clean("completion", walk)["completion"]
+
+
+def test_every_seated_team_sits_under_its_owning_team(walk):
+    assert walk.assert_clean("seat", walk)["seat"]

@@ -220,9 +220,9 @@ def settled_org() -> Organization:
     org = Organization(robots=[robot("R1"), robot("R2"), robot("R3")], root=root)
     org.subtasks = {"T": ["t1", "t2"], "t1": [], "t2": []}
     org.assignments = {
-        "T": TaskAssignment("T", "R1", Fraction(10), AssignmentMode.LED),
-        "t1": TaskAssignment("t1", "R2", Fraction(3), AssignmentMode.WON),
-        "t2": TaskAssignment("t2", "R3", Fraction(4), AssignmentMode.WON),
+        "T": TaskAssignment("R1", Fraction(10), AssignmentMode.LED),
+        "t1": TaskAssignment("R2", Fraction(3), AssignmentMode.WON),
+        "t2": TaskAssignment("R3", Fraction(4), AssignmentMode.WON),
     }
     return org
 
@@ -232,7 +232,7 @@ class TestSettlement:
         root = OrgNode(id_ros="unit:R1", id_robot="R1", level_i=0, pos_j=0, goals=["T"])
         org = Organization(robots=[robot("R1")], root=root)
         org.subtasks = {"T": []}
-        org.assignments = {"T": TaskAssignment("T", "R1", Fraction(10), AssignmentMode.WON)}
+        org.assignments = {"T": TaskAssignment("R1", Fraction(10), AssignmentMode.WON)}
         deltas = settle_utilities(org, {"T": Fraction(10)})
         assert deltas == {"R1": Fraction(10)}
 

@@ -191,7 +191,7 @@ def random_instance(seed: int) -> fm.FormationState:
         state.status[tid] = TaskStatus.COMPLETED
         holder = rng.choice([r.id_cr for r in robots])
         mode = AssignmentMode.LED if children[tid] else AssignmentMode.WON
-        state.org.assignments[tid] = TaskAssignment(tid, holder, Fraction(10), mode)
+        state.org.assignments[tid] = TaskAssignment(holder, Fraction(10), mode)
     if dead is not None:
         state.dead.add(dead)
     return state
@@ -245,7 +245,7 @@ def test_a_chain_may_not_skip_a_completed_team():
                             ("d", "R1", AssignmentMode.LED),
                             ("d1", "R1", AssignmentMode.WON)):
         state.status[t] = TaskStatus.COMPLETED
-        state.org.assignments[t] = TaskAssignment(t, holder, Fraction(10), mode)
+        state.org.assignments[t] = TaskAssignment(holder, Fraction(10), mode)
     problem = fm._problem(state)
     assert solve(problem) == exhaustive_allocation(problem) == [
         ("T", "R2"), ("t1", "R2")
